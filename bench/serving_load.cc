@@ -106,8 +106,13 @@ int Run(int32_t bench_users, int32_t bench_items) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   ServeMetrics metrics(&registry);
   auto stores = std::move(StoreManager::Open(store_path, &metrics).ValueOrDie());
+  // One handler per client: a handler serves one connection until it
+  // closes, so fewer handlers than clients would make the QPS below
+  // measure the handler count instead of the serving path.
+  ServerConfig server_config;
+  server_config.num_threads = kClients;
   auto server =
-      std::move(ScoringServer::Start(stores.get(), &metrics, ServerConfig())
+      std::move(ScoringServer::Start(stores.get(), &metrics, server_config)
                     .ValueOrDie());
   std::printf("store %s exported; server on port %d\n", store_path.c_str(),
               server->port());

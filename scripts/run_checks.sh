@@ -64,7 +64,7 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 "$BUILD_DIR/tools/hignn" export-store --preset tiny --users 120 --items 60 \
   --steps 30 --out "$SMOKE_DIR/store.hgnnstore"
 "$BUILD_DIR/tools/hignn_serve" serve --store "$SMOKE_DIR/store.hgnnstore" \
-  --port 0 --port-file "$SMOKE_DIR/port" \
+  --port 0 --port-file "$SMOKE_DIR/port" --threads 4 \
   --metrics-out "$SMOKE_DIR/metrics.json" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
@@ -85,6 +85,19 @@ TOPK_BEAMED="$("$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" \
 TOPK_EXACT="$("$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" \
   --user 3 --k 5 --beam -1)"
 [ "$TOPK_BEAMED" = "$TOPK_EXACT" ]
+# Request-level parallelism: four clients at once, one per handler thread,
+# each byte-identical to the serial answer.
+printf '%s\n' "$TOPK_BEAMED" > "$SMOKE_DIR/topk_serial"
+CLIENT_PIDS=()
+for c in 1 2 3 4; do
+  "$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" --user 3 --k 5 \
+    > "$SMOKE_DIR/topk_client_$c" &
+  CLIENT_PIDS+=($!)
+done
+for pid in "${CLIENT_PIDS[@]}"; do wait "$pid"; done
+for c in 1 2 3 4; do
+  cmp "$SMOKE_DIR/topk_serial" "$SMOKE_DIR/topk_client_$c"
+done
 # Legacy layout: a --no-index (version-1) export of the same pipeline
 # serves identical answers — the index is rebuilt deterministically on
 # load, not required in the file.

@@ -20,6 +20,21 @@ VarId ApplyActivation(Tape& tape, VarId x, Activation act, float leaky_slope) {
   return x;
 }
 
+void ApplyActivation(Matrix& x, Activation act, float leaky_slope) {
+  switch (act) {
+    case Activation::kNone:
+      return;
+    case Activation::kSigmoid:
+      return SigmoidInPlace(x);
+    case Activation::kTanh:
+      return TanhInPlace(x);
+    case Activation::kRelu:
+      return LeakyReluInPlace(x, 0.0f);
+    case Activation::kLeakyRelu:
+      return LeakyReluInPlace(x, leaky_slope);
+  }
+}
+
 namespace {
 
 float InitScale(size_t in_dim, size_t out_dim, Activation act) {
@@ -51,6 +66,13 @@ VarId Dense::Forward(Tape& tape, VarId x, bool train) {
     last_b_ = kInvalidVar;
   }
   return ApplyActivation(tape, lin, act_);
+}
+
+Matrix Dense::Forward(const Matrix& x) const {
+  Matrix out = MatMulSerial(x, weight_.value);
+  if (use_bias_) AddRowBroadcastInPlace(out, bias_.value);
+  ApplyActivation(out, act_);
+  return out;
 }
 
 void Dense::AccumulateGrads(const Tape& tape) {
@@ -86,6 +108,12 @@ Mlp::Mlp(std::string name, const std::vector<size_t>& dims,
 VarId Mlp::Forward(Tape& tape, VarId x, bool train) {
   VarId h = x;
   for (auto& layer : layers_) h = layer.Forward(tape, h, train);
+  return h;
+}
+
+Matrix Mlp::Forward(const Matrix& x) const {
+  Matrix h = layers_.front().Forward(x);
+  for (size_t i = 1; i < layers_.size(); ++i) h = layers_[i].Forward(h);
   return h;
 }
 

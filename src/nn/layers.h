@@ -34,6 +34,9 @@ enum class Activation { kNone, kSigmoid, kTanh, kRelu, kLeakyRelu };
 VarId ApplyActivation(Tape& tape, VarId x, Activation act,
                       float leaky_slope = 0.01f);
 
+/// \brief Applies an activation in place with the tape op's kernel.
+void ApplyActivation(Matrix& x, Activation act, float leaky_slope = 0.01f);
+
 /// \brief Fully connected layer y = act(x W + b) with Xavier/He init.
 class Dense {
  public:
@@ -47,6 +50,12 @@ class Dense {
   /// \brief Records the layer on `tape` and returns the output node.
   /// `train` toggles requires_grad on the weights.
   VarId Forward(Tape& tape, VarId x, bool train = true);
+
+  /// \brief Tape-free inference forward, bitwise identical to the tape
+  /// path: the same GEMM kernel run on the calling thread, then bias and
+  /// activation in place. Const and stateless, so any number of threads
+  /// may run it on one layer at once.
+  Matrix Forward(const Matrix& x) const;
 
   /// \brief Pulls tape gradients of this layer's parameters into
   /// Parameter::grad (accumulating).
@@ -81,6 +90,8 @@ class Mlp {
       Activation hidden_act, Activation output_act, Rng& rng);
 
   VarId Forward(Tape& tape, VarId x, bool train = true);
+  /// \brief Tape-free inference forward (see Dense::Forward(const Matrix&)).
+  Matrix Forward(const Matrix& x) const;
   void AccumulateGrads(const Tape& tape);
   std::vector<Parameter*> Params();
   std::vector<const Parameter*> Params() const;

@@ -149,6 +149,15 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
+Matrix MatMulSerial(const Matrix& a, const Matrix& b) {
+  HIGNN_CHECK_EQ(a.cols(), b.rows());
+  Matrix out(a.rows(), b.cols());
+  if (out.empty() || a.cols() == 0) return out;
+  CountGemmDispatch();
+  GemmRowBand(a, b, out, 0, a.rows());
+  return out;
+}
+
 Matrix MatMulBT(const Matrix& a, const Matrix& b) {
   HIGNN_CHECK_EQ(a.cols(), b.cols());
   Matrix out(a.rows(), b.rows());

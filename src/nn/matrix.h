@@ -101,6 +101,12 @@ class Matrix {
 /// \brief out = a * b. Shapes: (m x k) * (k x n) -> (m x n).
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
+/// \brief MatMul on the calling thread only: the same row-band kernel
+/// MatMul fans out, run over all rows, so the bits are identical. For
+/// callers that bring their own parallelism (one serving request per
+/// handler thread) and must not contend for the pool.
+Matrix MatMulSerial(const Matrix& a, const Matrix& b);
+
 /// \brief out = a * b^T. Shapes: (m x k) * (n x k) -> (m x n).
 Matrix MatMulBT(const Matrix& a, const Matrix& b);
 

@@ -86,6 +86,33 @@ inline double SigmoidScalar(double x) {
 
 }  // namespace
 
+void AddRowBroadcastInPlace(Matrix& a, const Matrix& bias) {
+  HIGNN_CHECK_EQ(bias.rows(), 1u);
+  HIGNN_CHECK_EQ(a.cols(), bias.cols());
+  const float* b = bias.row(0);
+  for (size_t r = 0; r < a.rows(); ++r) {
+    float* row = a.row(r);
+    for (size_t c = 0; c < a.cols(); ++c) row[c] += b[c];
+  }
+}
+
+void SigmoidInPlace(Matrix& a) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    a.data()[i] = static_cast<float>(SigmoidScalar(a.data()[i]));
+  }
+}
+
+void TanhInPlace(Matrix& a) {
+  for (size_t i = 0; i < a.size(); ++i) a.data()[i] = std::tanh(a.data()[i]);
+}
+
+void LeakyReluInPlace(Matrix& a, float negative_slope) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    const float x = a.data()[i];
+    if (x < 0.0f) a.data()[i] = negative_slope * x;
+  }
+}
+
 VarId Tape::Input(Matrix value, bool requires_grad) {
   return Emit(std::move(value), requires_grad, nullptr);
 }
@@ -167,15 +194,8 @@ VarId Tape::Add(VarId a, VarId b) {
 }
 
 VarId Tape::AddRowBroadcast(VarId a, VarId bias) {
-  const Matrix& va = value(a);
-  const Matrix& vb = value(bias);
-  HIGNN_CHECK_EQ(vb.rows(), 1u);
-  HIGNN_CHECK_EQ(va.cols(), vb.cols());
-  Matrix out = va;
-  for (size_t r = 0; r < out.rows(); ++r) {
-    float* row = out.row(r);
-    for (size_t c = 0; c < out.cols(); ++c) row[c] += vb(0, c);
-  }
+  Matrix out = value(a);
+  AddRowBroadcastInPlace(out, value(bias));
   const bool needs = nodes_[a].requires_grad || nodes_[bias].requires_grad;
   VarId id = Emit(std::move(out), needs, nullptr);
   if (needs) {
@@ -445,9 +465,7 @@ VarId Tape::RowL2Normalize(VarId a, float eps) {
 
 VarId Tape::Sigmoid(VarId a) {
   Matrix out = value(a);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] = static_cast<float>(SigmoidScalar(out.data()[i]));
-  }
+  SigmoidInPlace(out);
   const bool needs = nodes_[a].requires_grad;
   VarId id = Emit(std::move(out), needs, nullptr);
   if (needs) {
@@ -467,9 +485,7 @@ VarId Tape::Sigmoid(VarId a) {
 
 VarId Tape::Tanh(VarId a) {
   Matrix out = value(a);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] = std::tanh(out.data()[i]);
-  }
+  TanhInPlace(out);
   const bool needs = nodes_[a].requires_grad;
   VarId id = Emit(std::move(out), needs, nullptr);
   if (needs) {
@@ -491,10 +507,7 @@ VarId Tape::Relu(VarId a) { return LeakyRelu(a, 0.0f); }
 
 VarId Tape::LeakyRelu(VarId a, float negative_slope) {
   Matrix out = value(a);
-  for (size_t i = 0; i < out.size(); ++i) {
-    const float x = out.data()[i];
-    if (x < 0.0f) out.data()[i] = negative_slope * x;
-  }
+  LeakyReluInPlace(out, negative_slope);
   const bool needs = nodes_[a].requires_grad;
   VarId id = Emit(std::move(out), needs, nullptr);
   if (needs) {

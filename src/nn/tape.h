@@ -163,6 +163,18 @@ class Tape {
   bool backward_done_ = false;
 };
 
+// Forward kernels of the AddRowBroadcast / Sigmoid / Tanh / LeakyRelu ops,
+// in place. The tape ops call exactly these, so tape-free inference
+// (Dense::Forward(const Matrix&)) built on them is bitwise identical to
+// the recorded forward.
+
+/// \brief a[r][c] += bias[0][c] for every row r.
+void AddRowBroadcastInPlace(Matrix& a, const Matrix& bias);
+void SigmoidInPlace(Matrix& a);
+void TanhInPlace(Matrix& a);
+/// \brief x <- negative_slope * x where x < 0.
+void LeakyReluInPlace(Matrix& a, float negative_slope);
+
 }  // namespace hignn
 
 #endif  // HIGNN_NN_TAPE_H_

@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace hignn {
 
@@ -102,35 +103,33 @@ Result<double> CvrModel::Train(const CvrFeatureBuilder& features,
 
 Result<std::vector<float>> CvrModel::Predict(
     const CvrFeatureBuilder& features,
-    const std::vector<LabeledSample>& samples) {
+    const std::vector<LabeledSample>& samples) const {
   if (features.dim() != input_dim_) {
     return Status::InvalidArgument("feature dim != model input dim");
   }
-  std::vector<float> out;
-  out.reserve(samples.size());
-  const size_t chunk = 4096;
-  for (size_t begin = 0; begin < samples.size(); begin += chunk) {
-    const size_t end = std::min(samples.size(), begin + chunk);
-    HIGNN_ASSIGN_OR_RETURN(
-        std::vector<float> probs,
-        PredictRows(features.BuildBatch(samples, begin, end)));
-    out.insert(out.end(), probs.begin(), probs.end());
-  }
+  // One pool task per chunk: each builds and forwards its own rows, so
+  // at most a chunk's matrix per worker exists at once.
+  constexpr size_t kChunk = 4096;
+  std::vector<float> out(samples.size());
+  GlobalThreadPool().ParallelForChunks(
+      0, samples.size(), (samples.size() + kChunk - 1) / kChunk,
+      [&](size_t, size_t begin, size_t end) {
+        Result<std::vector<float>> probs =
+            PredictRows(features.BuildBatch(samples, begin, end));
+        std::copy(probs.ValueOrDie().begin(), probs.ValueOrDie().end(),
+                  out.begin() + begin);
+      });
   return out;
 }
 
-Result<std::vector<float>> CvrModel::PredictRows(const Matrix& rows) {
+Result<std::vector<float>> CvrModel::PredictRows(const Matrix& rows) const {
   if (rows.cols() != static_cast<size_t>(input_dim_)) {
     return Status::InvalidArgument("feature dim != model input dim");
   }
-  std::vector<float> out;
-  out.reserve(rows.rows());
-  if (rows.rows() == 0) return out;
-  Tape tape;
-  VarId x = tape.Input(rows);
-  VarId probs = tape.Sigmoid(mlp_.Forward(tape, x, /*train=*/false));
-  const Matrix& values = tape.value(probs);
-  for (size_t r = 0; r < values.rows(); ++r) out.push_back(values(r, 0));
+  Matrix probs = mlp_.Forward(rows);
+  SigmoidInPlace(probs);
+  std::vector<float> out(probs.rows());
+  for (size_t r = 0; r < probs.rows(); ++r) out[r] = probs(r, 0);
   return out;
 }
 
@@ -178,8 +177,9 @@ Result<CvrModel> CvrModel::ReadWeightsPayload(BinaryReader& reader) {
   return model;
 }
 
-Result<double> CvrModel::EvaluateAuc(const CvrFeatureBuilder& features,
-                                     const std::vector<LabeledSample>& samples) {
+Result<double> CvrModel::EvaluateAuc(
+    const CvrFeatureBuilder& features,
+    const std::vector<LabeledSample>& samples) const {
   HIGNN_ASSIGN_OR_RETURN(std::vector<float> scores,
                          Predict(features, samples));
   std::vector<float> labels;

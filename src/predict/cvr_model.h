@@ -39,20 +39,25 @@ class CvrModel {
   Result<double> Train(const CvrFeatureBuilder& features,
                        const std::vector<LabeledSample>& samples);
 
-  /// \brief Predicted purchase probabilities, aligned with `samples`.
-  Result<std::vector<float>> Predict(const CvrFeatureBuilder& features,
-                                     const std::vector<LabeledSample>& samples);
+  /// \brief Predicted purchase probabilities, aligned with `samples`;
+  /// 4096-sample chunks run in parallel on the global pool.
+  Result<std::vector<float>> Predict(
+      const CvrFeatureBuilder& features,
+      const std::vector<LabeledSample>& samples) const;
 
   /// \brief Probabilities for pre-assembled feature rows (one per row of
-  /// `rows`). This is the single forward-pass implementation Predict()
-  /// chunks over; every output row depends only on its own input row, so
-  /// a probability is bitwise identical no matter how rows are batched —
-  /// the property the online serving path's parity guarantee rests on.
-  Result<std::vector<float>> PredictRows(const Matrix& rows);
+  /// `rows`). This is the single forward-pass implementation, offline
+  /// (Predict() chunks over it) and online (the serving engine). It is
+  /// tape-free, runs on the calling thread, and reads the model only, so
+  /// concurrent callers need no lock. Every output row depends only on
+  /// its own input row, so a probability is bitwise identical no matter
+  /// how rows are batched — the property the online serving path's parity
+  /// guarantee rests on.
+  Result<std::vector<float>> PredictRows(const Matrix& rows) const;
 
   /// \brief AUC of Predict() against the sample labels.
   Result<double> EvaluateAuc(const CvrFeatureBuilder& features,
-                             const std::vector<LabeledSample>& samples);
+                             const std::vector<LabeledSample>& samples) const;
 
   /// \brief Serializes topology + exact float weights into the writer's
   /// current checksum section (no header; composes into larger

@@ -84,8 +84,8 @@ class EmbeddingStore {
   /// the offline builder's row for the same pair.
   Status FillFeatureRow(int32_t user, int32_t item, float* row) const;
 
-  /// \brief The exported CVR predictor (copy it to run forwards — the
-  /// tape mutates per-forward bookkeeping inside the model).
+  /// \brief The exported CVR predictor. Its forward (PredictRows) is
+  /// const and stateless, so any number of threads run it in place.
   const CvrModel& model() const { return *model_; }
 
   /// \brief The cluster-tree retrieval index over the item hierarchy.

@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "nn/matrix.h"
 #include "obs/metrics.h"
@@ -13,14 +14,10 @@ namespace hignn {
 
 namespace {
 
-// Forward chunk size, matching CvrModel::Predict's offline chunking. The
-// value has no effect on results (rows are independent); it only bounds
-// tape memory for huge batches.
+// Rows per forward, matching CvrModel::Predict's offline chunking. The
+// value has no effect on results (rows are independent); it bounds the
+// per-forward matrices and sets the exact scan's task size.
 constexpr size_t kForwardChunk = 4096;
-
-// Below this many rows the ParallelFor dispatch overhead exceeds the
-// row-assembly work itself.
-constexpr size_t kParallelRowCutoff = 32;
 
 // Phase stamps are observational and gated on the telemetry switch: with
 // --obs-off the engine never reads the clock (the §11 contract's spirit,
@@ -35,17 +32,15 @@ Result<std::unique_ptr<PredictionEngine>> PredictionEngine::Open(
     const std::string& store_path) {
   HIGNN_ASSIGN_OR_RETURN(std::unique_ptr<EmbeddingStore> store,
                          EmbeddingStore::Open(store_path));
-  CvrModel model = store->model();  // private copy: forwards mutate state
   return std::unique_ptr<PredictionEngine>(
-      new PredictionEngine(std::move(store), std::move(model)));
+      new PredictionEngine(std::move(store)));
 }
 
-PredictionEngine::PredictionEngine(std::unique_ptr<EmbeddingStore> store,
-                                   CvrModel model)
-    : store_(std::move(store)), model_(std::move(model)) {}
+PredictionEngine::PredictionEngine(std::unique_ptr<EmbeddingStore> store)
+    : store_(std::move(store)) {}
 
 Result<std::vector<float>> PredictionEngine::ScoreBatch(
-    const std::vector<ScoreRequest>& batch, ScorePhases* phases) {
+    const std::vector<ScoreRequest>& batch, ScorePhases* phases) const {
   if (batch.empty()) return std::vector<float>{};
   for (const ScoreRequest& request : batch) {
     if (request.user < 0 || request.user >= store_->num_users()) {
@@ -59,84 +54,75 @@ Result<std::vector<float>> PredictionEngine::ScoreBatch(
                     store_->num_items()));
     }
   }
-  return ScoreValidated(batch, phases);
+  return ScorePairs(
+      batch.size(), [&](size_t i) { return batch[i]; }, phases);
 }
 
-std::vector<float> PredictionEngine::ScoreValidated(
-    const std::vector<ScoreRequest>& batch, ScorePhases* phases) {
+std::vector<float> PredictionEngine::ScorePairs(
+    size_t count, const std::function<ScoreRequest(size_t)>& pair,
+    ScorePhases* phases) const {
   const size_t dim = static_cast<size_t>(store_->feature_dim());
-  Matrix rows(batch.size(), dim);
-  const auto fill = [&](size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
+  const CvrModel& model = store_->model();
+  const auto assemble = [&](size_t begin, size_t end) {
+    Matrix rows(end - begin, dim);
+    for (size_t i = begin; i < end; ++i) {
+      const ScoreRequest p = pair(i);
       const Status status =
-          store_->FillFeatureRow(batch[r].user, batch[r].item, rows.row(r));
+          store_->FillFeatureRow(p.user, p.item, rows.row(i - begin));
       HIGNN_CHECK(status.ok());  // ids were validated by the caller
     }
+    return rows;
   };
-  if (batch.size() < kParallelRowCutoff) {
-    fill(0, batch.size());
+  std::vector<float> scores(count);
+  // Forwards `rows` into scores[begin, begin + rows.rows()).
+  const auto forward = [&](const Matrix& rows, size_t begin) {
+    // PredictRows only fails on shape mismatch, which the store rules out.
+    Result<std::vector<float>> chunk = model.PredictRows(rows);
+    std::copy(chunk.ValueOrDie().begin(), chunk.ValueOrDie().end(),
+              scores.begin() + begin);
+  };
+  if (count <= kForwardChunk) {
+    const Matrix rows = assemble(0, count);
+    Stamp(phases ? &phases->rows_assembled_us : nullptr);
+    forward(rows, 0);
   } else {
-    GlobalThreadPool().ParallelFor(0, batch.size(), fill);
+    // Assembly is fused into the chunk tasks, so the whole scan counts
+    // as forward time.
+    Stamp(phases ? &phases->rows_assembled_us : nullptr);
+    GlobalThreadPool().ParallelForChunks(
+        0, count, (count + kForwardChunk - 1) / kForwardChunk,
+        [&](size_t, size_t begin, size_t end) {
+          forward(assemble(begin, end), begin);
+        });
   }
-  Stamp(phases ? &phases->rows_assembled_us : nullptr);
-
-  std::vector<float> scores = ForwardRows(rows);
   Stamp(phases ? &phases->forward_done_us : nullptr);
   return scores;
 }
 
-std::vector<float> PredictionEngine::ForwardRows(const Matrix& rows) {
-  const size_t count = rows.rows();
-  const size_t dim = rows.cols();
-  std::vector<float> scores;
-  scores.reserve(count);
-  MutexLock lock(model_mu_);
-  if (count <= kForwardChunk) {
-    Result<std::vector<float>> batch_scores = model_.PredictRows(rows);
-    HIGNN_CHECK(batch_scores.ok());
-    return std::move(batch_scores).value();
-  }
-  for (size_t begin = 0; begin < count; begin += kForwardChunk) {
-    const size_t end = std::min(count, begin + kForwardChunk);
-    Matrix chunk(end - begin, dim);
-    std::copy(rows.row(begin), rows.row(begin) + (end - begin) * dim,
-              chunk.row(0));
-    Result<std::vector<float>> chunk_scores = model_.PredictRows(chunk);
-    // PredictRows only fails on shape mismatch, which the store rules out.
-    HIGNN_CHECK(chunk_scores.ok());
-    const std::vector<float>& values = chunk_scores.value();
-    scores.insert(scores.end(), values.begin(), values.end());
-  }
-  return scores;
-}
-
 Result<std::vector<Recommendation>> PredictionEngine::RecommendExact(
-    int32_t user, int32_t k, ScorePhases* phases) {
+    int32_t user, int32_t k, ScorePhases* phases) const {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   if (user < 0 || user >= store_->num_users()) {
     return Status::InvalidArgument(StrFormat(
         "user id %d out of range [0, %d)", user, store_->num_users()));
   }
-  std::vector<ScoreRequest> batch;
-  batch.reserve(static_cast<size_t>(store_->num_items()));
-  std::vector<int32_t> items;
-  items.reserve(batch.capacity());
-  for (int32_t item = 0; item < store_->num_items(); ++item) {
-    batch.push_back(ScoreRequest{user, item});
-    items.push_back(item);
-  }
-  const std::vector<float> scores = ScoreValidated(batch, phases);
+  std::vector<int32_t> items(static_cast<size_t>(store_->num_items()));
+  std::iota(items.begin(), items.end(), 0);
+  const std::vector<float> scores = ScorePairs(
+      items.size(),
+      [user](size_t i) { return ScoreRequest{user, static_cast<int32_t>(i)}; },
+      phases);
   return TopKByScore(items, scores, k);
 }
 
 Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
-    int32_t user, int32_t k) {
+    int32_t user, int32_t k) const {
   return RecommendExact(user, k, nullptr);
 }
 
 Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
     int32_t user, int32_t k, int32_t beam,
-    ClusterTreeIndex::SearchStats* stats, ScorePhases* phases) {
+    ClusterTreeIndex::SearchStats* stats, ScorePhases* phases) const {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   if (user < 0 || user >= store_->num_users()) {
     return Status::InvalidArgument(StrFormat(
@@ -150,21 +136,18 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
     if (stats != nullptr) *stats = ClusterTreeIndex::SearchStats{};
     return RecommendExact(user, k, phases);
   }
-  const ClusterTreeIndex::RowScorer scorer =
-      [this](const Matrix& rows) -> Result<std::vector<float>> {
-    return ForwardRows(rows);
+  const CvrModel& model = store_->model();
+  const ClusterTreeIndex::RowScorer scorer = [&model](const Matrix& rows) {
+    return model.PredictRows(rows);
   };
   HIGNN_ASSIGN_OR_RETURN(
       const std::vector<int32_t> leaves,
       index.SelectLeaves(store_->UserBlock(user), store_->UserTail(user),
                          beam, scorer, stats));
   Stamp(phases ? &phases->index_descent_us : nullptr);
-  std::vector<ScoreRequest> batch;
-  batch.reserve(leaves.size());
-  for (const int32_t item : leaves) {
-    batch.push_back(ScoreRequest{user, item});
-  }
-  const std::vector<float> scores = ScoreValidated(batch, phases);
+  const std::vector<float> scores = ScorePairs(
+      leaves.size(), [&](size_t i) { return ScoreRequest{user, leaves[i]}; },
+      phases);
   return TopKByScore(leaves, scores, k);
 }
 

@@ -2,15 +2,14 @@
 #define HIGNN_SERVE_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "predict/recommender.h"
 #include "serve/embedding_store.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace hignn {
 
@@ -33,7 +32,14 @@ struct ScorePhases {
 };
 
 /// \brief In-process scoring engine over an EmbeddingStore: assembles
-/// feature rows (thread-pool parallel) and runs the stored CVR MLP.
+/// feature rows and runs the stored CVR MLP.
+///
+/// The engine holds no lock and no mutable state: it reads an immutable
+/// store and runs the store's model through the const, tape-free
+/// CvrModel::PredictRows. Each request therefore runs start to finish on
+/// its caller's thread (a server handler), and concurrent requests scale
+/// with the handler count. Only the exact scan, whose batch exceeds one
+/// forward chunk, fans its chunks out over the global pool.
 ///
 /// Every kernel on this path is per-row independent with a fixed
 /// accumulation order, so a pair's score is bitwise identical no matter
@@ -52,12 +58,13 @@ class PredictionEngine {
   /// request, so a mixed batch never reaches the model).
   Result<std::vector<float>> ScoreBatch(
       const std::vector<ScoreRequest>& batch,
-      ScorePhases* phases = nullptr);
+      ScorePhases* phases = nullptr) const;
 
   /// \brief Scores every item for `user` and returns the k best via the
   /// same TopKByScore ranking the offline recommender uses (score
   /// descending, ties by ascending item id).
-  Result<std::vector<Recommendation>> RecommendTopK(int32_t user, int32_t k);
+  Result<std::vector<Recommendation>> RecommendTopK(int32_t user,
+                                                     int32_t k) const;
 
   /// \brief Top-k through the cluster-tree retrieval index: beam-search
   /// descent over the store's hierarchy selects candidate leaves, and
@@ -71,28 +78,27 @@ class PredictionEngine {
   Result<std::vector<Recommendation>> RecommendTopK(
       int32_t user, int32_t k, int32_t beam,
       ClusterTreeIndex::SearchStats* stats = nullptr,
-      ScorePhases* phases = nullptr);
+      ScorePhases* phases = nullptr) const;
 
   const EmbeddingStore& store() const { return *store_; }
 
  private:
-  PredictionEngine(std::unique_ptr<EmbeddingStore> store, CvrModel model);
+  explicit PredictionEngine(std::unique_ptr<EmbeddingStore> store);
 
-  /// \brief Parallel row assembly + chunked forward. Ids must be valid.
-  std::vector<float> ScoreValidated(const std::vector<ScoreRequest>& batch,
-                                    ScorePhases* phases = nullptr);
+  /// \brief Scores `count` pairs; `pair(i)` names pair i, whose ids must
+  /// be valid. Up to one forward chunk is assembled and forwarded inline
+  /// on the calling thread; a larger count (the exact scan) runs one
+  /// chunk per pool task, each assembling and forwarding only its own
+  /// rows, so no full-catalogue matrix ever exists.
+  std::vector<float> ScorePairs(
+      size_t count, const std::function<ScoreRequest(size_t)>& pair,
+      ScorePhases* phases) const;
 
   /// \brief Shared exact-scan tail of both RecommendTopK overloads.
-  Result<std::vector<Recommendation>> RecommendExact(int32_t user, int32_t k,
-                                                     ScorePhases* phases);
+  Result<std::vector<Recommendation>> RecommendExact(
+      int32_t user, int32_t k, ScorePhases* phases) const;
 
-  /// \brief Chunked forward over pre-assembled rows (the shared tail of
-  /// ScoreValidated and the index's per-level centroid scoring).
-  std::vector<float> ForwardRows(const Matrix& rows);
-
-  const std::unique_ptr<EmbeddingStore> store_;
-  Mutex model_mu_;  ///< serializes PredictRows calls
-  CvrModel model_ HIGNN_GUARDED_BY(model_mu_);  ///< forwards record tape state
+  const std::unique_ptr<const EmbeddingStore> store_;
 };
 
 }  // namespace hignn

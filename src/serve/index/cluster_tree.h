@@ -96,7 +96,8 @@ class ClusterTreeIndex {
   };
 
   /// \brief Scores a (count x feature_dim) matrix of assembled pseudo
-  /// rows; the engine binds this to its serialized CvrModel forward.
+  /// rows; the engine binds this to the store model's const
+  /// CvrModel::PredictRows.
   using RowScorer =
       std::function<Result<std::vector<float>>(const Matrix& rows)>;
 

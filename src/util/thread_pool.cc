@@ -15,6 +15,11 @@ namespace {
 // instead of blocking on their own completion.
 thread_local const ThreadPool* current_worker_pool = nullptr;
 
+// Number of non-empty `chunk_size` chunks covering n items.
+size_t ChunkCount(size_t n, size_t chunk_size) {
+  return (n + chunk_size - 1) / chunk_size;
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -41,13 +46,21 @@ bool ThreadPool::OnWorkerThread() const {
   return current_worker_pool == this;
 }
 
-void ThreadPool::RunTask(const std::function<void()>& task) {
+void ThreadPool::RunTask(Task task) {
+  std::exception_ptr error;
   try {
-    task();
+    task.fn();
   } catch (...) {
-    MutexLock lock(mu_);
-    if (!first_error_) first_error_ = std::current_exception();
+    error = std::current_exception();
   }
+  task.fn = nullptr;  // drop the closure before its group can retire
+  MutexLock lock(mu_);
+  TaskGroup& group = *task.group;
+  if (error && !group.first_error) group.first_error = error;
+  HIGNN_CHECK_GT(group.pending, 0u);
+  // Notified under the lock: a ParallelFor group lives on its caller's
+  // stack and is gone as soon as the caller sees pending == 0.
+  if (--group.pending == 0) group.done.NotifyAll();
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
@@ -57,8 +70,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   }
   {
     MutexLock lock(mu_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
+    tasks_.push(Task{std::move(task), &submitted_});
+    ++submitted_.pending;
   }
   task_ready_.NotifyOne();
 }
@@ -67,30 +80,47 @@ void ThreadPool::Wait() {
   if (threads_.empty()) return;
   if (OnWorkerThread()) {
     // Called from inside a task: the caller itself is in flight, so
-    // blocking on in_flight_ == 0 would never return. Help instead: drain
-    // the queue inline until it is empty.
+    // blocking until its group drains would never return. Help instead:
+    // drain the queue inline until it is empty.
     for (;;) {
-      std::function<void()> task;
+      Task task;
       {
         MutexLock lock(mu_);
         if (tasks_.empty()) return;
         task = std::move(tasks_.front());
         tasks_.pop();
       }
-      RunTask(task);
-      {
-        MutexLock lock(mu_);
-        HIGNN_CHECK_GT(in_flight_, 0u);
-        --in_flight_;
-        if (in_flight_ == 0) all_done_.NotifyAll();
-      }
+      RunTask(std::move(task));
     }
   }
   std::exception_ptr error;
   {
     MutexLock lock(mu_);
-    while (in_flight_ != 0) all_done_.Wait(lock);
-    error = std::exchange(first_error_, nullptr);
+    while (submitted_.pending != 0) submitted_.done.Wait(lock);
+    error = std::exchange(submitted_.first_error, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+void ThreadPool::RunChunks(size_t num_chunks,
+                           const std::function<void(size_t)>& chunk) {
+  TaskGroup group;
+  {
+    MutexLock lock(mu_);
+    for (size_t c = 0; c < num_chunks; ++c) {
+      tasks_.push(Task{[&chunk, c] { chunk(c); }, &group});
+    }
+    group.pending = num_chunks;
+  }
+  // Wake no more workers than there are chunks.
+  for (size_t c = 0; c < std::min(num_chunks, threads_.size()); ++c) {
+    task_ready_.NotifyOne();
+  }
+  std::exception_ptr error;
+  {
+    MutexLock lock(mu_);
+    while (group.pending != 0) group.done.Wait(lock);
+    error = group.first_error;
   }
   if (error) std::rethrow_exception(error);
 }
@@ -106,13 +136,10 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   }
   const size_t chunks = std::min(n, workers * 4);
   const size_t chunk_size = (n + chunks - 1) / chunks;
-  for (size_t c = 0; c < chunks; ++c) {
+  RunChunks(ChunkCount(n, chunk_size), [&](size_t c) {
     const size_t lo = begin + c * chunk_size;
-    if (lo >= end) break;
-    const size_t hi = std::min(end, lo + chunk_size);
-    Submit([&body, lo, hi] { body(lo, hi); });
-  }
-  Wait();
+    body(lo, std::min(end, lo + chunk_size));
+  });
 }
 
 void ThreadPool::ParallelForWork(
@@ -138,13 +165,10 @@ void ThreadPool::ParallelForWork(
   const size_t by_work = std::max<size_t>(1, total_flops / kMinFlopsPerChunk);
   const size_t chunks = std::min(max_chunks, by_work);
   const size_t chunk_size = (n + chunks - 1) / chunks;
-  for (size_t c = 0; c < chunks; ++c) {
+  RunChunks(ChunkCount(n, chunk_size), [&](size_t c) {
     const size_t lo = begin + c * chunk_size;
-    if (lo >= end) break;
-    const size_t hi = std::min(end, lo + chunk_size);
-    Submit([&body, lo, hi] { body(lo, hi); });
-  }
-  Wait();
+    body(lo, std::min(end, lo + chunk_size));
+  });
 }
 
 void ThreadPool::ParallelForChunks(
@@ -157,28 +181,22 @@ void ThreadPool::ParallelForChunks(
   // matter how many threads execute them.
   const size_t chunks = std::min(n, num_chunks);
   const size_t chunk_size = (n + chunks - 1) / chunks;
-  if (num_threads() == 1 || chunks == 1 || OnWorkerThread()) {
-    for (size_t c = 0; c < chunks; ++c) {
-      const size_t lo = begin + c * chunk_size;
-      if (lo >= end) break;
-      const size_t hi = std::min(end, lo + chunk_size);
-      body(c, lo, hi);
-    }
+  const auto run = [&](size_t c) {
+    const size_t lo = begin + c * chunk_size;
+    body(c, lo, std::min(end, lo + chunk_size));
+  };
+  const size_t used = ChunkCount(n, chunk_size);
+  if (num_threads() == 1 || used == 1 || OnWorkerThread()) {
+    for (size_t c = 0; c < used; ++c) run(c);
     return;
   }
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t lo = begin + c * chunk_size;
-    if (lo >= end) break;
-    const size_t hi = std::min(end, lo + chunk_size);
-    Submit([&body, c, lo, hi] { body(c, lo, hi); });
-  }
-  Wait();
+  RunChunks(used, run);
 }
 
 void ThreadPool::WorkerLoop() {
   current_worker_pool = this;
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       MutexLock lock(mu_);
       while (!shutdown_ && tasks_.empty()) task_ready_.Wait(lock);
@@ -189,13 +207,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    RunTask(task);
-    {
-      MutexLock lock(mu_);
-      HIGNN_CHECK_GT(in_flight_, 0u);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.NotifyAll();
-    }
+    RunTask(std::move(task));
   }
 }
 

@@ -25,9 +25,15 @@ namespace hignn {
 /// task run their body inline on the calling worker instead of blocking in
 /// Wait(), so nested parallel kernels cannot deadlock.
 ///
-/// Exceptions: a task that throws does not kill the worker; the first
-/// exception is captured and rethrown from the next Wait() (and therefore
-/// from the ParallelFor that submitted the task).
+/// Completion is per call: every ParallelFor / ParallelForWork /
+/// ParallelForChunks call tracks its own chunks and returns as soon as
+/// those are done, so concurrent external callers (serving handler
+/// threads) share the workers without waiting on each other's work.
+///
+/// Exceptions: a task that throws does not kill the worker. A chunk's
+/// exception is rethrown from the ParallelFor call that submitted it, and
+/// only from that one; a bare Submit() task's exception is rethrown from
+/// the next Wait().
 class ThreadPool {
  public:
   /// \brief Creates a pool with `num_threads` workers (0 means
@@ -43,10 +49,11 @@ class ThreadPool {
   /// \brief Enqueues a task for asynchronous execution.
   void Submit(std::function<void()> task);
 
-  /// \brief Blocks until every submitted task has finished, then rethrows
-  /// the first exception any task raised (if one did). Called from inside a
-  /// pool task it drains the queue inline instead of blocking, so nested
-  /// waits cannot deadlock.
+  /// \brief Blocks until every Submit()ted task has finished, then
+  /// rethrows the first exception one of them raised (if one did). Chunks
+  /// of concurrent ParallelFor calls are not waited for. Called from
+  /// inside a pool task it drains the queue inline instead of blocking, so
+  /// nested waits cannot deadlock.
   void Wait();
 
   /// \brief Splits [begin, end) into contiguous chunks and runs
@@ -94,20 +101,37 @@ class ThreadPool {
       const std::function<void(size_t, size_t, size_t)>& body);
 
  private:
+  // Completion state of one set of tasks: each ParallelFor call owns one
+  // on its stack, and bare Submit() tasks share `submitted_`. Its fields
+  // are guarded by the pool's mu_.
+  struct TaskGroup {
+    size_t pending = 0;
+    std::exception_ptr first_error;
+    CondVar done;
+  };
+
+  struct Task {
+    std::function<void()> fn;
+    TaskGroup* group = nullptr;
+  };
+
   void WorkerLoop();
   bool OnWorkerThread() const;
-  void RunTask(const std::function<void()>& task);
+  // Runs `task` and retires it from its group, recording its exception.
+  void RunTask(Task task);
+  // Runs `chunk(c)` for every c in [0, num_chunks) on the workers and
+  // returns when all are done, rethrowing the first exception one of them
+  // raised.
+  void RunChunks(size_t num_chunks, const std::function<void(size_t)>& chunk);
 
   // Immutable after the constructor returns (workers are joined in the
   // destructor only); everything mutable below names its lock.
   std::vector<std::thread> threads_;
   Mutex mu_;
   CondVar task_ready_;
-  CondVar all_done_;
-  std::queue<std::function<void()>> tasks_ HIGNN_GUARDED_BY(mu_);
-  size_t in_flight_ HIGNN_GUARDED_BY(mu_) = 0;
+  std::queue<Task> tasks_ HIGNN_GUARDED_BY(mu_);
+  TaskGroup submitted_ HIGNN_GUARDED_BY(mu_);
   bool shutdown_ HIGNN_GUARDED_BY(mu_) = false;
-  std::exception_ptr first_error_ HIGNN_GUARDED_BY(mu_);
 };
 
 /// \brief Process-wide default pool (lazily created, never destroyed).

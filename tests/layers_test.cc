@@ -1,6 +1,7 @@
 #include "nn/layers.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "nn/optimizer.h"
 #include "nn/tape.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace hignn {
 namespace {
@@ -121,6 +123,38 @@ TEST(MlpTest, LearnsXor) {
   EXPECT_GT(p(1, 0), 0.7f);
   EXPECT_GT(p(2, 0), 0.7f);
   EXPECT_LT(p(3, 0), 0.3f);
+}
+
+// The const tape-free forward must reproduce the recorded forward bit for
+// bit: every activation, as hidden and output layer, with non-zero biases,
+// at row counts around the GEMM row tile and beyond the pool's serial
+// cutoff (so the tape's MatMul fans out while the const path does not).
+TEST(MlpTest, ConstForwardIsBitwiseEqualToTapeForward) {
+  SetGlobalThreadPoolThreads(4);
+  for (const Activation act :
+       {Activation::kNone, Activation::kSigmoid, Activation::kTanh,
+        Activation::kRelu, Activation::kLeakyRelu}) {
+    Rng rng(7 + static_cast<uint64_t>(act));
+    Mlp mlp("p", {24, 40, 17, 3}, act, act, rng);
+    for (Parameter* p : mlp.Params()) p->value.FillNormal(rng, 0.5f);
+    for (const size_t rows : {0u, 1u, 31u, 32u, 4097u}) {
+      Matrix x(rows, 24);
+      x.FillNormal(rng);
+      Tape tape;
+      const Matrix& recorded =
+          tape.value(tape.Sigmoid(mlp.Forward(tape, tape.Input(x), false)));
+      Matrix direct = mlp.Forward(x);
+      SigmoidInPlace(direct);
+      ASSERT_EQ(direct.rows(), recorded.rows());
+      ASSERT_EQ(direct.cols(), recorded.cols());
+      if (rows == 0) continue;
+      EXPECT_EQ(0, std::memcmp(direct.data(), recorded.data(),
+                               direct.size() * sizeof(float)))
+          << "activation " << static_cast<int>(act) << ", " << rows
+          << " rows";
+    }
+  }
+  SetGlobalThreadPoolThreads(0);
 }
 
 TEST(SgdTest, ConvergesOnQuadratic) {

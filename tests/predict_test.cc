@@ -1,9 +1,12 @@
 #include "predict/experiment.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "nn/layers.h"
+#include "nn/tape.h"
 #include "predict/cvr_model.h"
 #include "predict/features.h"
 
@@ -170,6 +173,33 @@ TEST(CvrModelTest, RejectsDimMismatch) {
   const SampleSet samples = BuildSamples(dataset, false, 1);
   EXPECT_FALSE(model.Train(features, samples.train).ok());
   EXPECT_FALSE(model.Predict(features, samples.test).ok());
+}
+
+// PredictRows is the tape-free forward; it must equal the tape forward
+// of the same network (Mlp::Forward on a Tape, then Sigmoid) bit for bit.
+TEST(CvrModelTest, PredictRowsIsBitwiseEqualToTapeForward) {
+  CvrModelConfig config;
+  config.hidden = {32, 16};
+  config.seed = 77;
+  const CvrModel model = CvrModel::Create(29, config).ValueOrDie();
+  Rng init(config.seed);
+  Mlp reference("cvr", {29, 32, 16, 1}, Activation::kLeakyRelu,
+                Activation::kNone, init);
+  Rng rng(5);
+  for (const size_t rows : {0u, 1u, 31u, 32u, 4097u}) {
+    Matrix x(rows, 29);
+    x.FillNormal(rng);
+    Tape tape;
+    const Matrix& recorded = tape.value(
+        tape.Sigmoid(reference.Forward(tape, tape.Input(x), false)));
+    const std::vector<float> direct = model.PredictRows(x).ValueOrDie();
+    ASSERT_EQ(direct.size(), rows);
+    ASSERT_EQ(recorded.size(), rows);
+    if (rows == 0) continue;
+    EXPECT_EQ(0, std::memcmp(direct.data(), recorded.data(),
+                             rows * sizeof(float)))
+        << rows << " rows";
+  }
 }
 
 TEST(CvrModelTest, MaxTrainSamplesCapsEpoch) {

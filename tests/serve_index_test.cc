@@ -14,6 +14,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -204,6 +205,79 @@ TEST_F(PlantedIndexFixture, BeamedTopKIsIdenticalAcrossThreadCounts) {
       EXPECT_EQ(with_one[u][i], with_four[u][i])
           << "query " << u << " rank " << i;
     }
+  }
+}
+
+// Request-level parallelism: four threads run beamed top-k, exact top-k
+// and ScoreBatch — one batch larger than a forward chunk, so it takes the
+// chunk-parallel pool path — on one engine at once. The engine holds no
+// lock, so every result must still equal a single-threaded pass bit for
+// bit.
+TEST_F(PlantedIndexFixture, ConcurrentRequestsMatchASerialPassBitwise) {
+  auto engine = std::move(PredictionEngine::Open(store_path_).ValueOrDie());
+  const int32_t num_users = engine->store().num_users();
+  const int32_t num_items = engine->store().num_items();
+  std::vector<ScoreRequest> pairs(9000);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    pairs[i] = ScoreRequest{static_cast<int32_t>(i * 7 % num_users),
+                            static_cast<int32_t>(i * 13 % num_items)};
+  }
+  const std::vector<int32_t> users = {0, 41, 97, 150, 199};
+
+  struct Pass {
+    std::vector<std::vector<Recommendation>> beamed, exact;
+    std::vector<float> scores;
+  };
+  const auto run = [&](size_t rotate) {
+    Pass out;
+    out.beamed.resize(users.size());
+    out.exact.resize(users.size());
+    for (size_t q = 0; q < users.size(); ++q) {
+      const size_t slot = (q + rotate) % users.size();
+      out.beamed[slot] =
+          engine->RecommendTopK(users[slot], 10, kDefaultTopKBeam)
+              .ValueOrDie();
+      out.exact[slot] = engine->RecommendTopK(users[slot], 10, -1).ValueOrDie();
+    }
+    out.scores = engine->ScoreBatch(pairs).ValueOrDie();
+    return out;
+  };
+  const auto same_bits = [](const std::vector<Recommendation>& a,
+                            const std::vector<Recommendation>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].item != b[i].item ||
+          std::memcmp(&a[i].score, &b[i].score, sizeof(float)) != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  SetGlobalThreadPoolThreads(4);
+  const Pass serial = run(0);
+  std::vector<Pass> concurrent(4);
+  {
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < concurrent.size(); ++t) {
+      threads.emplace_back([&, t] { concurrent[t] = run(t); });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  SetGlobalThreadPoolThreads(1);
+
+  for (size_t t = 0; t < concurrent.size(); ++t) {
+    for (size_t q = 0; q < users.size(); ++q) {
+      EXPECT_TRUE(same_bits(concurrent[t].beamed[q], serial.beamed[q]))
+          << "thread " << t << " beamed user " << users[q];
+      EXPECT_TRUE(same_bits(concurrent[t].exact[q], serial.exact[q]))
+          << "thread " << t << " exact user " << users[q];
+    }
+    ASSERT_EQ(concurrent[t].scores.size(), pairs.size());
+    EXPECT_EQ(0, std::memcmp(concurrent[t].scores.data(),
+                             serial.scores.data(),
+                             pairs.size() * sizeof(float)))
+        << "thread " << t << " ScoreBatch";
   }
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "cluster/kmeans.h"
@@ -126,6 +128,45 @@ TEST(KMeansDeterminismTest, OneVsFourThreadsIdentical) {
   EXPECT_EQ(one.iterations, four.iterations);
   EXPECT_EQ(one.inertia, four.inertia);
   EXPECT_TRUE(BitwiseEqual(one.centers, four.centers));
+}
+
+// Completion is per call: two external threads drive ParallelFor on one
+// pool at once. The throwing caller — and only it — sees its exception,
+// and the other caller returns normally with its whole range covered.
+TEST(ThreadPoolConcurrencyTest, ExceptionStaysWithItsOwnCaller) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<int> hits(4096, 0);
+    bool clean_threw = false;
+    bool throwing_threw = false;
+    std::thread clean([&] {
+      try {
+        pool.ParallelFor(0, hits.size(), [&](size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i) hits[i] += 1;
+        });
+      } catch (...) {
+        clean_threw = true;
+      }
+    });
+    std::thread throwing([&] {
+      try {
+        pool.ParallelForChunks(0, 64, 16, [](size_t c, size_t, size_t) {
+          if (c == 3) throw std::runtime_error("chunk 3");
+        });
+      } catch (const std::runtime_error&) {
+        throwing_threw = true;
+      }
+    });
+    clean.join();
+    throwing.join();
+    EXPECT_FALSE(clean_threw) << "round " << round;
+    EXPECT_TRUE(throwing_threw) << "round " << round;
+    for (size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i], 1) << "round " << round << " index " << i;
+    }
+  }
+  // Nothing leaked into the bare Submit()/Wait() channel either.
+  pool.Wait();
 }
 
 HignnModel FitWithThreads(int threads) {
