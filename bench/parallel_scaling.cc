@@ -4,8 +4,11 @@
 // 4 and 8 worker threads on the synthetic workload, measures single-thread
 // GEMM throughput on the scalar and dispatched SIMD kernel paths, checks
 // that the 1-thread and 4-thread runs produce identical cluster
-// assignments (the fixed-order-reduction determinism contract), and
-// records everything to BENCH_parallel.json in the working directory.
+// assignments (the fixed-order-reduction determinism contract), times
+// Lloyd at hignn_bench's fit-large level-1 shape (n = 15000, d = 32,
+// K = n/5, 10 iterations) at 1, 2 and 4 threads with its ns per distance
+// and the exact distances per point the assignment filter still needs,
+// and records everything to BENCH_parallel.json in the working directory.
 //
 // Speedups are only meaningful when the host actually has that many cores;
 // the JSON's "host" envelope records the CPU model, hardware_concurrency
@@ -13,6 +16,7 @@
 // every thread configuration collapses to ~1x — the SIMD uplift is the
 // number that survives there).
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -24,6 +28,7 @@
 #include "data/synthetic.h"
 #include "nn/matrix.h"
 #include "nn/simd.h"
+#include "obs/metrics.h"
 #include "util/io.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -96,6 +101,74 @@ double TimeKMeans(const Matrix& points, int threads) {
   const double seconds = timer.Seconds();
   SetGlobalThreadPoolThreads(1);
   return seconds;
+}
+
+// Lloyd at hignn_bench's fit-large level-1 shape: a Gaussian mixture
+// (embedding-like geometry, unlike the isotropic points above), K = n/5,
+// a fixed 10 iterations.
+constexpr int kLloydThreads[] = {1, 2, 4};
+constexpr int32_t kLloydIterations = 10;
+
+Matrix LloydPoints() {
+  Rng rng(321);
+  Matrix modes(300, 32);
+  modes.FillNormal(rng);
+  Matrix points(static_cast<size_t>(bench::Scaled(15000)), 32);
+  for (size_t i = 0; i < points.rows(); ++i) {
+    const float* mode = modes.row(rng.UniformInt(modes.rows()));
+    for (size_t c = 0; c < points.cols(); ++c) {
+      points(i, c) = 3.0f * mode[c] + static_cast<float>(rng.Normal(0.0, 1.0));
+    }
+  }
+  return points;
+}
+
+struct LloydTiming {
+  double seconds = 0.0;
+  double ns_per_distance = 0.0;
+  double exact_per_point = 0.0;
+};
+
+LloydTiming TimeLloyd(const Matrix& points, int32_t k, int threads) {
+  SetGlobalThreadPoolThreads(static_cast<size_t>(threads));
+  KMeansConfig config;
+  config.k = k;
+  config.max_iters = kLloydIterations;
+  config.tol = 0.0;
+  WallTimer timer;
+  auto result = RunKMeans(points, config);
+  LloydTiming timing;
+  timing.seconds = timer.Seconds();
+  HIGNN_CHECK(result.ok());
+  // hignn_bench's cluster.kmeans_ns_per_distance: n * K per iteration.
+  timing.ns_per_distance =
+      timing.seconds * 1e9 /
+      (static_cast<double>(points.rows()) * k * result.value().iterations);
+  timing.exact_per_point = obs::MetricsRegistry::Global()
+                               .GetGauge("kmeans.exact_per_point")
+                               .value();
+  SetGlobalThreadPoolThreads(1);
+  return timing;
+}
+
+std::string JsonLloyd(const Matrix& points, int32_t k,
+                      const std::vector<LloydTiming>& runs) {
+  std::string out = StrFormat(
+      "  \"kmeans_lloyd\": {\"n\": %zu, \"d\": %zu, \"k\": %d, "
+      "\"iterations\": %d",
+      points.rows(), points.cols(), k, kLloydIterations);
+  const auto per_thread = [&](const char* name, double LloydTiming::*field) {
+    out += StrFormat(", \"%s\": {", name);
+    for (size_t i = 0; i < runs.size(); ++i) {
+      out += StrFormat("%s\"%d\": %.4f", i ? ", " : "", kLloydThreads[i],
+                       runs[i].*field);
+    }
+    out += "}";
+  };
+  per_thread("seconds", &LloydTiming::seconds);
+  per_thread("ns_per_distance", &LloydTiming::ns_per_distance);
+  per_thread("exact_per_point", &LloydTiming::exact_per_point);
+  return out + "}";
 }
 
 // Single-thread GEMM throughput on a forced kernel path. Isolates the
@@ -197,6 +270,23 @@ int Run() {
   }
   std::printf("%s\n", table.ToString().c_str());
 
+  const Matrix lloyd_points = LloydPoints();
+  const int32_t lloyd_k =
+      std::max<int32_t>(1, static_cast<int32_t>(lloyd_points.rows()) / 5);
+  std::vector<LloydTiming> lloyd;
+  TablePrinter lloyd_table(
+      {"threads", "lloyd (s)", "ns/distance", "exact/point"});
+  for (int threads : kLloydThreads) {
+    lloyd.push_back(TimeLloyd(lloyd_points, lloyd_k, threads));
+    lloyd_table.AddRow({StrFormat("%d", threads),
+                        StrFormat("%.3f", lloyd.back().seconds),
+                        StrFormat("%.3f", lloyd.back().ns_per_distance),
+                        StrFormat("%.2f", lloyd.back().exact_per_point)});
+  }
+  std::printf("Lloyd, n=%zu d=%zu K=%d, %d iterations:\n%s\n",
+              lloyd_points.rows(), lloyd_points.cols(), lloyd_k,
+              kLloydIterations, lloyd_table.ToString().c_str());
+
   const double scalar_gflops = GemmGflops(simd::IsaPath::kScalar);
   const double simd_gflops = GemmGflops(simd::Best());
   std::printf("single-thread GEMM: scalar %.2f GFLOP/s, %s %.2f GFLOP/s "
@@ -220,6 +310,7 @@ int Run() {
   json += JsonTimings("fit", fit_secs) + ",\n";
   json += JsonTimings("matmul", matmul_secs) + ",\n";
   json += JsonTimings("kmeans", kmeans_secs) + ",\n";
+  json += JsonLloyd(lloyd_points, lloyd_k, lloyd) + ",\n";
   json += StrFormat(
       "  \"gemm_single_thread\": {\"scalar_gflops\": %.3f, "
       "\"simd_gflops\": %.3f, \"simd_path\": \"%s\", \"speedup\": %.3f},\n",

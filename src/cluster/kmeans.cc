@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ranges>
 
 #include "nn/simd.h"
 #include "obs/metrics.h"
@@ -25,6 +26,18 @@ constexpr size_t kReduceChunks = 64;
 // costs more than the arithmetic.
 constexpr size_t kParallelWorkCutoff = size_t{1} << 16;
 
+// Filtered assignment (AssignToNearestCenters): points per block, whose
+// GemmBlock row tiles share each center panel while it is cache-resident,
+// and centers per panel (the panel width MatMul uses).
+constexpr size_t kPointBlock = 16;
+constexpr size_t kCenterPanel = 256;
+
+// Limits of the filter's exactness argument (kmeans.h): beyond this
+// dimension the 1e-12 slack no longer covers the exact kernel's rounding,
+// and beyond this ||x|| * max ||c|| a float dot product could overflow.
+constexpr size_t kMaxFilterDim = 1024;
+constexpr double kMaxFilterNormProduct = 1e37;
+
 size_t ReduceChunksFor(size_t work, size_t range) {
   if (work < kParallelWorkCutoff || range == 0) return 1;
   return std::min(range, kReduceChunks);
@@ -36,19 +49,27 @@ double SquaredDistance(const float* a, const float* b, size_t d) {
   return simd::SquaredDistance(a, b, d);
 }
 
-// Nearest center index and squared distance for one point.
+// Nearest center among the indices `ids` yields in ascending order: the
+// first strict minimum of the exact distance, so the lowest index wins ties.
+template <typename Ids>
 std::pair<int32_t, double> NearestCenter(const Matrix& centers,
-                                         const float* point, size_t d) {
+                                         const float* point, const Ids& ids) {
   int32_t best = 0;
   double best_dist = std::numeric_limits<double>::max();
-  for (size_t c = 0; c < centers.rows(); ++c) {
-    const double dist = SquaredDistance(centers.row(c), point, d);
+  for (const size_t c : ids) {
+    const double dist = SquaredDistance(centers.row(c), point, centers.cols());
     if (dist < best_dist) {
       best_dist = dist;
       best = static_cast<int32_t>(c);
     }
   }
   return {best, best_dist};
+}
+
+std::pair<int32_t, double> NearestCenter(const Matrix& centers,
+                                         const float* point) {
+  return NearestCenter(centers, point,
+                       std::views::iota(size_t{0}, centers.rows()));
 }
 
 Matrix InitCenters(const Matrix& points, int32_t k, bool kmeanspp, Rng& rng) {
@@ -75,11 +96,30 @@ Matrix InitCenters(const Matrix& points, int32_t k, bool kmeanspp, Rng& rng) {
     const float* src = points.row(first);
     std::copy(src, src + d, centers.row(0));
   }
+  // min_dist[i] is point i's D^2, measured to chosen center nearest[i]
+  // (-1 while no finite distance has been seen).
   std::vector<double> min_dist(n, std::numeric_limits<double>::max());
+  std::vector<int32_t> nearest(n, -1);
+  // gap[j]: squared distance from the newest center to chosen center j.
+  std::vector<double> gap(static_cast<size_t>(k));
+  // A point's update is a proven no-op when gap[nearest] > skip * min_dist:
+  // then ||c_new - c_near|| > 2 ||x - c_near||, so by the triangle
+  // inequality c_new is farther from x than c_near. The 1e-9 margin in
+  // `skip` exceeds the relative rounding of the computed squared distances
+  // ((d + 6) 2^-53 each) below 2^20 dimensions, so the computed new
+  // distance is >= min_dist and std::min would keep min_dist: totals and
+  // picks stay bitwise identical. Beyond that nothing is skipped.
+  const double skip = d < (size_t{1} << 20)
+                          ? 4.0 * (1.0 + 1e-9)
+                          : std::numeric_limits<double>::infinity();
   const size_t init_chunks = ReduceChunksFor(n * d, n);
   std::vector<double> partial(init_chunks);
   for (int32_t c = 1; c < k; ++c) {
-    const float* latest = centers.row(static_cast<size_t>(c - 1));
+    const auto newest = static_cast<size_t>(c - 1);
+    const float* latest = centers.row(newest);
+    for (size_t j = 0; j < newest; ++j) {
+      gap[j] = SquaredDistance(latest, centers.row(j), d);
+    }
     // The D^2 update is point-parallel; the total merges per-chunk sums in
     // ascending chunk order (see ParallelForChunks).
     std::fill(partial.begin(), partial.end(), 0.0);
@@ -87,8 +127,15 @@ Matrix InitCenters(const Matrix& points, int32_t k, bool kmeanspp, Rng& rng) {
         0, n, init_chunks, [&](size_t chunk, size_t lo, size_t hi) {
           double local = 0.0;
           for (size_t i = lo; i < hi; ++i) {
-            const double dist = SquaredDistance(points.row(i), latest, d);
-            min_dist[i] = std::min(min_dist[i], dist);
+            const int32_t j = nearest[i];
+            // Negated so that a NaN gap never skips.
+            if (j < 0 || !(gap[static_cast<size_t>(j)] > skip * min_dist[i])) {
+              const double dist = SquaredDistance(points.row(i), latest, d);
+              if (dist < min_dist[i]) {
+                min_dist[i] = dist;
+                nearest[i] = c - 1;
+              }
+            }
             local += min_dist[i];
           }
           partial[chunk] = local;
@@ -112,30 +159,6 @@ Matrix InitCenters(const Matrix& points, int32_t k, bool kmeanspp, Rng& rng) {
     std::copy(src, src + d, centers.row(static_cast<size_t>(c)));
   }
   return centers;
-}
-
-// Reassigns every point; returns inertia. The nearest-center search is
-// embarrassingly point-parallel; the inertia merges per-chunk partials in
-// ascending chunk order so the value is identical at any thread count.
-double AssignAll(const Matrix& points, const Matrix& centers,
-                 std::vector<int32_t>& assignment) {
-  const size_t n = points.rows();
-  const size_t d = points.cols();
-  const size_t chunks = ReduceChunksFor(n * centers.rows() * d, n);
-  std::vector<double> partial(chunks, 0.0);
-  GlobalThreadPool().ParallelForChunks(
-      0, n, chunks, [&](size_t chunk, size_t lo, size_t hi) {
-        double local = 0.0;
-        for (size_t i = lo; i < hi; ++i) {
-          auto [best, dist] = NearestCenter(centers, points.row(i), d);
-          assignment[i] = best;
-          local += dist;
-        }
-        partial[chunk] = local;
-      });
-  double inertia = 0.0;
-  for (double p : partial) inertia += p;
-  return inertia;
 }
 
 // Repairs empty clusters by stealing the farthest point from the most
@@ -195,7 +218,8 @@ KMeansResult RunLloyd(const Matrix& points, const KMeansConfig& config,
   for (int32_t iter = 0; iter < config.max_iters; ++iter) {
     result.iterations = iter + 1;
     if (track_churn && iter > 0) prev_assignment = result.assignment;
-    result.inertia = AssignAll(points, result.centers, result.assignment);
+    result.inertia =
+        AssignToNearestCenters(points, result.centers, &result.assignment);
     if (track_churn && iter > 0 && n > 0) {
       size_t changed = 0;
       for (size_t i = 0; i < n; ++i) {
@@ -289,7 +313,8 @@ KMeansResult RunLloyd(const Matrix& points, const KMeansConfig& config,
     // declare convergence on the same iteration.
     if (iter_reseeds == 0 && shift < config.tol) break;
   }
-  result.inertia = AssignAll(points, result.centers, result.assignment);
+  result.inertia =
+      AssignToNearestCenters(points, result.centers, &result.assignment);
   result.reseeds +=
       RepairEmptyClusters(points, result.centers, result.assignment, k);
   return result;
@@ -309,7 +334,7 @@ KMeansResult RunMiniBatch(const Matrix& points, const KMeansConfig& config,
         std::min<size_t>(static_cast<size_t>(config.batch_size), n);
     for (size_t b = 0; b < batch; ++b) {
       const size_t i = rng.UniformInt(n);
-      auto [best, dist] = NearestCenter(result.centers, points.row(i), d);
+      auto [best, dist] = NearestCenter(result.centers, points.row(i));
       (void)dist;
       ++counts[static_cast<size_t>(best)];
       const float eta = 1.0f / static_cast<float>(counts[static_cast<size_t>(best)]);
@@ -320,8 +345,8 @@ KMeansResult RunMiniBatch(const Matrix& points, const KMeansConfig& config,
       }
     }
   }
-  result.assignment.assign(n, 0);
-  result.inertia = AssignAll(points, result.centers, result.assignment);
+  result.inertia =
+      AssignToNearestCenters(points, result.centers, &result.assignment);
   result.reseeds +=
       RepairEmptyClusters(points, result.centers, result.assignment, k);
   return result;
@@ -343,7 +368,7 @@ KMeansResult RunSinglePass(const Matrix& points, const KMeansConfig& config,
   for (size_t i = 0; i < n; ++i) order[i] = i;
   rng.Shuffle(order);
   for (size_t i : order) {
-    auto [best, dist] = NearestCenter(result.centers, points.row(i), d);
+    auto [best, dist] = NearestCenter(result.centers, points.row(i));
     (void)dist;
     ++counts[static_cast<size_t>(best)];
     const float eta = 1.0f / static_cast<float>(counts[static_cast<size_t>(best)]);
@@ -351,14 +376,110 @@ KMeansResult RunSinglePass(const Matrix& points, const KMeansConfig& config,
     const float* src = points.row(i);
     for (size_t c = 0; c < d; ++c) center[c] += eta * (src[c] - center[c]);
   }
-  result.assignment.assign(n, 0);
-  result.inertia = AssignAll(points, result.centers, result.assignment);
+  result.inertia =
+      AssignToNearestCenters(points, result.centers, &result.assignment);
   result.reseeds +=
       RepairEmptyClusters(points, result.centers, result.assignment, k);
   return result;
 }
 
 }  // namespace
+
+double AssignToNearestCenters(const Matrix& points, const Matrix& centers,
+                              std::vector<int32_t>* assignment) {
+  HIGNN_CHECK_GT(centers.rows(), 0u);
+  HIGNN_CHECK_EQ(points.cols(), centers.cols());
+  const size_t n = points.rows();
+  const size_t d = points.cols();
+  const size_t k = centers.rows();
+  assignment->resize(n);
+
+  const Matrix panel = Transpose(centers);  // d x k, GemmBlock's B operand
+  std::vector<double> norms(k);             // ||c||^2
+  double max_norm2 = 0.0;
+  bool filterable = d <= kMaxFilterDim;
+  for (size_t c = 0; c < k; ++c) {
+    norms[c] = simd::Dot(centers.row(c), centers.row(c), d);
+    filterable = filterable && std::isfinite(norms[c]);
+    max_norm2 = std::max(max_norm2, norms[c]);
+  }
+  const double max_norm = std::sqrt(max_norm2);
+  const double unit_d = static_cast<double>(d) * 0x1p-24;
+  const double gamma = unit_d / (1.0 - unit_d);
+  const double underflow = static_cast<double>(d) * 0x1p-148;
+
+  const size_t chunks = ReduceChunksFor(n * k * d, n);
+  std::vector<double> partial(chunks, 0.0);
+  std::vector<size_t> measured(chunks, 0);
+  GlobalThreadPool().ParallelForChunks(
+      0, n, chunks, [&](size_t chunk, size_t lo, size_t hi) {
+        std::vector<float> dots(std::min(kPointBlock, hi - lo) * k);
+        std::vector<size_t> candidates;
+        double local = 0.0;
+        size_t local_measured = 0;
+        for (size_t i0 = lo; i0 < hi; i0 += kPointBlock) {
+          const size_t rows = std::min(kPointBlock, hi - i0);
+          std::fill_n(dots.begin(), rows * k, 0.0f);
+          for (size_t j0 = 0; j0 < k; j0 += kCenterPanel) {
+            const size_t jw = std::min(kCenterPanel, k - j0);
+            for (size_t r = 0; r < rows; r += simd::kGemmRowTile) {
+              simd::GemmBlock(std::min(simd::kGemmRowTile, rows - r), d, jw,
+                              points.row(i0 + r), d, panel.data() + j0, k,
+                              dots.data() + r * k + j0, k);
+            }
+          }
+          for (size_t r = 0; r < rows; ++r) {
+            const float* x = points.row(i0 + r);
+            const float* dot = dots.data() + r * k;
+            const double xx = simd::Dot(x, x, d);
+            const double x_norm = std::sqrt(xx);
+            std::pair<int32_t, double> nearest;
+            if (filterable && std::isfinite(xx) &&
+                x_norm * max_norm < kMaxFilterNormProduct) {
+              const double window =
+                  2.0 * (2.02 * gamma * x_norm * max_norm +
+                         1e-12 * (xx + max_norm2) + underflow);
+              const auto approx = [&](size_t c) {
+                return norms[c] - 2.0 * static_cast<double>(dot[c]);
+              };
+              // One pass keeps every center within `window` of the running
+              // minimum; the minimum only falls, so that is a superset of
+              // the centers within `window` of the final one.
+              candidates.clear();
+              double lowest = std::numeric_limits<double>::infinity();
+              for (size_t c = 0; c < k; ++c) {
+                const double a = approx(c);
+                if (a <= lowest + window) {
+                  candidates.push_back(c);
+                  lowest = std::min(lowest, a);
+                }
+              }
+              std::erase_if(candidates, [&](size_t c) {
+                return approx(c) > lowest + window;
+              });
+              nearest = NearestCenter(centers, x, candidates);
+              local_measured += candidates.size();
+            } else {
+              nearest = NearestCenter(centers, x);
+              local_measured += k;
+            }
+            (*assignment)[i0 + r] = nearest.first;
+            local += nearest.second;
+          }
+        }
+        partial[chunk] = local;
+        measured[chunk] = local_measured;
+      });
+  double inertia = 0.0;
+  for (double p : partial) inertia += p;
+  if (n > 0) {
+    size_t total = 0;
+    for (size_t m : measured) total += m;
+    obs::GaugeSet("kmeans.exact_per_point",
+                  static_cast<double>(total) / static_cast<double>(n));
+  }
+  return inertia;
+}
 
 Result<KMeansResult> RunKMeans(const Matrix& points,
                                const KMeansConfig& config) {

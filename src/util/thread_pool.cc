@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -70,7 +71,7 @@ void ThreadPool::Submit(std::function<void()> task) {
   }
   {
     MutexLock lock(mu_);
-    tasks_.push(Task{std::move(task), &submitted_});
+    tasks_.push_back(Task{std::move(task), &submitted_});
     ++submitted_.pending;
   }
   task_ready_.NotifyOne();
@@ -88,7 +89,7 @@ void ThreadPool::Wait() {
         MutexLock lock(mu_);
         if (tasks_.empty()) return;
         task = std::move(tasks_.front());
-        tasks_.pop();
+        tasks_.pop_front();
       }
       RunTask(std::move(task));
     }
@@ -105,20 +106,40 @@ void ThreadPool::Wait() {
 void ThreadPool::RunChunks(size_t num_chunks,
                            const std::function<void(size_t)>& chunk) {
   TaskGroup group;
+  std::atomic<size_t> next_chunk{0};
+  // Claims chunk indices until none are left. A chunk's exception is
+  // recorded and the claimer moves on, so every chunk still runs once.
+  const auto drain = [&] {
+    for (size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+         c < num_chunks;
+         c = next_chunk.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        chunk(c);
+      } catch (...) {
+        MutexLock lock(mu_);
+        if (!group.first_error) group.first_error = std::current_exception();
+      }
+    }
+  };
+  // The caller claims chunks too, so one claimer fewer than chunks already
+  // gives every chunk a thread.
+  const size_t claimers = std::min(num_chunks - 1, threads_.size());
   {
     MutexLock lock(mu_);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      tasks_.push(Task{[&chunk, c] { chunk(c); }, &group});
+    for (size_t i = 0; i < claimers; ++i) {
+      tasks_.push_back(Task{[&drain] { drain(); }, &group});
     }
-    group.pending = num_chunks;
+    group.pending = claimers;
   }
-  // Wake no more workers than there are chunks.
-  for (size_t c = 0; c < std::min(num_chunks, threads_.size()); ++c) {
-    task_ready_.NotifyOne();
-  }
+  for (size_t i = 0; i < claimers; ++i) task_ready_.NotifyOne();
+  drain();
   std::exception_ptr error;
   {
     MutexLock lock(mu_);
+    // Every chunk is claimed. A claimer no worker has started would find
+    // nothing left, so retire it instead of waiting for a free worker.
+    group.pending -= std::erase_if(
+        tasks_, [&group](const Task& task) { return task.group == &group; });
     while (group.pending != 0) group.done.Wait(lock);
     error = group.first_error;
   }
@@ -205,7 +226,7 @@ void ThreadPool::WorkerLoop() {
         continue;
       }
       task = std::move(tasks_.front());
-      tasks_.pop();
+      tasks_.pop_front();
     }
     RunTask(std::move(task));
   }

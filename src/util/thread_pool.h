@@ -2,9 +2,9 @@
 #define HIGNN_UTIL_THREAD_POOL_H_
 
 #include <cstddef>
+#include <deque>
 #include <exception>
 #include <functional>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -28,7 +28,9 @@ namespace hignn {
 /// Completion is per call: every ParallelFor / ParallelForWork /
 /// ParallelForChunks call tracks its own chunks and returns as soon as
 /// those are done, so concurrent external callers (serving handler
-/// threads) share the workers without waiting on each other's work.
+/// threads) share the workers without waiting on each other's work. The
+/// calling thread runs chunks too: it and the workers claim chunk indices
+/// from one counter, so a call completes even while every worker is busy.
 ///
 /// Exceptions: a task that throws does not kill the worker. A chunk's
 /// exception is rethrown from the ParallelFor call that submitted it, and
@@ -119,9 +121,10 @@ class ThreadPool {
   bool OnWorkerThread() const;
   // Runs `task` and retires it from its group, recording its exception.
   void RunTask(Task task);
-  // Runs `chunk(c)` for every c in [0, num_chunks) on the workers and
-  // returns when all are done, rethrowing the first exception one of them
-  // raised.
+  // Runs `chunk(c)` for every c in [0, num_chunks) and returns when all
+  // are done, rethrowing the first exception one of them raised. The
+  // calling thread and up to min(num_chunks - 1, workers) claimer tasks
+  // take chunk indices from one counter.
   void RunChunks(size_t num_chunks, const std::function<void(size_t)>& chunk);
 
   // Immutable after the constructor returns (workers are joined in the
@@ -129,7 +132,7 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   Mutex mu_;
   CondVar task_ready_;
-  std::queue<Task> tasks_ HIGNN_GUARDED_BY(mu_);
+  std::deque<Task> tasks_ HIGNN_GUARDED_BY(mu_);
   TaskGroup submitted_ HIGNN_GUARDED_BY(mu_);
   bool shutdown_ HIGNN_GUARDED_BY(mu_) = false;
 };

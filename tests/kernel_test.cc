@@ -5,20 +5,29 @@
 //    counts;
 //  - the fused constant-source tape ops (GatherRowsFrom / GroupMeanRowsFrom
 //    / GroupWeightedSumRowsFrom) reproduce Input(copy) + op bit for bit,
-//    all the way up to a full Fit with fused_level0 on vs off.
+//    all the way up to a full Fit with fused_level0 on vs off;
+//  - the GEMM-filtered k-means assignment returns the naive full scan's
+//    assignment and inertia bits, ties, duplicate centers, large shared
+//    offsets and non-finite inputs included.
 // This suite runs twice: once as `kernels.` and once inside the tsan
 // binary, where the 1-vs-4-thread cases double as race detectors.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "cluster/kmeans.h"
 #include "core/hignn.h"
 #include "data/synthetic.h"
 #include "nn/matrix.h"
 #include "nn/simd.h"
 #include "nn/tape.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -313,6 +322,171 @@ TEST(FusedAggregateTest, FitScalarVsBestPathBitwiseIdentical) {
   simd::ForcePathForTesting(simd::Best());
   const HignnModel best = FitWithFusion(true, 1);
   ExpectModelsIdentical(scalar, best);
+}
+
+// --- GEMM-filtered k-means assignment --------------------------------------
+
+// The assignment pass before the GEMM filter, kept as the oracle: every
+// center measured with the lane-strided kernel in ascending order, first
+// strict minimum kept, and the inertia summed per chunk in the pass's
+// workload-derived layout (one chunk below 2^16 distance terms, else up to
+// 64) and merged in ascending chunk order.
+double NaiveAssign(const Matrix& points, const Matrix& centers,
+                   std::vector<int32_t>* assignment) {
+  const size_t n = points.rows();
+  const size_t d = points.cols();
+  const size_t k = centers.rows();
+  const size_t chunks =
+      n * k * d < (size_t{1} << 16) ? 1 : std::min<size_t>(n, 64);
+  const size_t chunk_size = (n + chunks - 1) / chunks;
+  assignment->assign(n, 0);
+  double inertia = 0.0;
+  for (size_t lo = 0; lo < n; lo += chunk_size) {
+    double local = 0.0;
+    for (size_t i = lo; i < std::min(n, lo + chunk_size); ++i) {
+      int32_t best = 0;
+      double best_dist = std::numeric_limits<double>::max();
+      for (size_t c = 0; c < k; ++c) {
+        const double dist =
+            simd::SquaredDistance(centers.row(c), points.row(i), d);
+        if (dist < best_dist) {
+          best_dist = dist;
+          best = static_cast<int32_t>(c);
+        }
+      }
+      (*assignment)[i] = best;
+      local += best_dist;
+    }
+    inertia += local;
+  }
+  return inertia;
+}
+
+uint64_t DoubleBits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+Matrix Shifted(Matrix m, float offset) {
+  for (size_t i = 0; i < m.size(); ++i) m.data()[i] += offset;
+  return m;
+}
+
+struct AssignCase {
+  std::string label;
+  Matrix points;
+  Matrix centers;
+};
+
+std::vector<AssignCase> AssignCases() {
+  std::vector<AssignCase> cases;
+  // Every tail of the 4x8 GEMM tile and the 4-lane reduction, k from one
+  // center to past one 256-center panel, n from below one 16-point block
+  // to many blocks per chunk.
+  const size_t kDims[] = {1, 3, 4, 5, 8, 32, 33};
+  const size_t kCenters[] = {1, 2, 3, 5, 17, 257};
+  const size_t kPoints[] = {7, 1100};
+  uint64_t seed = 211;
+  for (size_t d : kDims) {
+    for (size_t k : kCenters) {
+      for (size_t n : kPoints) {
+        cases.push_back({"random d=" + std::to_string(d) + " k=" +
+                             std::to_string(k) + " n=" + std::to_string(n),
+                         RandomMatrix(n, d, seed),
+                         RandomMatrix(k, d, seed + 1)});
+        seed += 2;
+      }
+    }
+  }
+  // Rows 3..5 repeat rows 1, 0, 2 and the first points sit exactly on the
+  // centers: duplicates tie at distance 0 and the lower index must win.
+  {
+    Matrix centers = RandomMatrix(6, 8, 401);
+    const size_t copy_of[] = {1, 0, 2};
+    for (size_t c = 3; c < 6; ++c) {
+      const float* src = centers.row(copy_of[c - 3]);
+      std::copy(src, src + 8, centers.row(c));
+    }
+    Matrix points = RandomMatrix(300, 8, 402);
+    for (size_t c = 0; c < 6; ++c) {
+      std::copy(centers.row(c), centers.row(c) + 8, points.row(c));
+    }
+    cases.push_back(
+        {"duplicate centers", std::move(points), std::move(centers)});
+  }
+  // Centers at +-2 on two axes and points on the integer lattice
+  // {-2..2}^2: many points are exactly equidistant from two or four.
+  {
+    Matrix centers(4, 3, {2, 0, 0, -2, 0, 0, 0, 2, 0, 0, -2, 0});
+    Matrix points(25, 3);
+    for (size_t i = 0; i < points.rows(); ++i) {
+      points(i, 0) = static_cast<float>(i % 5) - 2.0f;
+      points(i, 1) = static_cast<float>(i / 5) - 2.0f;
+    }
+    cases.push_back({"equidistant", std::move(points), std::move(centers)});
+  }
+  // A shared offset shrinks the gaps relative to ||x|| max||c||: the
+  // filter keeps many candidates but must stay exact.
+  for (const float offset : {1e3f, 1e5f}) {
+    cases.push_back({"offset " + std::to_string(offset),
+                     Shifted(RandomMatrix(1100, 32, 501), offset),
+                     Shifted(RandomMatrix(257, 32, 502), offset)});
+  }
+  // Non-finite inputs take the full scan.
+  {
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    Matrix points = RandomMatrix(300, 8, 601);
+    points(3, 2) = nan;
+    points(5, 0) = inf;
+    points(9, 7) = -inf;
+    cases.push_back(
+        {"non-finite points", std::move(points), RandomMatrix(17, 8, 602)});
+    Matrix centers = RandomMatrix(17, 8, 603);
+    centers(1, 4) = nan;
+    centers(3, 0) = inf;
+    cases.push_back(
+        {"non-finite centers", RandomMatrix(300, 8, 604), std::move(centers)});
+  }
+  return cases;
+}
+
+TEST(KMeansAssignTest, FilteredAssignmentMatchesNaiveScan) {
+  PathGuard guard;
+  const std::vector<AssignCase> cases = AssignCases();
+  for (const simd::IsaPath path : {simd::IsaPath::kScalar, simd::Best()}) {
+    simd::ForcePathForTesting(path);
+    for (const int threads : {1, 4}) {
+      SetGlobalThreadPoolThreads(static_cast<size_t>(threads));
+      for (const AssignCase& c : cases) {
+        std::vector<int32_t> naive;
+        std::vector<int32_t> filtered;
+        const double naive_inertia = NaiveAssign(c.points, c.centers, &naive);
+        const double filtered_inertia =
+            AssignToNearestCenters(c.points, c.centers, &filtered);
+        const std::string where = c.label + " path=" + simd::PathName() +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(naive, filtered) << where;
+        EXPECT_EQ(DoubleBits(naive_inertia), DoubleBits(filtered_inertia))
+            << where;
+      }
+    }
+  }
+}
+
+TEST(KMeansAssignTest, ExactPerPointGaugeCountsMeasuredCenters) {
+  const Matrix points = RandomMatrix(1100, 32, 701);
+  Matrix centers = RandomMatrix(257, 32, 702);
+  const obs::Gauge& gauge =
+      obs::MetricsRegistry::Global().GetGauge("kmeans.exact_per_point");
+  std::vector<int32_t> assignment;
+  AssignToNearestCenters(points, centers, &assignment);
+  EXPECT_GE(gauge.value(), 1.0);
+  EXPECT_LT(gauge.value(), 8.0);  // a shortlist, not all 257 centers
+  centers(0, 0) = std::numeric_limits<float>::quiet_NaN();
+  AssignToNearestCenters(points, centers, &assignment);
+  EXPECT_EQ(gauge.value(), 257.0);  // a non-finite center: full scan
 }
 
 }  // namespace

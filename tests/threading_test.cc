@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
@@ -167,6 +168,60 @@ TEST(ThreadPoolConcurrencyTest, ExceptionStaysWithItsOwnCaller) {
   }
   // Nothing leaked into the bare Submit()/Wait() channel either.
   pool.Wait();
+}
+
+// Chunk claiming: the workers and each calling thread take chunk indices
+// from a per-call counter. Four external callers race 500 calls each over
+// a spread of chunk counts; every chunk of every call runs exactly once.
+TEST(ThreadPoolConcurrencyTest, EveryChunkRunsExactlyOnce) {
+  ThreadPool pool(4);
+  const size_t kChunkCounts[] = {1, 2, 3, 5, 64, 1000};
+  std::atomic<int> bad_calls{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      for (int call = 0; call < 500; ++call) {
+        const size_t chunks = kChunkCounts[call % 6];
+        std::vector<std::atomic<int>> hits(chunks);
+        pool.ParallelForChunks(0, chunks, chunks,
+                               [&](size_t c, size_t lo, size_t hi) {
+                                 if (lo == c && hi == c + 1) hits[c] += 1;
+                               });
+        for (const auto& h : hits) {
+          if (h.load() != 1) {
+            bad_calls += 1;
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(bad_calls.load(), 0);
+}
+
+// A call never waits for a free worker: with every worker parked on a
+// Submit()ted task, ParallelForChunks from another thread still completes
+// because its caller drains its own chunks.
+TEST(ThreadPoolConcurrencyTest, CallerDrainsItsOwnChunks) {
+  ThreadPool pool(4);
+  std::atomic<size_t> parked{0};
+  std::atomic<bool> release{false};
+  for (size_t w = 0; w < pool.num_threads(); ++w) {
+    pool.Submit([&] {
+      parked += 1;
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  while (parked.load() < pool.num_threads()) std::this_thread::yield();
+  std::vector<int> hits(100, 0);
+  pool.ParallelForChunks(0, hits.size(), 16,
+                         [&](size_t, size_t lo, size_t hi) {
+                           for (size_t i = lo; i < hi; ++i) hits[i] += 1;
+                         });
+  release.store(true);
+  pool.Wait();
+  for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 HignnModel FitWithThreads(int threads) {
