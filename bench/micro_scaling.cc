@@ -242,11 +242,12 @@ void BM_GroupMeanAggregation(benchmark::State& state) {
   Rng rng(13);
   Matrix features(4096, 64);
   features.FillNormal(rng);
-  std::vector<std::vector<int32_t>> groups(groups_count);
-  for (auto& group : groups) {
+  RowGroups groups;
+  for (size_t g = 0; g < groups_count; ++g) {
     for (int k = 0; k < 10; ++k) {
-      group.push_back(static_cast<int32_t>(rng.UniformInt(4096)));
+      groups.ids.push_back(static_cast<int32_t>(rng.UniformInt(4096)));
     }
+    groups.CloseGroup();
   }
   for (auto _ : state) {
     Tape tape;

@@ -1,4 +1,4 @@
-// Thread-scaling benchmark for the parallel hot paths (ISSUE 1).
+// Thread-scaling benchmark for the parallel hot paths.
 //
 // Times end-to-end Hignn::Fit plus the MatMul and K-means kernels at 1, 2,
 // 4 and 8 worker threads on the synthetic workload, measures single-thread
@@ -8,7 +8,10 @@
 // Lloyd at hignn_bench's fit-large level-1 shape (n = 15000, d = 32,
 // K = n/5, 10 iterations) at 1, 2 and 4 threads with its ns per distance
 // and the exact distances per point the assignment filter still needs,
-// and records everything to BENCH_parallel.json in the working directory.
+// times one level-1 SAGE TrainStep on hignn_bench's fit-small graph at 1
+// and 4 threads, measures simd::Tanh per element on both kernel paths
+// against the host libm's std::tanh, and records everything to
+// BENCH_parallel.json in the working directory.
 //
 // Speedups are only meaningful when the host actually has that many cores;
 // the JSON's "host" envelope records the CPU model, hardware_concurrency
@@ -17,6 +20,7 @@
 // number that survives there).
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -26,9 +30,12 @@
 #include "cluster/kmeans.h"
 #include "core/hignn.h"
 #include "data/synthetic.h"
+#include "graph/structural_features.h"
 #include "nn/matrix.h"
+#include "nn/optimizer.h"
 #include "nn/simd.h"
 #include "obs/metrics.h"
+#include "sage/bipartite_sage.h"
 #include "util/io.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -195,6 +202,96 @@ double GemmGflops(simd::IsaPath path) {
   return flops / (seconds > 0.0 ? seconds : 1e-9) / 1e9;
 }
 
+// Median level-1 TrainStep (ms) on hignn_bench's fit-small graph: the
+// Taobao1 preset at 2000 users x 800 items, seed 1, with the CLI's
+// structural features and hignn_bench's SAGE configuration. At these
+// sizes the step's kernels sit below the pool's dispatch cutoffs, so the
+// 4-thread figure mostly measures what waking the workers costs.
+constexpr int kSageStepThreads[] = {1, 4};
+constexpr int32_t kSageWarmupSteps = 3;
+
+std::vector<double> TimeSageSteps() {
+  SyntheticConfig data = SyntheticConfig::Taobao1();
+  data.num_users = 2000;
+  data.num_items = 800;
+  data.seed = 1;
+  const SyntheticDataset dataset =
+      SyntheticDataset::Generate(data).ValueOrDie();
+  const BipartiteGraph graph = dataset.BuildTrainGraph();
+  const Matrix left = StructuralFeatures(graph, true);
+  const Matrix right = StructuralFeatures(graph, false);
+  BipartiteSageConfig config;
+  config.dims = {32, 32};
+  config.fanouts = {10, 5};
+  config.batch_size = 256;
+  const int32_t steps = bench::Scaled(40);
+  std::vector<double> median_ms;
+  for (int threads : kSageStepThreads) {
+    SetGlobalThreadPoolThreads(static_cast<size_t>(threads));
+    BipartiteSage sage = BipartiteSage::Create(config, 3, 3).ValueOrDie();
+    Rng rng(config.seed ^ 0xBEEFULL);
+    Adam optimizer(config.learning_rate);
+    std::vector<double> ms;
+    for (int32_t step = 0; step < kSageWarmupSteps + steps; ++step) {
+      WallTimer timer;
+      HIGNN_CHECK(sage.TrainStep(graph, left, right, optimizer, rng).ok());
+      if (step >= kSageWarmupSteps) ms.push_back(timer.Seconds() * 1e3);
+    }
+    std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+    median_ms.push_back(ms[ms.size() / 2]);
+  }
+  SetGlobalThreadPoolThreads(1);
+  return median_ms;
+}
+
+// ns per element of simd::Tanh over 2^16 N(0, 2) activations (the
+// update layers' pre-activation range) on the scalar and dispatched
+// paths, and of the host libm's std::tanh over the same inputs. Each rep
+// restores the inputs first; the copy is in every figure alike.
+struct TanhTiming {
+  double libm = 0.0;
+  double scalar = 0.0;
+  double simd = 0.0;
+};
+
+TanhTiming TimeTanh() {
+  constexpr size_t kElements = size_t{1} << 16;
+  const int reps = bench::Scaled(200);
+  std::vector<float> input(kElements);
+  Rng rng(11);
+  for (float& x : input) x = static_cast<float>(rng.Normal(0.0, 2.0));
+  std::vector<float> work(kElements);
+  double sink = 0.0;
+  const auto ns_per_element = [&](const auto& kernel) {
+    double best = 0.0;
+    for (int trial = 0; trial < 3; ++trial) {
+      WallTimer timer;
+      for (int r = 0; r < reps; ++r) {
+        work = input;
+        kernel(work);
+        sink += work[kElements / 2];
+      }
+      const double ns = timer.Seconds() * 1e9 /
+                        (static_cast<double>(kElements) * reps);
+      best = trial == 0 ? ns : std::min(best, ns);
+    }
+    return best;
+  };
+  TanhTiming timing;
+  timing.libm = ns_per_element([](std::vector<float>& x) {
+    for (float& v : x) v = std::tanh(v);
+  });
+  const auto dispatched = [](std::vector<float>& x) {
+    simd::Tanh(x.data(), x.size());
+  };
+  simd::ForcePathForTesting(simd::IsaPath::kScalar);
+  timing.scalar = ns_per_element(dispatched);
+  simd::ForcePathForTesting(simd::Best());
+  timing.simd = ns_per_element(dispatched);
+  HIGNN_CHECK(sink == sink);  // Keep the loops observable.
+  return timing;
+}
+
 bool SameAssignments(const HignnModel& a, const HignnModel& b) {
   if (a.num_levels() != b.num_levels()) return false;
   for (int32_t l = 0; l < a.num_levels(); ++l) {
@@ -294,6 +391,16 @@ int Run() {
               scalar_gflops, simd::PathName(), simd_gflops,
               scalar_gflops > 0.0 ? simd_gflops / scalar_gflops : 0.0);
 
+  const std::vector<double> sage_step_ms = TimeSageSteps();
+  std::printf("level-1 SAGE TrainStep (fit-small graph): %.2f ms at 1 "
+              "thread, %.2f ms at 4 threads\n",
+              sage_step_ms[0], sage_step_ms[1]);
+
+  const TanhTiming tanh_timing = TimeTanh();
+  std::printf("tanh ns/element: std::tanh %.2f, scalar port %.2f, %s %.2f\n",
+              tanh_timing.libm, tanh_timing.scalar, simd::PathName(),
+              tanh_timing.simd);
+
   const bool deterministic = SameAssignments(model_1, model_4);
   std::printf("1-thread vs 4-thread Fit: %s\n",
               deterministic
@@ -316,6 +423,15 @@ int Run() {
       "\"simd_gflops\": %.3f, \"simd_path\": \"%s\", \"speedup\": %.3f},\n",
       scalar_gflops, simd_gflops, simd::PathName(),
       scalar_gflops > 0.0 ? simd_gflops / scalar_gflops : 0.0);
+  json += StrFormat(
+      "  \"sage_step\": {\"graph\": \"fit-small\", \"level\": 1, "
+      "\"median_ms\": {\"1\": %.3f, \"4\": %.3f}},\n",
+      sage_step_ms[0], sage_step_ms[1]);
+  json += StrFormat(
+      "  \"tanh_ns_per_elt\": {\"std_tanh\": %.3f, \"scalar\": %.3f, "
+      "\"simd\": %.3f, \"simd_path\": \"%s\"},\n",
+      tanh_timing.libm, tanh_timing.scalar, tanh_timing.simd,
+      simd::PathName());
   json += StrFormat("  \"deterministic_1_vs_4\": %s\n",
                     deterministic ? "true" : "false");
   json += "}\n";

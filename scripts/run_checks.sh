@@ -9,7 +9,10 @@
 #      plain build they run without sanitizer runtimes; use
 #      scripts/run_tsan.sh / run_asan.sh for the instrumented versions)
 #   3. the kernels + tsan labels again with HIGNN_SIMD=off (the scalar
-#      fallback must stay bit-identical to the vector paths)
+#      fallback must stay bit-identical to the vector paths), then the
+#      exhaustive tanh sweep: all 2^32 inputs through the scalar and vector
+#      simd::Tanh, which must agree bit for bit (it also reports any
+#      difference from the host libm's std::tanh)
 #   4. the `lint` label: hignn_lint fixture tests + whole-tree scan
 #   5. the `serve` label plus three end-to-end smokes: the client-verb
 #      round trip, a retrieval-index leg (beamed-vs-exact topk parity,
@@ -51,6 +54,9 @@ echo "== scalar-path parity (HIGNN_SIMD=off kernels + threading)"
 # kernel-parity and determinism suites with the vector paths disabled.
 HIGNN_SIMD=off ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -j "$(nproc)" -L "kernels|tsan"
+
+echo "== tanh sweep (all 2^32 inputs, scalar vs vector simd::Tanh)"
+"$BUILD_DIR/tools/hignn_tanh_sweep"
 
 echo "== static analysis (hignn_lint)"
 ctest --test-dir "$BUILD_DIR" -L lint --output-on-failure -j "$(nproc)"

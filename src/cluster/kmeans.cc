@@ -424,7 +424,7 @@ double AssignToNearestCenters(const Matrix& points, const Matrix& centers,
             const size_t jw = std::min(kCenterPanel, k - j0);
             for (size_t r = 0; r < rows; r += simd::kGemmRowTile) {
               simd::GemmBlock(std::min(simd::kGemmRowTile, rows - r), d, jw,
-                              points.row(i0 + r), d, panel.data() + j0, k,
+                              points.row(i0 + r), d, 1, panel.data() + j0, k,
                               dots.data() + r * k + j0, k);
             }
           }

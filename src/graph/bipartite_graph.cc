@@ -46,6 +46,12 @@ int32_t BipartiteGraph::RightDegree(int32_t i) const {
   return static_cast<int32_t>(RightNeighbors(i).size);
 }
 
+int64_t BipartiteGraph::LeftEdgeBegin(int32_t u) const {
+  HIGNN_CHECK_GE(u, 0);
+  HIGNN_CHECK_LE(u, num_left_);
+  return left_offsets_.empty() ? 0 : left_offsets_[static_cast<size_t>(u)];
+}
+
 std::vector<WeightedEdge> BipartiteGraph::Edges() const {
   std::vector<WeightedEdge> out;
   out.reserve(left_adj_.size());

@@ -53,6 +53,11 @@ class BipartiteGraph {
   int32_t LeftDegree(int32_t u) const;
   int32_t RightDegree(int32_t i) const;
 
+  /// \brief Index of u's first edge in left-major order (EdgeAt's
+  /// index); u == num_left() gives num_edges(). Left vertices [lo, hi)
+  /// own edges [LeftEdgeBegin(lo), LeftEdgeBegin(hi)).
+  int64_t LeftEdgeBegin(int32_t u) const;
+
   /// \brief All edges in left-major order (u ascending).
   std::vector<WeightedEdge> Edges() const;
 

@@ -9,23 +9,43 @@ namespace hignn {
 
 std::vector<int32_t> NeighborSampler::Sample(Side side, int32_t vertex,
                                              int32_t fanout, Rng& rng) const {
+  RowGroups one;
+  AppendSample(side, vertex, fanout, rng, one);
+  return std::move(one.ids);
+}
+
+RowGroups NeighborSampler::SampleBatch(Side side,
+                                       const std::vector<int32_t>& vertices,
+                                       int32_t fanout, Rng& rng) const {
+  RowGroups out;
+  out.offsets.reserve(vertices.size() + 1);
+  out.ids.reserve(vertices.size() * static_cast<size_t>(fanout));
+  out.weights.reserve(vertices.size() * static_cast<size_t>(fanout));
+  for (int32_t v : vertices) {
+    AppendSample(side, v, fanout, rng, out);
+    out.CloseGroup();
+  }
+  return out;
+}
+
+void NeighborSampler::AppendSample(Side side, int32_t vertex, int32_t fanout,
+                                   Rng& rng, RowGroups& out) const {
   HIGNN_CHECK_GT(fanout, 0);
   const auto span = side == Side::kLeft ? graph_.LeftNeighbors(vertex)
                                         : graph_.RightNeighbors(vertex);
-  std::vector<int32_t> out;
-  if (span.size == 0) return out;
-
   if (static_cast<int32_t>(span.size) <= fanout) {
-    out.assign(span.ids, span.ids + span.size);
-    return out;
+    out.ids.insert(out.ids.end(), span.ids, span.ids + span.size);
+    out.weights.insert(out.weights.end(), span.weights,
+                       span.weights + span.size);
+    return;
   }
-
-  out.reserve(fanout);
+  const auto take = [&](size_t pick) {
+    out.ids.push_back(span.ids[pick]);
+    out.weights.push_back(span.weights[pick]);
+  };
   if (!weighted_) {
-    for (int32_t k = 0; k < fanout; ++k) {
-      out.push_back(span.ids[rng.UniformInt(span.size)]);
-    }
-    return out;
+    for (int32_t k = 0; k < fanout; ++k) take(rng.UniformInt(span.size));
+    return;
   }
 
   // Weighted draw via cumulative scan (degree-bounded; hubs are capped by
@@ -42,18 +62,8 @@ std::vector<int32_t> NeighborSampler::Sample(Side side, int32_t vertex,
         break;
       }
     }
-    out.push_back(span.ids[pick]);
+    take(pick);
   }
-  return out;
-}
-
-std::vector<std::vector<int32_t>> NeighborSampler::SampleBatch(
-    Side side, const std::vector<int32_t>& vertices, int32_t fanout,
-    Rng& rng) const {
-  std::vector<std::vector<int32_t>> out;
-  out.reserve(vertices.size());
-  for (int32_t v : vertices) out.push_back(Sample(side, v, fanout, rng));
-  return out;
 }
 
 namespace {
@@ -82,12 +92,12 @@ NegativeSampler::NegativeSampler(const BipartiteGraph& graph)
 
 bool NegativeSampler::HasEdge(int32_t u, int32_t i) const {
   // Probe the smaller adjacency list.
-  if (graph_.LeftDegree(u) <= graph_.RightDegree(i)) {
-    const auto span = graph_.LeftNeighbors(u);
-    return std::find(span.begin(), span.end(), i) != span.end();
+  const auto left = graph_.LeftNeighbors(u);
+  const auto right = graph_.RightNeighbors(i);
+  if (left.size <= right.size) {
+    return std::binary_search(left.begin(), left.end(), i);
   }
-  const auto span = graph_.RightNeighbors(i);
-  return std::find(span.begin(), span.end(), u) != span.end();
+  return std::binary_search(right.begin(), right.end(), u);
 }
 
 int32_t NegativeSampler::SampleRightFor(int32_t u, Rng& rng,

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "graph/bipartite_graph.h"
+#include "nn/row_groups.h"
 #include "util/rng.h"
 
 namespace hignn {
@@ -31,15 +32,20 @@ class NeighborSampler {
   std::vector<int32_t> Sample(Side side, int32_t vertex, int32_t fanout,
                               Rng& rng) const;
 
-  /// \brief Batch version; result[k] corresponds to vertices[k].
-  std::vector<std::vector<int32_t>> SampleBatch(
-      Side side, const std::vector<int32_t>& vertices, int32_t fanout,
-      Rng& rng) const;
+  /// \brief Batch version as one flat CSR: group k holds what
+  /// Sample(side, vertices[k], ...) would return on the same rng stream,
+  /// and `weights` the sampled edges' weights.
+  RowGroups SampleBatch(Side side, const std::vector<int32_t>& vertices,
+                        int32_t fanout, Rng& rng) const;
 
   const BipartiteGraph& graph() const { return graph_; }
   bool weighted() const { return weighted_; }
 
  private:
+  // Appends vertex's sampled neighbor ids and edge weights to `out`.
+  void AppendSample(Side side, int32_t vertex, int32_t fanout, Rng& rng,
+                    RowGroups& out) const;
+
   const BipartiteGraph& graph_;
   bool weighted_;
 };
@@ -61,9 +67,11 @@ class NegativeSampler {
   /// \brief Symmetric: left-side negative for a right vertex i.
   int32_t SampleLeftFor(int32_t i, Rng& rng, int max_tries = 16) const;
 
- private:
+  /// \brief True if (u, i) is an edge: a binary search of the shorter
+  /// adjacency list, which BipartiteGraphBuilder::Build emits ascending.
   bool HasEdge(int32_t u, int32_t i) const;
 
+ private:
   const BipartiteGraph& graph_;
   AliasSampler left_dist_;
   AliasSampler right_dist_;

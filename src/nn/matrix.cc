@@ -17,6 +17,12 @@ namespace {
 // B panel and the output row resident in L1 together.
 constexpr size_t kColBlock = 256;
 
+// Depth-panel height: the row tiles of a band reuse one 256-row slice of
+// A and B from cache instead of streaming the whole depth once per tile
+// (MatMulAT's depth is the batch). C carries each element's running sum
+// from one panel to the next, so p still ascends in one chain.
+constexpr size_t kDepthBlock = 256;
+
 // Every GEMM partitions work so each output element is produced by exactly
 // one chunk with a chunk-independent ascending-p accumulation order, so the
 // parallel and sequential paths are bitwise identical and granularity
@@ -25,20 +31,30 @@ constexpr size_t kColBlock = 256;
 // as the scalar one (simd.h), so ISA choice never changes the bits either.
 //
 // Runs the register/cache-blocked GEMM over output rows [lo, hi):
-// out[i][j] += sum_p a[i][p] * b[p][j], with a mr x 8 register tile inside
-// simd::GemmBlock and a kColBlock j panel keeping B slices L1-resident.
-void GemmRowBand(const Matrix& a, const Matrix& b, Matrix& out, size_t lo,
-                 size_t hi) {
-  const size_t k = a.cols();
+// out[i][j] += sum_p A[i][p] * b[p][j] for p < depth, with A[i][p] =
+// a[i * lda + p * a_step] (see simd::GemmBlock), the register tile inside
+// simd::GemmBlock, a kColBlock j panel keeping B slices L1-resident and a
+// kDepthBlock p panel keeping A and B slices cache-resident across tiles.
+void GemmRowBand(const float* a, size_t lda, size_t a_step, size_t depth,
+                 const Matrix& b, Matrix& out, size_t lo, size_t hi) {
   const size_t n = b.cols();
   for (size_t j0 = 0; j0 < n; j0 += kColBlock) {
     const size_t jw = std::min(n - j0, kColBlock);
-    for (size_t i0 = lo; i0 < hi; i0 += simd::kGemmRowTile) {
-      const size_t mr = std::min(simd::kGemmRowTile, hi - i0);
-      simd::GemmBlock(mr, k, jw, a.row(i0), k, b.row(0) + j0, n,
-                      out.row(i0) + j0, n);
+    for (size_t p0 = 0; p0 < depth; p0 += kDepthBlock) {
+      const size_t pw = std::min(depth - p0, kDepthBlock);
+      for (size_t i0 = lo; i0 < hi; i0 += simd::kGemmRowTile) {
+        const size_t mr = std::min(simd::kGemmRowTile, hi - i0);
+        simd::GemmBlock(mr, pw, jw, a + i0 * lda + p0 * a_step, lda, a_step,
+                        b.row(p0) + j0, n, out.row(i0) + j0, n);
+      }
     }
   }
+}
+
+// GemmRowBand over a row-major `a`.
+void GemmRowBand(const Matrix& a, const Matrix& b, Matrix& out, size_t lo,
+                 size_t hi) {
+  GemmRowBand(a.data(), a.cols(), 1, a.cols(), b, out, lo, hi);
 }
 
 // One tick per GEMM call on the counter matching the live dispatch path.
@@ -186,26 +202,25 @@ Matrix MatMulAT(const Matrix& a, const Matrix& b) {
   const size_t n = b.cols();
   if (m == 0 || k == 0 || n == 0) return out;
   CountGemmDispatch();
-  // Output row i is column i of A. Each band packs its columns into a
-  // kGemmRowTile x m tile (a bit-exact copy) and runs the shared register
-  // kernel over the full depth, so p ascends globally for every output
-  // element — the same chain as the seed's p-outer scalar loop.
-  GlobalThreadPool().ParallelForWork(0, k, m * k * n, [&](size_t lo,
-                                                          size_t hi) {
-    std::vector<float> packed(simd::kGemmRowTile * m);
-    for (size_t i0 = lo; i0 < hi; i0 += simd::kGemmRowTile) {
-      const size_t mr = std::min(simd::kGemmRowTile, hi - i0);
-      for (size_t p = 0; p < m; ++p) {
-        const float* arow = a.row(p);
-        for (size_t r = 0; r < mr; ++r) packed[r * m + p] = arow[i0 + r];
-      }
-      for (size_t j0 = 0; j0 < n; j0 += kColBlock) {
-        const size_t jw = std::min(n - j0, kColBlock);
-        simd::GemmBlock(mr, m, jw, packed.data(), m, b.row(0) + j0, n,
-                        out.row(i0) + j0, n);
-      }
+  if (n == 1) {
+    // A column b (the scorer's last-layer gradient): out^T = b^T A is one
+    // row-vector GEMM straight over A. out[i] still sums b[p] * a[p][i]
+    // ascending in p, and the product commutes exactly.
+    for (size_t j0 = 0; j0 < k; j0 += kColBlock) {
+      simd::GemmBlock(1, m, std::min(k - j0, kColBlock), b.data(), m, 1,
+                      a.data() + j0, k, out.data() + j0, k);
     }
-  });
+    return out;
+  }
+  // Output row i is column i of A, which GemmBlock reads in place (row
+  // stride 1, column stride k): no transposed or packed copy, and p still
+  // ascends globally for every output element — the same chain as the
+  // seed's p-outer scalar loop.
+  GlobalThreadPool().ParallelForWork(0, k, m * k * n,
+                                     [&](size_t lo, size_t hi) {
+                                       GemmRowBand(a.data(), 1, k, m, b, out,
+                                                   lo, hi);
+                                     });
   return out;
 }
 
@@ -219,6 +234,7 @@ Matrix Transpose(const Matrix& a) {
   // counts one move per element: a transpose is pure bandwidth, so it needs
   // far more elements than a GEMM before a pool dispatch pays off.
   constexpr size_t kTile = 32;
+  float* dst = out.data();
   GlobalThreadPool().ParallelForWork(0, m, m * n, [&](size_t lo, size_t hi) {
     for (size_t r0 = lo; r0 < hi; r0 += kTile) {
       const size_t r1 = std::min(hi, r0 + kTile);
@@ -226,7 +242,7 @@ Matrix Transpose(const Matrix& a) {
         const size_t c1 = std::min(n, c0 + kTile);
         for (size_t r = r0; r < r1; ++r) {
           const float* src = a.row(r);
-          for (size_t c = c0; c < c1; ++c) out(c, r) = src[c];
+          for (size_t c = c0; c < c1; ++c) dst[c * m + r] = src[c];
         }
       }
     }

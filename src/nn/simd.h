@@ -2,6 +2,7 @@
 #define HIGNN_NN_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace hignn {
 namespace simd {
@@ -27,9 +28,9 @@ namespace simd {
 ///     owns indices l, l+kReduceLanes, l+2*kReduceLanes, ... — merged in
 ///     fixed ascending lane order. The scalar reference implements the
 ///     identical schedule, so vector and scalar bits match exactly.
-/// Elementwise kernels (Accumulate/Axpy/GemmBlock) are per-element
-/// independent: each output element sees the same mul-then-add sequence in
-/// the same order on every path, so rule 2 is not needed there.
+/// Elementwise kernels (Accumulate/Axpy/GemmBlock/Tanh) are per-element
+/// independent: each output element sees the same op sequence in the same
+/// order on every path, so rule 2 is not needed there.
 
 /// \brief Instruction-set path selected for the kernel table.
 enum class IsaPath { kScalar, kAvx2, kNeon };
@@ -68,10 +69,22 @@ void Axpy(float* dst, float alpha, const float* src, size_t n);
 /// C[r][j] += sum_p A[r][p] * B[p][j] for r < mr (<= kGemmRowTile),
 /// j < n, with p ascending and mul-then-add per element — the canonical
 /// accumulation order every Matrix GEMM variant is defined by.
-/// `a` is mr x kc with row stride lda, `b` is kc x n with row stride ldb,
-/// `c` is mr x n with row stride ldc.
+/// A[r][p] is a[r * lda + p * a_step]: a_step = 1 reads a row-major A,
+/// and lda = 1 with a_step = the row length reads a row-major matrix
+/// transposed, in place. `b` is kc x n with row stride ldb, `c` is mr x n
+/// with row stride ldc. Each output element's chain lives in a register
+/// for the whole p loop: an mr x 16 tile (two 8-wide vectors per row) on
+/// AVX2, with masked lanes for the last n % 8 columns, and one scalar
+/// accumulator per row and column for blocks narrower than 8.
 void GemmBlock(size_t mr, size_t kc, size_t n, const float* a, size_t lda,
-               const float* b, size_t ldb, float* c, size_t ldc);
+               size_t a_step, const float* b, size_t ldb, float* c,
+               size_t ldc);
+
+/// \brief x[i] <- tanh(x[i]) for i in [0, n). Every path runs a port of
+/// glibc's flt-32 tanhf (fdlibm, with its 5-term expm1f polynomial), so
+/// the bits depend neither on the ISA nor on the host libm; on glibc 2.36
+/// they equal std::tanh for all 2^32 inputs (tools/hignn_tanh_sweep).
+void Tanh(float* x, size_t n);
 
 /// \brief Lane-strided double-precision dot product of two float rows
 /// (see the reduction schedule above).
@@ -88,8 +101,9 @@ struct Kernels {
   void (*accumulate)(float* dst, const float* src, size_t n);
   void (*axpy)(float* dst, float alpha, const float* src, size_t n);
   void (*gemm_block)(size_t mr, size_t kc, size_t n, const float* a,
-                     size_t lda, const float* b, size_t ldb, float* c,
-                     size_t ldc);
+                     size_t lda, size_t a_step, const float* b, size_t ldb,
+                     float* c, size_t ldc);
+  void (*tanh)(float* x, size_t n);
   double (*dot)(const float* x, const float* y, size_t n);
   double (*squared_distance)(const float* x, const float* y, size_t n);
 };
@@ -104,10 +118,29 @@ const Kernels* GetNeonKernels();
 void AccumulateScalar(float* dst, const float* src, size_t n);
 void AxpyScalar(float* dst, float alpha, const float* src, size_t n);
 void GemmBlockScalar(size_t mr, size_t kc, size_t n, const float* a,
-                     size_t lda, const float* b, size_t ldb, float* c,
-                     size_t ldc);
+                     size_t lda, size_t a_step, const float* b, size_t ldb,
+                     float* c, size_t ldc);
+void TanhScalar(float* x, size_t n);
 double DotScalar(const float* x, const float* y, size_t n);
 double SquaredDistanceScalar(const float* x, const float* y, size_t n);
+
+// glibc flt-32 expm1f/tanhf (fdlibm) constants, shared by every Tanh port.
+inline constexpr float kLn2Hi = 6.9313812256e-01f;      // 0x3f317180
+inline constexpr float kLn2Lo = 9.0580006145e-06f;      // 0x3717f7d1
+inline constexpr float kInvLn2 = 1.4426950216e+00f;     // 0x3fb8aa3b
+inline constexpr float kExpm1Q1 = -3.3333335072e-02f;   // 0xbd088889
+inline constexpr float kExpm1Q2 = 1.5873016091e-03f;    // 0x3ad0d0d1
+inline constexpr float kExpm1Q3 = -7.9365076090e-05f;   // 0xb8a670cd
+inline constexpr float kExpm1Q4 = 4.0082177293e-06f;    // 0x36867e54
+inline constexpr float kExpm1Q5 = -2.0109921195e-07f;   // 0xb457edbb
+// Bit patterns of |x| thresholds.
+inline constexpr uint32_t kExpm1Tiny = 0x33000000;            // 2^-25
+inline constexpr uint32_t kExpm1HalfLn2 = 0x3eb17218;         // 0.5 ln2
+inline constexpr uint32_t kExpm1ThreeHalvesLn2 = 0x3f851592;  // 1.5 ln2
+inline constexpr uint32_t kTanhTiny = 0x24000000;             // 2^-55
+inline constexpr uint32_t kTanhOne = 0x3f800000;              // 1
+inline constexpr uint32_t kTanhSaturate = 0x41b00000;         // 22
+inline constexpr uint32_t kFloatInf = 0x7f800000;
 
 /// \brief Fixed-order merge of the kReduceLanes partial sums:
 /// ((lane[0] + lane[1]) + lane[2]) + lane[3]. Shared by every path.

@@ -37,8 +37,8 @@ void AxpyNeon(float* dst, float alpha, const float* src, size_t n) {
 }
 
 void GemmBlockNeon(size_t mr, size_t kc, size_t n, const float* a,
-                   size_t lda, const float* b, size_t ldb, float* c,
-                   size_t ldc) {
+                   size_t lda, size_t a_step, const float* b, size_t ldb,
+                   float* c, size_t ldc) {
   size_t j = 0;
   for (; j + 4 <= n; j += 4) {
     float32x4_t acc[kGemmRowTile];
@@ -48,7 +48,7 @@ void GemmBlockNeon(size_t mr, size_t kc, size_t n, const float* a,
     for (size_t p = 0; p < kc; ++p) {
       const float32x4_t bv = vld1q_f32(b + p * ldb + j);
       for (size_t r = 0; r < mr; ++r) {
-        const float32x4_t av = vdupq_n_f32(a[r * lda + p]);
+        const float32x4_t av = vdupq_n_f32(a[r * lda + p * a_step]);
         acc[r] = vaddq_f32(acc[r], vmulq_f32(av, bv));
       }
     }
@@ -57,7 +57,7 @@ void GemmBlockNeon(size_t mr, size_t kc, size_t n, const float* a,
     }
   }
   if (j < n) {
-    GemmBlockScalar(mr, kc, n - j, a, lda, b + j, ldb, c + j, ldc);
+    GemmBlockScalar(mr, kc, n - j, a, lda, a_step, b + j, ldb, c + j, ldc);
   }
 }
 
@@ -110,8 +110,11 @@ double SquaredDistanceNeon(const float* x, const float* y, size_t n) {
   return MergeLanes(lane);
 }
 
+// Tanh runs the scalar port: the kernel is exact either way, and the
+// lane-select AVX2 version has not been mirrored here.
 constexpr Kernels kNeonKernels = {
-    AccumulateNeon, AxpyNeon, GemmBlockNeon, DotNeon, SquaredDistanceNeon,
+    AccumulateNeon, AxpyNeon,           GemmBlockNeon, TanhScalar,
+    DotNeon,        SquaredDistanceNeon,
 };
 
 }  // namespace

@@ -27,36 +27,37 @@ Matrix GatherRowsValue(const Matrix& src,
   return out;
 }
 
-Matrix GroupMeanRowsValue(const Matrix& src,
-                          const std::vector<std::vector<int32_t>>& groups) {
+Matrix GroupMeanRowsValue(const Matrix& src, const RowGroups& groups) {
+  HIGNN_CHECK_EQ(groups.offsets.back(), groups.ids.size());
   Matrix out(groups.size(), src.cols());
   for (size_t g = 0; g < groups.size(); ++g) {
-    if (groups[g].empty()) continue;
+    const size_t begin = groups.offsets[g];
+    const size_t end = groups.offsets[g + 1];
+    if (begin == end) continue;
     float* dst = out.row(g);
-    for (int32_t j : groups[g]) {
+    for (size_t k = begin; k < end; ++k) {
+      const int32_t j = groups.ids[k];
       HIGNN_CHECK_GE(j, 0);
       HIGNN_CHECK_LT(static_cast<size_t>(j), src.rows());
       simd::Accumulate(dst, src.row(static_cast<size_t>(j)), src.cols());
     }
-    const float inv = 1.0f / static_cast<float>(groups[g].size());
+    const float inv = 1.0f / static_cast<float>(end - begin);
     for (size_t c = 0; c < src.cols(); ++c) dst[c] *= inv;
   }
   return out;
 }
 
-Matrix GroupWeightedSumRowsValue(
-    const Matrix& src, const std::vector<std::vector<int32_t>>& groups,
-    const std::vector<std::vector<float>>& weights) {
-  HIGNN_CHECK_EQ(groups.size(), weights.size());
+Matrix GroupWeightedSumRowsValue(const Matrix& src, const RowGroups& groups) {
+  HIGNN_CHECK_EQ(groups.offsets.back(), groups.ids.size());
+  HIGNN_CHECK_EQ(groups.weights.size(), groups.ids.size());
   Matrix out(groups.size(), src.cols());
   for (size_t g = 0; g < groups.size(); ++g) {
-    HIGNN_CHECK_EQ(groups[g].size(), weights[g].size());
     float* dst = out.row(g);
-    for (size_t k = 0; k < groups[g].size(); ++k) {
-      const int32_t j = groups[g][k];
+    for (size_t k = groups.offsets[g]; k < groups.offsets[g + 1]; ++k) {
+      const int32_t j = groups.ids[k];
       HIGNN_CHECK_GE(j, 0);
       HIGNN_CHECK_LT(static_cast<size_t>(j), src.rows());
-      simd::Axpy(dst, weights[g][k], src.row(static_cast<size_t>(j)),
+      simd::Axpy(dst, groups.weights[k], src.row(static_cast<size_t>(j)),
                  src.cols());
     }
   }
@@ -102,9 +103,7 @@ void SigmoidInPlace(Matrix& a) {
   }
 }
 
-void TanhInPlace(Matrix& a) {
-  for (size_t i = 0; i < a.size(); ++i) a.data()[i] = std::tanh(a.data()[i]);
-}
+void TanhInPlace(Matrix& a) { simd::Tanh(a.data(), a.size()); }
 
 void LeakyReluInPlace(Matrix& a, float negative_slope) {
   for (size_t i = 0; i < a.size(); ++i) {
@@ -207,10 +206,9 @@ VarId Tape::AddRowBroadcast(VarId a, VarId bias) {
       }
       if (nodes_[bias].requires_grad) {
         EnsureGrad(bias);
-        Matrix& gb = MutableGrad(bias);
+        float* gb = MutableGrad(bias).row(0);
         for (size_t r = 0; r < gout.rows(); ++r) {
-          const float* row = gout.row(r);
-          for (size_t c = 0; c < gout.cols(); ++c) gb(0, c) += row[c];
+          simd::Accumulate(gb, gout.row(r), gout.cols());
         }
       }
     };
@@ -361,7 +359,7 @@ VarId Tape::GatherRowsFrom(const Matrix& src,
   return Emit(GatherRowsValue(src, index), /*requires_grad=*/false, nullptr);
 }
 
-VarId Tape::GroupMeanRows(VarId a, std::vector<std::vector<int32_t>> groups) {
+VarId Tape::GroupMeanRows(VarId a, RowGroups groups) {
   Matrix out = GroupMeanRowsValue(value(a), groups);
   const bool needs = nodes_[a].requires_grad;
   VarId id = Emit(std::move(out), needs, nullptr);
@@ -371,41 +369,13 @@ VarId Tape::GroupMeanRows(VarId a, std::vector<std::vector<int32_t>> groups) {
       Matrix& ga = MutableGrad(a);
       const Matrix& gout = nodes_[id].grad;
       for (size_t g = 0; g < gs.size(); ++g) {
-        if (gs[g].empty()) continue;
-        const float inv = 1.0f / static_cast<float>(gs[g].size());
+        const size_t begin = gs.offsets[g];
+        const size_t end = gs.offsets[g + 1];
+        if (begin == end) continue;
+        const float inv = 1.0f / static_cast<float>(end - begin);
         const float* src = gout.row(g);
-        for (int32_t j : gs[g]) {
-          simd::Axpy(ga.row(static_cast<size_t>(j)), inv, src, gout.cols());
-        }
-      }
-    };
-  }
-  return id;
-}
-
-VarId Tape::GroupMeanRowsFrom(
-    const Matrix& src, const std::vector<std::vector<int32_t>>& groups) {
-  CountFusedAggregate();
-  return Emit(GroupMeanRowsValue(src, groups), /*requires_grad=*/false,
-              nullptr);
-}
-
-VarId Tape::GroupWeightedSumRows(VarId a,
-                                 std::vector<std::vector<int32_t>> groups,
-                                 std::vector<std::vector<float>> weights) {
-  Matrix out = GroupWeightedSumRowsValue(value(a), groups, weights);
-  const bool needs = nodes_[a].requires_grad;
-  VarId id = Emit(std::move(out), needs, nullptr);
-  if (needs) {
-    nodes_[id].backward = [this, a, gs = std::move(groups),
-                           ws = std::move(weights), id] {
-      EnsureGrad(a);
-      Matrix& ga = MutableGrad(a);
-      const Matrix& gout = nodes_[id].grad;
-      for (size_t g = 0; g < gs.size(); ++g) {
-        const float* src = gout.row(g);
-        for (size_t k = 0; k < gs[g].size(); ++k) {
-          simd::Axpy(ga.row(static_cast<size_t>(gs[g][k])), ws[g][k], src,
+        for (size_t k = begin; k < end; ++k) {
+          simd::Axpy(ga.row(static_cast<size_t>(gs.ids[k])), inv, src,
                      gout.cols());
         }
       }
@@ -414,11 +384,37 @@ VarId Tape::GroupWeightedSumRows(VarId a,
   return id;
 }
 
-VarId Tape::GroupWeightedSumRowsFrom(
-    const Matrix& src, const std::vector<std::vector<int32_t>>& groups,
-    const std::vector<std::vector<float>>& weights) {
+VarId Tape::GroupMeanRowsFrom(const Matrix& src, const RowGroups& groups) {
   CountFusedAggregate();
-  return Emit(GroupWeightedSumRowsValue(src, groups, weights),
+  return Emit(GroupMeanRowsValue(src, groups), /*requires_grad=*/false,
+              nullptr);
+}
+
+VarId Tape::GroupWeightedSumRows(VarId a, RowGroups groups) {
+  Matrix out = GroupWeightedSumRowsValue(value(a), groups);
+  const bool needs = nodes_[a].requires_grad;
+  VarId id = Emit(std::move(out), needs, nullptr);
+  if (needs) {
+    nodes_[id].backward = [this, a, gs = std::move(groups), id] {
+      EnsureGrad(a);
+      Matrix& ga = MutableGrad(a);
+      const Matrix& gout = nodes_[id].grad;
+      for (size_t g = 0; g < gs.size(); ++g) {
+        const float* src = gout.row(g);
+        for (size_t k = gs.offsets[g]; k < gs.offsets[g + 1]; ++k) {
+          simd::Axpy(ga.row(static_cast<size_t>(gs.ids[k])), gs.weights[k],
+                     src, gout.cols());
+        }
+      }
+    };
+  }
+  return id;
+}
+
+VarId Tape::GroupWeightedSumRowsFrom(const Matrix& src,
+                                     const RowGroups& groups) {
+  CountFusedAggregate();
+  return Emit(GroupWeightedSumRowsValue(src, groups),
               /*requires_grad=*/false, nullptr);
 }
 
@@ -562,7 +558,7 @@ VarId Tape::BceWithLogits(VarId logits, std::vector<float> labels,
 
   double loss = 0.0;
   for (size_t i = 0; i < labels.size(); ++i) {
-    const double x = vl(i, 0);
+    const double x = vl.data()[i];
     const double y = labels[i];
     // Stable: max(x,0) - x*y + log(1+exp(-|x|)) == softplus(x) - x*y.
     loss += weights[i] * (Softplus(x) - x * y);
@@ -577,13 +573,12 @@ VarId Tape::BceWithLogits(VarId logits, std::vector<float> labels,
     nodes_[id].backward = [this, logits, ls = std::move(labels),
                            ws = std::move(weights), weight_total, id] {
       EnsureGrad(logits);
-      Matrix& gl = MutableGrad(logits);
+      float* gl = MutableGrad(logits).data();
       const float g = nodes_[id].grad(0, 0);
-      const Matrix& vl2 = nodes_[logits].value;
+      const float* vl2 = nodes_[logits].value.data();
       for (size_t i = 0; i < ls.size(); ++i) {
-        const double p = SigmoidScalar(vl2(i, 0));
-        gl(i, 0) += static_cast<float>(
-            g * ws[i] * (p - ls[i]) / weight_total);
+        const double p = SigmoidScalar(vl2[i]);
+        gl[i] += static_cast<float>(g * ws[i] * (p - ls[i]) / weight_total);
       }
     };
   }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "nn/matrix.h"
+#include "nn/row_groups.h"
 
 namespace hignn {
 
@@ -67,17 +68,17 @@ class Tape {
   /// accumulation (duplicate indices sum). Embedding lookup.
   VarId GatherRows(VarId a, std::vector<int32_t> index);
 
-  /// \brief out.row(g) = mean over {a.row(j) : j in groups[g]}. Empty
+  /// \brief out.row(g) = mean over {a.row(j) : j in group g}. Empty
   /// groups yield a zero row. This is the GraphSAGE mean aggregator
-  /// (AGGREGATE in Eqs. 1-2, 8-9) in matrix form.
-  VarId GroupMeanRows(VarId a, std::vector<std::vector<int32_t>> groups);
+  /// (AGGREGATE in Eqs. 1-2, 8-9) in matrix form. `groups.weights` is
+  /// ignored.
+  VarId GroupMeanRows(VarId a, RowGroups groups);
 
-  /// \brief Weighted variant: out.row(g) = sum_j w[g][j] * a.row(groups[g][j]).
+  /// \brief Weighted variant: out.row(g) = sum_k w_k * a.row(j_k) over
+  /// group g's ids j_k and their `groups.weights` w_k (one per id).
   /// Weights are caller-normalized; used by the edge-weighted aggregator
   /// ablation.
-  VarId GroupWeightedSumRows(VarId a,
-                             std::vector<std::vector<int32_t>> groups,
-                             std::vector<std::vector<float>> weights);
+  VarId GroupWeightedSumRows(VarId a, RowGroups groups);
 
   // Fused constant-source variants: gather/aggregate straight out of a
   // matrix that is NOT on the tape (e.g. the immutable level-0 feature
@@ -91,13 +92,10 @@ class Tape {
   VarId GatherRowsFrom(const Matrix& src, const std::vector<int32_t>& index);
 
   /// \brief GroupMeanRows streaming directly from a constant matrix.
-  VarId GroupMeanRowsFrom(const Matrix& src,
-                          const std::vector<std::vector<int32_t>>& groups);
+  VarId GroupMeanRowsFrom(const Matrix& src, const RowGroups& groups);
 
   /// \brief GroupWeightedSumRows streaming directly from a constant matrix.
-  VarId GroupWeightedSumRowsFrom(
-      const Matrix& src, const std::vector<std::vector<int32_t>>& groups,
-      const std::vector<std::vector<float>>& weights);
+  VarId GroupWeightedSumRowsFrom(const Matrix& src, const RowGroups& groups);
 
   /// \brief L2-normalizes every row (rows with norm < eps pass through).
   /// GraphSAGE-style output normalization; keeps embeddings on the unit

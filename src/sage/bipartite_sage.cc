@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -14,11 +13,6 @@
 namespace hignn {
 
 namespace {
-
-// Pre-tape batch-assembly loops (feature gathers, neighbor-group index
-// building) below this many items stay inline — pool dispatch costs more
-// than the loop body.
-constexpr size_t kParallelBatchCutoff = 512;
 
 // Gather feature rows for a vertex id list into a dense batch matrix.
 // Row-parallel: each destination row is written by exactly one thread.
@@ -37,50 +31,6 @@ Matrix GatherFeatureRows(const Matrix& features,
           std::copy(src, src + cols, dst);
         }
       });
-  return out;
-}
-
-// One deduplicated frontier of vertex ids with O(1) membership lookup.
-struct Frontier {
-  std::vector<int32_t> ids;
-  std::unordered_map<int32_t, int32_t> index;
-
-  int32_t Intern(int32_t id) {
-    auto [it, inserted] = index.emplace(id, static_cast<int32_t>(ids.size()));
-    if (inserted) ids.push_back(id);
-    return it->second;
-  }
-  int32_t IndexOf(int32_t id) const {
-    auto it = index.find(id);
-    HIGNN_CHECK(it != index.end());
-    return it->second;
-  }
-};
-
-// Sampled neighbor ids + parallel edge weights.
-struct SampledNeighbors {
-  std::vector<int32_t> ids;
-  std::vector<float> weights;
-};
-
-SampledNeighbors SampleNeighbors(const BipartiteGraph& graph, Side side,
-                                 int32_t vertex, int32_t fanout, Rng& rng) {
-  const auto span = side == Side::kLeft ? graph.LeftNeighbors(vertex)
-                                        : graph.RightNeighbors(vertex);
-  SampledNeighbors out;
-  if (span.size == 0) return out;
-  if (static_cast<int32_t>(span.size) <= fanout) {
-    out.ids.assign(span.ids, span.ids + span.size);
-    out.weights.assign(span.weights, span.weights + span.size);
-    return out;
-  }
-  out.ids.reserve(static_cast<size_t>(fanout));
-  out.weights.reserve(static_cast<size_t>(fanout));
-  for (int32_t k = 0; k < fanout; ++k) {
-    const size_t pick = rng.UniformInt(span.size);
-    out.ids.push_back(span.ids[pick]);
-    out.weights.push_back(span.weights[pick]);
-  }
   return out;
 }
 
@@ -190,6 +140,30 @@ void BipartiteSage::AccumulateGrads(const Tape& tape) {
   scorer_.AccumulateGrads(tape);
 }
 
+void BipartiteSage::Frontier::Reset(int32_t num_vertices) {
+  for (int32_t v : ids) slot[static_cast<size_t>(v)] = -1;
+  ids.clear();
+  if (slot.size() < static_cast<size_t>(num_vertices)) {
+    slot.resize(static_cast<size_t>(num_vertices), -1);
+  }
+}
+
+int32_t BipartiteSage::Frontier::Intern(int32_t v) {
+  HIGNN_CHECK_LT(static_cast<size_t>(v), slot.size());
+  int32_t& index = slot[static_cast<size_t>(v)];
+  if (index < 0) {
+    index = static_cast<int32_t>(ids.size());
+    ids.push_back(v);
+  }
+  return index;
+}
+
+int32_t BipartiteSage::Frontier::IndexOf(int32_t v) const {
+  const int32_t index = slot[static_cast<size_t>(v)];
+  HIGNN_CHECK_GE(index, 0);
+  return index;
+}
+
 BipartiteSage::BatchEmbedding BipartiteSage::ForwardBatch(
     Tape& tape, const BipartiteGraph& graph, const Matrix& left_features,
     const Matrix& right_features, const std::vector<int32_t>& left_targets,
@@ -198,44 +172,54 @@ BipartiteSage::BatchEmbedding BipartiteSage::ForwardBatch(
 
   // --- Dependency expansion (top-down) --------------------------------------
   // need[p] holds the vertices whose step-p embeddings are required;
-  // nbrs[p][k] is the sampled neighborhood used to compute embedding p of
-  // need[p].ids[k] (sampled once, reused in the forward pass).
-  std::vector<Frontier> need_left(steps + 1);
-  std::vector<Frontier> need_right(steps + 1);
-  std::vector<std::vector<SampledNeighbors>> left_nbrs(steps + 1);
-  std::vector<std::vector<SampledNeighbors>> right_nbrs(steps + 1);
-
-  for (int32_t v : left_targets) need_left[steps].Intern(v);
-  for (int32_t v : right_targets) need_right[steps].Intern(v);
-
+  // group k of nbrs[p] is the sampled neighborhood used to compute
+  // embedding p of need[p].ids[k] (sampled once, reused in the forward
+  // pass).
   // With the fused level-0 path the first SAGE step reads the feature
   // tables directly by global vertex id, so the level-0 frontiers are never
   // interned or materialized; the sampling calls (and hence the rng stream)
   // are identical either way.
   const bool fused = config_.fused_level0;
+  left_frontiers_.resize(steps + 1);
+  right_frontiers_.resize(steps + 1);
+  for (size_t p = fused ? 1 : 0; p <= steps; ++p) {
+    left_frontiers_[p].Reset(graph.num_left());
+    right_frontiers_[p].Reset(graph.num_right());
+  }
+  std::vector<Frontier>& need_left = left_frontiers_;
+  std::vector<Frontier>& need_right = right_frontiers_;
+  std::vector<RowGroups> left_nbrs(steps + 1);
+  std::vector<RowGroups> right_nbrs(steps + 1);
 
-  for (size_t p = steps; p >= 1; --p) {
-    const int32_t fanout = config_.fanouts[steps - p];
-    const bool intern_prev = !fused || p > 1;
-    left_nbrs[p].resize(need_left[p].ids.size());
-    for (size_t k = 0; k < need_left[p].ids.size(); ++k) {
-      const int32_t u = need_left[p].ids[k];
-      left_nbrs[p][k] =
-          SampleNeighbors(graph, Side::kLeft, u, fanout, rng);
-      if (intern_prev) {
-        need_left[p - 1].Intern(u);  // self embedding for CONCAT
-        for (int32_t nbr : left_nbrs[p][k].ids) need_right[p - 1].Intern(nbr);
+  for (int32_t v : left_targets) need_left[steps].Intern(v);
+  for (int32_t v : right_targets) need_right[steps].Intern(v);
+
+  // Interns each vertex (its self embedding for CONCAT) and its sampled
+  // neighbors into the step-(p-1) frontiers.
+  const auto intern_prev = [](const Frontier& need, const RowGroups& nbrs,
+                              Frontier& self_prev, Frontier& opposite_prev) {
+    for (size_t k = 0; k < need.ids.size(); ++k) {
+      self_prev.Intern(need.ids[k]);
+      for (size_t j = nbrs.offsets[k]; j < nbrs.offsets[k + 1]; ++j) {
+        opposite_prev.Intern(nbrs.ids[j]);
       }
     }
-    right_nbrs[p].resize(need_right[p].ids.size());
-    for (size_t k = 0; k < need_right[p].ids.size(); ++k) {
-      const int32_t i = need_right[p].ids[k];
-      right_nbrs[p][k] =
-          SampleNeighbors(graph, Side::kRight, i, fanout, rng);
-      if (intern_prev) {
-        need_right[p - 1].Intern(i);
-        for (int32_t nbr : right_nbrs[p][k].ids) need_left[p - 1].Intern(nbr);
-      }
+  };
+  const NeighborSampler sampler(graph);
+  for (size_t p = steps; p >= 1; --p) {
+    const int32_t fanout = config_.fanouts[steps - p];
+    const bool interned = !fused || p > 1;
+    left_nbrs[p] =
+        sampler.SampleBatch(Side::kLeft, need_left[p].ids, fanout, rng);
+    if (interned) {
+      intern_prev(need_left[p], left_nbrs[p], need_left[p - 1],
+                  need_right[p - 1]);
+    }
+    right_nbrs[p] =
+        sampler.SampleBatch(Side::kRight, need_right[p].ids, fanout, rng);
+    if (interned) {
+      intern_prev(need_right[p], right_nbrs[p], need_right[p - 1],
+                  need_left[p - 1]);
     }
   }
 
@@ -263,61 +247,48 @@ BipartiteSage::BatchEmbedding BipartiteSage::ForwardBatch(
     // the tape values are bitwise identical.
     const bool fuse_step = fused && p == 1;
     auto build_side =
-        [&](Frontier& need, std::vector<SampledNeighbors>& nbrs,
+        [&](const Frontier& need, RowGroups& groups,
             const Frontier& opposite_prev, const Frontier& self_prev,
             VarId h_opposite_prev, VarId h_self_prev, Dense& transform,
             Dense& update, const Matrix* opp_feats,
             const Matrix* self_feats) -> VarId {
-      std::vector<std::vector<int32_t>> groups(need.ids.size());
-      std::vector<std::vector<float>> group_weights(need.ids.size());
-      std::vector<int32_t> self_index(need.ids.size());
-      // Per-target assembly is independent (frontier lookups are const,
-      // every target writes its own slots), so it fans out across the
-      // pool; the neighborhoods themselves were sampled sequentially
-      // above, keeping the rng stream thread-count independent.
-      auto assemble = [&](size_t lo, size_t hi) {
-        for (size_t k = lo; k < hi; ++k) {
-          self_index[k] =
-              fuse_step ? need.ids[k] : self_prev.IndexOf(need.ids[k]);
-          auto& sampled = nbrs[k];
-          groups[k].reserve(sampled.ids.size());
-          for (int32_t nbr : sampled.ids) {
-            groups[k].push_back(fuse_step ? nbr
-                                          : opposite_prev.IndexOf(nbr));
-          }
-          if (config_.weighted_aggregator && !sampled.weights.empty()) {
-            float total = 0.0f;
-            for (float w : sampled.weights) total += w;
-            group_weights[k] = sampled.weights;
-            if (total > 0.0f) {
-              for (float& w : group_weights[k]) w /= total;
-            }
+      // Above the fused step, rows are frontier indices, not vertex ids.
+      if (!fuse_step) {
+        for (int32_t& id : groups.ids) id = opposite_prev.IndexOf(id);
+      }
+      if (config_.weighted_aggregator) {
+        for (size_t k = 0; k < groups.size(); ++k) {
+          float* w = groups.weights.data() + groups.offsets[k];
+          const size_t size = groups.GroupSize(k);
+          float total = 0.0f;
+          for (size_t j = 0; j < size; ++j) total += w[j];
+          if (total > 0.0f) {
+            for (size_t j = 0; j < size; ++j) w[j] /= total;
           }
         }
-      };
-      if (need.ids.size() >= kParallelBatchCutoff &&
-          GlobalThreadPool().num_threads() > 1) {
-        GlobalThreadPool().ParallelFor(0, need.ids.size(), assemble);
-      } else {
-        assemble(0, need.ids.size());
       }
       VarId agg;
       if (fuse_step) {
         agg = config_.weighted_aggregator
-                  ? tape.GroupWeightedSumRowsFrom(*opp_feats, groups,
-                                                  group_weights)
+                  ? tape.GroupWeightedSumRowsFrom(*opp_feats, groups)
                   : tape.GroupMeanRowsFrom(*opp_feats, groups);
       } else {
         agg = config_.weighted_aggregator
                   ? tape.GroupWeightedSumRows(h_opposite_prev,
-                                              std::move(groups),
-                                              std::move(group_weights))
+                                              std::move(groups))
                   : tape.GroupMeanRows(h_opposite_prev, std::move(groups));
       }
       VarId msg = transform.Forward(tape, agg, train);            // Eq. 1 / 2
-      VarId self = fuse_step
-                       ? tape.GatherRowsFrom(*self_feats, self_index)
-                       : tape.GatherRows(h_self_prev, self_index);
+      VarId self;
+      if (fuse_step) {
+        self = tape.GatherRowsFrom(*self_feats, need.ids);
+      } else {
+        std::vector<int32_t> self_index(need.ids.size());
+        for (size_t k = 0; k < need.ids.size(); ++k) {
+          self_index[k] = self_prev.IndexOf(need.ids[k]);
+        }
+        self = tape.GatherRows(h_self_prev, std::move(self_index));
+      }
       VarId h = update.Forward(tape, tape.ConcatCols(self, msg),  // Eq. 3 / 4
                                train);
       if (p == steps && config_.normalize_output) {
@@ -374,9 +345,7 @@ VarId BipartiteSage::ScoreEdges(Tape& tape, VarId left_rows, VarId right_rows,
     return tape.MatMul(prod, tape.Input(std::move(ones)));
   }
 
-  Matrix weight_col(n, 1);
-  for (size_t r = 0; r < n; ++r) weight_col(r, 0) = edge_weights[r];
-  VarId wcol = tape.Input(std::move(weight_col));
+  VarId wcol = tape.Input(Matrix(n, 1, edge_weights));
   VarId features;
   if (config_.scorer == EdgeScorer::kHadamardMlp) {
     VarId prod = tape.Mul(left_rows, right_rows);

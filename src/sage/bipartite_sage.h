@@ -161,6 +161,19 @@ class BipartiteSage {
     VarId right = kInvalidVar;  ///< rows align with right targets
   };
 
+  /// Deduplicated vertex set of one side at one step: ids in first-seen
+  /// order and slot[v] = v's index in ids, or -1. Kept as scratch across
+  /// batches; Reset clears only the slots its ids touched, so a batch
+  /// costs O(batch), not O(|V|).
+  struct Frontier {
+    std::vector<int32_t> ids;
+    std::vector<int32_t> slot;
+
+    void Reset(int32_t num_vertices);
+    int32_t Intern(int32_t v);
+    int32_t IndexOf(int32_t v) const;
+  };
+
   /// Builds the layered computation for the given targets on `tape`.
   BatchEmbedding ForwardBatch(Tape& tape, const BipartiteGraph& graph,
                               const Matrix& left_features,
@@ -186,6 +199,10 @@ class BipartiteSage {
   std::vector<Dense> left_update_;      // W_u per step
   std::vector<Dense> right_update_;     // W_i per step
   Mlp scorer_;                          // f
+
+  // ForwardBatch's frontiers, one per step 0..P and side.
+  std::vector<Frontier> left_frontiers_;
+  std::vector<Frontier> right_frontiers_;
 };
 
 }  // namespace hignn

@@ -18,8 +18,11 @@
 namespace hignn {
 namespace {
 
+// Paths are per test: ctest runs tests as parallel processes, and two
+// tests rebuilding the same source artifacts would race on the files.
 std::string TempPath(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return std::string(::testing::TempDir()) + "/" + test->name() + "_" + name;
 }
 
 std::string FreshDir(const std::string& name) {

@@ -6,6 +6,11 @@
 //  - the fused constant-source tape ops (GatherRowsFrom / GroupMeanRowsFrom
 //    / GroupWeightedSumRowsFrom) reproduce Input(copy) + op bit for bit,
 //    all the way up to a full Fit with fused_level0 on vs off;
+//  - the flat-CSR neighbor sampling and grouped aggregation reproduce the
+//    per-vertex and nested forms they replaced;
+//  - simd::Tanh reproduces glibc 2.36's tanhf bits on both paths;
+//  - Hignn::Fit still returns the model bits pinned before the kernel and
+//    sampling rewrites, on every path and thread count;
 //  - the GEMM-filtered k-means assignment returns the naive full scan's
 //    assignment and inertia bits, ties, duplicate centers, large shared
 //    offsets and non-finite inputs included.
@@ -15,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -24,10 +30,12 @@
 #include "cluster/kmeans.h"
 #include "core/hignn.h"
 #include "data/synthetic.h"
+#include "graph/sampling.h"
 #include "nn/matrix.h"
 #include "nn/simd.h"
 #include "nn/tape.h"
 #include "obs/metrics.h"
+#include "row_groups_testing.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -78,18 +86,35 @@ std::vector<float> RandomVector(size_t n, uint64_t seed) {
   return v;
 }
 
-// Shapes chosen to exercise every tail: full 8-wide vector panels, partial
-// column tails (n % 8 != 0), partial row tiles (m % kGemmRowTile != 0),
-// degenerate 1xN / Nx1, and empties.
+// Shapes chosen to exercise every tail: full 16-wide register tiles, a
+// lone 8-wide tile, partial column tails (n % 8 != 0), partial row tiles
+// (m % kGemmRowTile != 0), the n = 1 register-chain path, depths past one
+// 256-deep panel, a MatMulAT row-vector output crossing a 256-column panel
+// edge (300x50x1), degenerate 1xN / Nx1, and empties.
 struct GemmShape {
   size_t m, k, n;
 };
 
 const GemmShape kGemmShapes[] = {
-    {3, 7, 5},    {1, 33, 17}, {17, 1, 9},  {5, 9, 1},   {64, 64, 64},
-    {4, 8, 8},    {6, 16, 24}, {12, 100, 130}, {8, 3, 31}, {0, 4, 4},
-    {4, 0, 4},    {4, 4, 0},
+    {3, 7, 5},     {1, 33, 17}, {17, 1, 9},  {5, 9, 1},   {64, 64, 64},
+    {4, 8, 8},     {6, 16, 24}, {12, 100, 130}, {8, 3, 31}, {0, 4, 4},
+    {4, 0, 4},     {4, 4, 0},   {37, 32, 1}, {9, 20, 16}, {6, 13, 17},
+    {11, 40, 31},  {7, 64, 32}, {2, 300, 1}, {5, 300, 20}, {300, 50, 1},
 };
+
+// The canonical chain every GEMM variant is defined by: a float
+// accumulator starting at 0, p ascending, mul then add.
+Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (size_t p = 0; p < a.cols(); ++p) acc += a(i, p) * b(p, j);
+      out(i, j) = acc;
+    }
+  }
+  return out;
+}
 
 TEST(SimdParityTest, MatMulScalarVsBestBitwiseIdentical) {
   PathGuard guard;
@@ -130,6 +155,27 @@ TEST(SimdParityTest, MatMulATScalarVsBestBitwiseIdentical) {
     const Matrix best = MatMulAT(a, b);
     EXPECT_TRUE(BitwiseEqual(scalar, best))
         << "shape " << s.m << "x" << s.k << "x" << s.n;
+  }
+}
+
+TEST(SimdParityTest, GemmVariantsMatchNaiveChainOnEveryPath) {
+  PathGuard guard;
+  for (const simd::IsaPath path : {simd::IsaPath::kScalar, simd::Best()}) {
+    simd::ForcePathForTesting(path);
+    for (const GemmShape& s : kGemmShapes) {
+      const Matrix a = RandomMatrix(s.m, s.k, 71 + s.m);
+      const Matrix b = RandomMatrix(s.k, s.n, 73 + s.n);
+      const Matrix at = Transpose(a);
+      const Matrix bt = Transpose(b);
+      const Matrix want = NaiveMatMul(a, b);
+      const std::string where = std::string(simd::PathName()) + " shape " +
+                                std::to_string(s.m) + "x" +
+                                std::to_string(s.k) + "x" +
+                                std::to_string(s.n);
+      EXPECT_TRUE(BitwiseEqual(want, MatMul(a, b))) << "MatMul " << where;
+      EXPECT_TRUE(BitwiseEqual(want, MatMulBT(a, bt))) << "MatMulBT " << where;
+      EXPECT_TRUE(BitwiseEqual(want, MatMulAT(at, b))) << "MatMulAT " << where;
+    }
   }
 }
 
@@ -223,11 +269,213 @@ TEST(ParallelKernelTest, GemmVariantsOneVsFourThreadsOnBestPath) {
   EXPECT_TRUE(BitwiseEqual(at1, at4));
 }
 
-// --- Fused constant-source tape ops ----------------------------------------
+// --- Tanh -----------------------------------------------------------------
 
-std::vector<std::vector<int32_t>> TestGroups() {
+// (input, glibc 2.36 tanhf output) bit pairs, evaluated at run time (a
+// compiler may fold a constant std::tanh call with a correctly rounded
+// library instead): signed zeros, subnormals, both sides of the 2^-55,
+// 2^-25, 0.5 ln2, 1.5 ln2, 1 and 22 branch boundaries, every expm1f
+// exponent-scaling branch, +-inf and NaNs (payload kept, signaling
+// quieted). The last five are inputs where a port with FreeBSD's 2-term
+// expm1f polynomial lands 1 ulp below glibc's 5-term one.
+constexpr std::pair<uint32_t, uint32_t> kGlibcTanh[] = {
+    {0x00000000u, 0x00000000u}, {0x80000000u, 0x80000000u},
+    {0x00000001u, 0x00000001u}, {0x807fffffu, 0x807fffffu},
+    {0x00400000u, 0x00400000u}, {0x23ffffffu, 0x23ffffffu},
+    {0xa3ffffffu, 0xa3ffffffu}, {0x24000000u, 0x24000000u},
+    {0xa4000000u, 0xa4000000u}, {0x24000001u, 0x24000001u},
+    {0x32ffffffu, 0x32ffffffu}, {0x33000000u, 0x33000000u},
+    {0x3e000000u, 0x3dfeaccau}, {0x3e317218u, 0x3e2fb0cdu},
+    {0x3e317219u, 0x3e2fb0cdu}, {0x3e42d0ddu, 0x3e407fbcu},
+    {0x3e851592u, 0x3e822a78u}, {0xbe851593u, 0xbe822a78u},
+    {0x3decc57eu, 0x3debb8e1u}, {0xbdecc57eu, 0xbdebb8e1u},
+    {0x3f000000u, 0x3eec9a9fu}, {0x3f7fffffu, 0x3f42f7d5u},
+    {0xbf7fffffu, 0xbf42f7d5u}, {0x3f800000u, 0x3f42f7d6u},
+    {0xbf800000u, 0xbf42f7d6u}, {0x3fc00000u, 0x3f67b7ccu},
+    {0x40000000u, 0x3f76ca83u}, {0x40400000u, 0x3f7ebbe9u},
+    {0x41000000u, 0x3f7ffffcu}, {0x41200000u, 0x3f800000u},
+    {0x41800000u, 0x3f800000u}, {0x41a00000u, 0x3f800000u},
+    {0x41afffffu, 0x3f800000u}, {0xc1afffffu, 0xbf800000u},
+    {0x41b00000u, 0x3f800000u}, {0xc1b00000u, 0xbf800000u},
+    {0x42c80000u, 0x3f800000u}, {0x7f7fffffu, 0x3f800000u},
+    {0xff7fffffu, 0xbf800000u}, {0x7f800000u, 0x3f800000u},
+    {0xff800000u, 0xbf800000u}, {0x7fc00000u, 0x7fc00000u},
+    {0xffc00000u, 0xffc00000u}, {0x7f800001u, 0x7fc00001u},
+    {0x7fc12345u, 0x7fc12345u}, {0x3f5d2a6fu, 0x3f32c23du},
+    {0xbf12b3c4u, 0xbf04816au}, {0x3e99999au, 0x3e9526edu},
+    {0xc0a00000u, 0xbf7ffa0du}, {0x40e00000u, 0x3f7fffe4u},
+    {0x3c895eb7u, 0x3c895b6cu}, {0xbc895eb7u, 0xbc895b6cu},
+    {0x3cd41185u, 0x3cd40565u}, {0xbcd41185u, 0xbcd40565u},
+    {0x3cd53277u, 0x3cd52626u},
+};
+
+TEST(TanhKernelTest, MatchesGlibcTableOnEveryPath) {
+  PathGuard guard;
+  // Each input fills a whole 8-lane block, so the vector path computes
+  // every entry in its lanes rather than in the scalar tail.
+  std::vector<float> x;
+  for (const auto& [in, out] : kGlibcTanh) {
+    x.insert(x.end(), 8, std::bit_cast<float>(in));
+  }
+  for (const simd::IsaPath path : {simd::IsaPath::kScalar, simd::Best()}) {
+    simd::ForcePathForTesting(path);
+    std::vector<float> y = x;
+    simd::Tanh(y.data(), y.size());
+    for (size_t i = 0; i < y.size(); ++i) {
+      const auto& [in, out] = kGlibcTanh[i / 8];
+      EXPECT_EQ(std::bit_cast<uint32_t>(y[i]), out)
+          << std::hex << "tanh(0x" << in << ") on " << simd::PathName();
+    }
+  }
+}
+
+TEST(TanhKernelTest, StridedSweepScalarEqualsBestPath) {
+  // Every 4099th bit pattern (~1M inputs, all exponents and signs); the
+  // full 2^32 sweep is tools/hignn_tanh_sweep.
+  PathGuard guard;
+  constexpr uint64_t kStride = 4099;
+  std::vector<float> x;
+  for (uint64_t bits = 0; bits < (uint64_t{1} << 32); bits += kStride) {
+    x.push_back(std::bit_cast<float>(static_cast<uint32_t>(bits)));
+  }
+  std::vector<float> scalar = x;
+  std::vector<float> best = x;
+  simd::ForcePathForTesting(simd::IsaPath::kScalar);
+  simd::Tanh(scalar.data(), scalar.size());
+  simd::ForcePathForTesting(simd::Best());
+  simd::Tanh(best.data(), best.size());
+  size_t mismatches = 0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const uint32_t want = std::bit_cast<uint32_t>(scalar[i]);
+    if (std::bit_cast<uint32_t>(best[i]) != want && ++mismatches <= 3) {
+      ADD_FAILURE() << std::hex << "tanh(0x" << std::bit_cast<uint32_t>(x[i])
+                    << "): scalar 0x" << want
+                    << " vs " << simd::PathName() << " 0x"
+                    << std::bit_cast<uint32_t>(best[i]);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// --- Flat-CSR sampling and aggregation --------------------------------------
+
+TEST(FlatSamplingTest, SampleBatchEqualsPerVertexSampleOnSameStream) {
+  SyntheticConfig data_config = SyntheticConfig::Tiny();
+  auto dataset = SyntheticDataset::Generate(data_config);
+  ASSERT_TRUE(dataset.ok());
+  const BipartiteGraph graph = dataset.value().BuildTrainGraph();
+  std::vector<int32_t> vertices;
+  Rng pick(5);
+  for (int k = 0; k < 300; ++k) {
+    vertices.push_back(static_cast<int32_t>(
+        pick.UniformInt(static_cast<uint64_t>(graph.num_right()))));
+  }
+  for (const bool weighted : {false, true}) {
+    for (const int32_t fanout : {1, 3, 10}) {
+      const NeighborSampler sampler(graph, weighted);
+      Rng flat_rng(17);
+      Rng nested_rng(17);
+      const RowGroups flat =
+          sampler.SampleBatch(Side::kRight, vertices, fanout, flat_rng);
+      ASSERT_EQ(flat.size(), vertices.size());
+      ASSERT_EQ(flat.weights.size(), flat.ids.size());
+      for (size_t k = 0; k < vertices.size(); ++k) {
+        const std::vector<int32_t> one =
+            sampler.Sample(Side::kRight, vertices[k], fanout, nested_rng);
+        const std::vector<int32_t> got(
+            flat.ids.begin() + static_cast<ptrdiff_t>(flat.offsets[k]),
+            flat.ids.begin() + static_cast<ptrdiff_t>(flat.offsets[k + 1]));
+        ASSERT_EQ(got, one) << "vertex " << vertices[k] << " fanout "
+                            << fanout << " weighted " << weighted;
+        // Each weight is the weight of the edge its id was sampled from.
+        const auto span = graph.RightNeighbors(vertices[k]);
+        for (size_t j = flat.offsets[k]; j < flat.offsets[k + 1]; ++j) {
+          const auto at = std::find(span.begin(), span.end(), flat.ids[j]);
+          ASSERT_NE(at, span.end());
+          EXPECT_EQ(flat.weights[j], span.weights[at - span.begin()]);
+        }
+      }
+      // Both streams advanced identically.
+      EXPECT_EQ(flat_rng.Next(), nested_rng.Next());
+    }
+  }
+}
+
+std::vector<std::vector<int32_t>> NestedTestGroups() {
   return {{0, 3, 3, 7}, {}, {5, 1}, {9, 0, 2, 2, 8}};
 }
+
+std::vector<std::vector<float>> NestedTestWeights() {
+  std::vector<std::vector<float>> weights;
+  Rng rng(193);
+  for (const auto& g : NestedTestGroups()) {
+    std::vector<float> w(g.size());
+    for (float& x : w) x = static_cast<float>(rng.Uniform(0.0, 1.0));
+    weights.push_back(std::move(w));
+  }
+  return weights;
+}
+
+RowGroups TestGroups() {
+  return RowGroupsOf(NestedTestGroups(), NestedTestWeights());
+}
+
+// The nested-vector aggregation the CSR form replaced, forward and
+// backward, with its exact op order: the mean accumulates rows then
+// scales by 1/size; the gradient axpys each group's output row into its
+// members in group order.
+struct NestedAggregate {
+  Matrix value;
+  Matrix grad;
+};
+
+NestedAggregate NestedGroupMean(const Matrix& src, const Matrix& gout,
+                                bool weighted) {
+  const auto groups = NestedTestGroups();
+  const auto weights = NestedTestWeights();
+  NestedAggregate out{Matrix(groups.size(), src.cols()),
+                      Matrix(src.rows(), src.cols())};
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (groups[g].empty()) continue;
+    float* dst = out.value.row(g);
+    const float inv = 1.0f / static_cast<float>(groups[g].size());
+    for (size_t k = 0; k < groups[g].size(); ++k) {
+      const size_t j = static_cast<size_t>(groups[g][k]);
+      if (weighted) {
+        simd::Axpy(dst, weights[g][k], src.row(j), src.cols());
+        simd::Axpy(out.grad.row(j), weights[g][k], gout.row(g), src.cols());
+      } else {
+        simd::Accumulate(dst, src.row(j), src.cols());
+        simd::Axpy(out.grad.row(j), inv, gout.row(g), src.cols());
+      }
+    }
+    if (!weighted) {
+      for (size_t c = 0; c < src.cols(); ++c) dst[c] *= inv;
+    }
+  }
+  return out;
+}
+
+TEST(FlatSamplingTest, CsrGroupAggregationEqualsNestedForm) {
+  const Matrix src = RandomMatrix(10, 13, 197);
+  const Matrix gout = RandomMatrix(4, 13, 199);
+  for (const bool weighted : {false, true}) {
+    Tape tape;
+    const VarId in = tape.Input(src, /*requires_grad=*/true);
+    const VarId agg = weighted ? tape.GroupWeightedSumRows(in, TestGroups())
+                               : tape.GroupMeanRows(in, TestGroups());
+    // d/d(agg) of sum(agg * gout) is gout: the op's backward sees it as is.
+    const VarId loss = tape.SumAll(tape.Mul(agg, tape.Input(gout)));
+    tape.Backward(loss);
+    const NestedAggregate want = NestedGroupMean(src, gout, weighted);
+    EXPECT_TRUE(BitwiseEqual(want.value, tape.value(agg)))
+        << "forward, weighted " << weighted;
+    EXPECT_TRUE(BitwiseEqual(want.grad, tape.grad(in)))
+        << "backward, weighted " << weighted;
+  }
+}
+
+// --- Fused constant-source tape ops ----------------------------------------
 
 TEST(FusedAggregateTest, GatherRowsFromMatchesInputPlusGather) {
   const Matrix src = RandomMatrix(10, 13, 179);
@@ -252,18 +500,11 @@ TEST(FusedAggregateTest, GroupMeanRowsFromMatchesInputPlusGroupMean) {
 
 TEST(FusedAggregateTest, GroupWeightedSumRowsFromMatchesUnfused) {
   const Matrix src = RandomMatrix(10, 13, 191);
-  std::vector<std::vector<float>> weights;
-  Rng rng(193);
-  for (const auto& g : TestGroups()) {
-    std::vector<float> w(g.size());
-    for (float& x : w) x = static_cast<float>(rng.Uniform(0.0, 1.0));
-    weights.push_back(std::move(w));
-  }
   Tape unfused;
   VarId in = unfused.Input(src);
-  VarId sum = unfused.GroupWeightedSumRows(in, TestGroups(), weights);
+  VarId sum = unfused.GroupWeightedSumRows(in, TestGroups());
   Tape fused;
-  VarId direct = fused.GroupWeightedSumRowsFrom(src, TestGroups(), weights);
+  VarId direct = fused.GroupWeightedSumRowsFrom(src, TestGroups());
   EXPECT_TRUE(BitwiseEqual(unfused.value(sum), fused.value(direct)));
 }
 
@@ -322,6 +563,85 @@ TEST(FusedAggregateTest, FitScalarVsBestPathBitwiseIdentical) {
   simd::ForcePathForTesting(simd::Best());
   const HignnModel best = FitWithFusion(true, 1);
   ExpectModelsIdentical(scalar, best);
+}
+
+// --- Fit golden digests ------------------------------------------------------
+
+uint64_t Fnv1a(uint64_t hash, const void* data, size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    hash ^= p[i];
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+// hignn_bench's ModelDigest (every level's assignments and embedding
+// bytes) plus each level's train-loss bits.
+uint64_t FitDigest(const HignnModel& model) {
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const HignnLevel& level : model.levels()) {
+    for (const std::vector<int32_t>* a :
+         {&level.left_assignment, &level.right_assignment}) {
+      hash = Fnv1a(hash, a->data(), a->size() * sizeof(int32_t));
+    }
+    for (const Matrix* m : {&level.left_embeddings, &level.right_embeddings}) {
+      hash = Fnv1a(hash, m->data(), m->size() * sizeof(float));
+    }
+    hash = Fnv1a(hash, &level.train_loss, sizeof(level.train_loss));
+  }
+  return hash;
+}
+
+// hignn_bench's fit configuration (3 levels, fanouts {10, 5}, tanh
+// updates, 10 fixed Lloyd iterations) at a size a unit test can afford.
+// `ablations` also turns on the edge-weighted aggregator, the unfused
+// level 0, output normalization and the concat scorer.
+HignnModel GoldenFit(int threads, bool ablations) {
+  SyntheticConfig data_config = SyntheticConfig::Tiny();
+  data_config.num_users = 300;
+  data_config.num_items = 120;
+  auto dataset = SyntheticDataset::Generate(data_config);
+  EXPECT_TRUE(dataset.ok());
+  const BipartiteGraph graph = dataset.value().BuildTrainGraph();
+  HignnConfig config;
+  config.levels = 3;
+  config.sage.dims = {16, 16};
+  config.sage.fanouts = {10, 5};
+  config.sage.batch_size = 128;
+  config.sage.train_steps = 30;
+  config.kmeans.max_iters = 10;
+  config.kmeans.tol = 0.0;
+  config.num_threads = threads;
+  if (ablations) {
+    config.sage.weighted_aggregator = true;
+    config.sage.fused_level0 = false;
+    config.sage.normalize_output = true;
+    config.sage.scorer = EdgeScorer::kConcatMlp;
+  }
+  auto model = Hignn::Fit(graph, dataset.value().user_features(),
+                          dataset.value().item_features(), config);
+  SetGlobalThreadPoolThreads(1);
+  EXPECT_TRUE(model.ok());
+  return std::move(model).value();
+}
+
+TEST(FitGoldenTest, DigestMatchesPinnedOnEveryPathAndThreadCount) {
+  // Recorded with std::tanh on glibc 2.36 before simd::Tanh, the flat-CSR
+  // sampler and the 4x16 GEMM tile: those changes must not move a bit.
+  constexpr uint64_t kPinned = 0x01db2096b16fa512ULL;
+  constexpr uint64_t kPinnedAblations = 0x88359fb28c5c718eULL;
+  PathGuard guard;
+  for (const simd::IsaPath path : {simd::IsaPath::kScalar, simd::Best()}) {
+    simd::ForcePathForTesting(path);
+    for (const int threads : {1, 4}) {
+      EXPECT_EQ(FitDigest(GoldenFit(threads, false)), kPinned)
+          << simd::PathName() << ", " << threads << " threads";
+      EXPECT_EQ(FitDigest(GoldenFit(threads, true)), kPinnedAblations)
+          << "ablations, " << simd::PathName() << ", " << threads
+          << " threads";
+    }
+  }
 }
 
 // --- GEMM-filtered k-means assignment --------------------------------------

@@ -7,6 +7,7 @@
 
 #include "nn/grad_check.h"
 #include "nn/matrix.h"
+#include "row_groups_testing.h"
 #include "util/rng.h"
 
 namespace hignn {
@@ -151,7 +152,7 @@ TEST(TapeTest, GatherRowsGradientAccumulatesDuplicates) {
 TEST(TapeTest, GroupMeanRowsForward) {
   Tape tape;
   Matrix a(3, 2, {2, 4, 6, 8, 10, 12});
-  VarId g = tape.GroupMeanRows(tape.Input(a), {{0, 1}, {}, {2}});
+  VarId g = tape.GroupMeanRows(tape.Input(a), RowGroupsOf({{0, 1}, {}, {2}}));
   const Matrix& v = tape.value(g);
   ASSERT_EQ(v.rows(), 3u);
   EXPECT_FLOAT_EQ(v(0, 0), 4);   // mean of 2, 6
@@ -161,7 +162,7 @@ TEST(TapeTest, GroupMeanRowsForward) {
 
 TEST(TapeTest, GroupMeanRowsGradient) {
   CheckOpGradient(RandomMatrix(4, 3, 61), [&](Tape& tape, VarId x) {
-    VarId g = tape.GroupMeanRows(x, {{0, 1, 2}, {3, 3}, {}});
+    VarId g = tape.GroupMeanRows(x, RowGroupsOf({{0, 1, 2}, {3, 3}, {}}));
     return tape.MeanAll(tape.Mul(g, g));
   });
 }
@@ -170,13 +171,13 @@ TEST(TapeTest, GroupWeightedSumRowsForwardAndGradient) {
   {
     Tape tape;
     Matrix a(2, 1, {10, 20});
-    VarId g = tape.GroupWeightedSumRows(tape.Input(a), {{0, 1}},
-                                        {{0.25f, 0.75f}});
+    VarId g = tape.GroupWeightedSumRows(
+        tape.Input(a), RowGroupsOf({{0, 1}}, {{0.25f, 0.75f}}));
     EXPECT_FLOAT_EQ(tape.value(g)(0, 0), 17.5f);
   }
   CheckOpGradient(RandomMatrix(3, 2, 67), [&](Tape& tape, VarId x) {
-    VarId g = tape.GroupWeightedSumRows(x, {{0, 1}, {2}},
-                                        {{0.3f, 0.7f}, {1.0f}});
+    VarId g = tape.GroupWeightedSumRows(
+        x, RowGroupsOf({{0, 1}, {2}}, {{0.3f, 0.7f}, {1.0f}}));
     return tape.MeanAll(tape.Mul(g, g));
   });
 }
@@ -272,7 +273,7 @@ TEST(TapeTest, CompositeGraphGradient) {
   const Matrix w = RandomMatrix(6, 4, 103);
   const Matrix w2 = RandomMatrix(8, 1, 107);
   CheckOpGradient(RandomMatrix(5, 3, 109), [&](Tape& tape, VarId x) {
-    VarId agg = tape.GroupMeanRows(x, {{0, 1}, {2, 3, 4}, {1, 4}});
+    VarId agg = tape.GroupMeanRows(x, RowGroupsOf({{0, 1}, {2, 3, 4}, {1, 4}}));
     VarId self = tape.GatherRows(x, {0, 2, 4});
     VarId cat = tape.ConcatCols(self, agg);  // 3 x 6
     VarId h = tape.LeakyRelu(tape.MatMul(cat, tape.Input(w)), 0.2f);

@@ -24,6 +24,7 @@
 #include "core/serialization.h"
 #include "core/training_monitor.h"
 #include "data/synthetic.h"
+#include "graph/structural_features.h"
 #include "predict/cvr_model.h"
 #include "predict/features.h"
 #include "obs/metrics.h"
@@ -111,23 +112,6 @@ int DumpObsArtifacts(const CommandLine& cl) {
     std::printf("wrote trace to %s\n", trace_out.c_str());
   }
   return 0;
-}
-
-// Structural fallback features: [log(1+degree), log(1+weighted degree), 1].
-Matrix StructuralFeatures(const BipartiteGraph& graph, bool left) {
-  const int32_t n = left ? graph.num_left() : graph.num_right();
-  Matrix features(static_cast<size_t>(n), 3);
-  for (int32_t v = 0; v < n; ++v) {
-    const double degree = left ? graph.LeftDegree(v) : graph.RightDegree(v);
-    const double weighted =
-        left ? graph.LeftWeightedDegree(v) : graph.RightWeightedDegree(v);
-    features(static_cast<size_t>(v), 0) =
-        static_cast<float>(std::log1p(degree));
-    features(static_cast<size_t>(v), 1) =
-        static_cast<float>(std::log1p(weighted));
-    features(static_cast<size_t>(v), 2) = 1.0f;
-  }
-  return features;
 }
 
 int RunGenData(const CommandLine& cl) {
