@@ -16,10 +16,10 @@
 #   4. the `lint` label: hignn_lint fixture tests + whole-tree scan
 #   5. the `serve` label plus three end-to-end smokes: the client-verb
 #      round trip, a retrieval-index leg (beamed-vs-exact topk parity,
-#      the legacy --no-index store layout, truncated index sections
-#      rejected on reload), and a chaos leg (HIGNN_FAULT_INJECT-failed
-#      reload, wire reload, SIGHUP hot-swap, bitwise score stability
-#      throughout)
+#      four concurrent clients, a truncated store rejected on reload
+#      with the previous generation still serving), and a chaos leg
+#      (HIGNN_FAULT_INJECT-failed reload, wire reload, SIGHUP hot-swap,
+#      bitwise score stability throughout)
 #   6. an introspection smoke (DESIGN.md §17): a traced daemon scraped
 #      over the `metrics` verb (Prometheus exposition format validated by
 #      a pinned parser when python3 is present), its shutdown event log
@@ -83,7 +83,7 @@ PORT="$(cat "$SMOKE_DIR/port")"
 "$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" --user 3 --k 5
 "$BUILD_DIR/tools/hignn_serve" stats --port "$PORT"
 
-echo "== retrieval-index smoke (beamed vs exact, --no-index leg, corruption)"
+echo "== retrieval-index smoke (beamed vs exact, concurrency, corruption)"
 # Beamed (server default --topk-beam) vs exact (--beam -1): at this scale
 # the beam never prunes, so the answers must match byte for byte.
 TOPK_BEAMED="$("$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" \
@@ -104,17 +104,6 @@ for pid in "${CLIENT_PIDS[@]}"; do wait "$pid"; done
 for c in 1 2 3 4; do
   cmp "$SMOKE_DIR/topk_serial" "$SMOKE_DIR/topk_client_$c"
 done
-# Legacy layout: a --no-index (version-1) export of the same pipeline
-# serves identical answers — the index is rebuilt deterministically on
-# load, not required in the file.
-"$BUILD_DIR/tools/hignn" export-store --preset tiny --users 120 --items 60 \
-  --steps 30 --no-index --out "$SMOKE_DIR/store_v1.hgnnstore"
-RELOAD="$("$BUILD_DIR/tools/hignn_serve" reload --port "$PORT" \
-  --store "$SMOKE_DIR/store_v1.hgnnstore")"
-[ "$RELOAD" = "reloaded generation=2" ]
-TOPK_V1="$("$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" \
-  --user 3 --k 5)"
-[ "$TOPK_V1" = "$TOPK_BEAMED" ]
 # The index sections obey the store-corruption contract: a truncated v2
 # file is rejected at open (IOError), so the reload fails and the
 # previous generation keeps serving.
@@ -126,7 +115,7 @@ if "$BUILD_DIR/tools/hignn_serve" reload --port "$PORT" \
   exit 1
 fi
 HEALTH="$("$BUILD_DIR/tools/hignn_serve" health --port "$PORT")"
-[ "$HEALTH" = "ok generation=2" ]
+[ "$HEALTH" = "ok generation=1" ]
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 test -s "$SMOKE_DIR/metrics.json"

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/io.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -28,6 +29,20 @@ int64_t Event::DurationUs() const {
     if (stamp > last) last = stamp;
   }
   return first < 0 ? 0 : last - first;
+}
+
+int64_t Event::SpanUs(const PhaseSpan& span) const {
+  for (size_t b = 0; b < span.num_begin; ++b) {
+    const int64_t begin = stamps[span.begin[b]];
+    if (begin < 0) continue;
+    const int64_t end = stamps[span.end];
+    return end >= begin ? end - begin : -1;
+  }
+  return -1;
+}
+
+void Stamp(Event* event, EventPhase phase) {
+  if (event != nullptr && Enabled()) event->stamps[phase] = NowMicros();
 }
 
 EventLog::EventLog(size_t capacity, size_t exemplar_capacity)
@@ -98,7 +113,7 @@ std::string EventLog::DumpJsonl() const {
         stored.event.ok ? "true" : "false",
         stored.slow ? "true" : "false",
         static_cast<long long>(stored.event.DurationUs()));
-    for (size_t phase = 0; phase < Event::kNumPhases; ++phase) {
+    for (size_t phase = 0; phase < kNumPhases; ++phase) {
       jsonl += StrFormat(", \"%s\": %lld", Event::PhaseName(phase),
                          static_cast<long long>(stored.event.stamps[phase]));
     }

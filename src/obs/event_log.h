@@ -2,6 +2,7 @@
 #define HIGNN_OBS_EVENT_LOG_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -13,19 +14,66 @@
 namespace hignn {
 namespace obs {
 
-/// \brief Structured per-request event record (DESIGN.md §17). The obs
-/// layer stays serve-agnostic: the verb is the raw wire byte and the
-/// phases are a fixed schema of monotonic microsecond stamps (process
-/// epoch, obs::NowMicros()); -1 marks a phase the request never reached.
-/// tools/hignn_obs maps verbs and phases back to names offline.
-struct Event {
-  uint64_t request_id = 0;  ///< 0 = untraced (legacy frame without a tag)
-  uint8_t verb = 0;
-  bool ok = true;
+/// \brief Phase stamps of one serving request, in lifecycle order
+/// (DESIGN.md §17). The indexes are the stable wire / event-log contract:
+/// replies echo the stamps in this order, and Event::PhaseName() names
+/// them for the JSONL dump.
+enum EventPhase : size_t {
+  kPhaseAccept = 0,         ///< connection handed to a handler
+  kPhaseParse = 1,          ///< request frame decoded
+  kPhaseEnqueue = 2,        ///< job entered the batch queue
+  kPhaseBatchClose = 3,     ///< batching window closed on the job
+  kPhaseRowsAssembled = 4,  ///< feature rows gathered from the store
+  kPhaseForwardDone = 5,    ///< MLP forward finished
+  kPhaseIndexDescent = 6,   ///< cluster-tree beam descent finished
+  kPhaseReplyFlushed = 7,   ///< response frame handed to the kernel
+};
+inline constexpr size_t kNumPhases = 8;
 
-  /// Phase-stamp schema, in lifecycle order. Indexes are stable wire/log
-  /// contract; PhaseName() names them for dumps.
-  static constexpr size_t kNumPhases = 8;
+/// \brief One latency span: from the first present `begin` stamp (in
+/// fallback order) to the `end` stamp. A verb's path skips some phases,
+/// so e.g. row assembly starts at the batch close (batched score), the
+/// index descent (beamed topk) or the parse (exact-scan topk).
+struct PhaseSpan {
+  const char* name;
+  EventPhase end;
+  EventPhase begin[3];
+  size_t num_begin;
+};
+
+/// \brief The six spans, in report order. The serve.phase.<name>_us
+/// histograms, hignn_obs's tables and dominant-phase attribution all
+/// read this one table.
+inline constexpr PhaseSpan kPhaseSpans[] = {
+    {"parse", kPhaseParse, {kPhaseAccept}, 1},
+    {"queue_wait", kPhaseBatchClose, {kPhaseEnqueue}, 1},
+    {"index", kPhaseIndexDescent, {kPhaseParse}, 1},
+    {"assemble", kPhaseRowsAssembled,
+     {kPhaseBatchClose, kPhaseIndexDescent, kPhaseParse}, 3},
+    {"forward", kPhaseForwardDone, {kPhaseRowsAssembled}, 1},
+    {"reply", kPhaseReplyFlushed, {kPhaseForwardDone, kPhaseParse}, 2},
+};
+inline constexpr size_t kNumSpans = sizeof(kPhaseSpans) / sizeof(PhaseSpan);
+
+/// \brief Per-request trace state and its structured event-log record
+/// (DESIGN.md §17). The server threads one Event through its layers
+/// (server -> MicroBatcher -> PredictionEngine), each stamping the phase
+/// it completes with a monotonic microsecond time (process epoch,
+/// obs::NowMicros()); -1 marks a phase the request never reached. The
+/// obs layer stays serve-agnostic: the verb is the raw wire byte.
+///
+/// Ownership: the handler thread owns the event for the request's
+/// lifetime. The batcher's collector writes the enqueue-to-forward
+/// stamps while the handler blocks on the job; the batcher's mutex
+/// handoff publishes those writes back, so no stamp is read concurrently
+/// with its write.
+///
+/// Observation-only (§11): nothing here feeds scores, batching or any
+/// other deterministic output.
+struct Event {
+  uint64_t request_id = 0;  ///< from the request frame; 0 = untraced
+  uint8_t verb = 0;
+  bool ok = true;  ///< answered kOk
   int64_t stamps[kNumPhases] = {-1, -1, -1, -1, -1, -1, -1, -1};
 
   static const char* PhaseName(size_t phase);
@@ -33,19 +81,16 @@ struct Event {
   /// \brief End-to-end duration: last present stamp minus first present
   /// stamp, or 0 when fewer than two phases were stamped.
   int64_t DurationUs() const;
+
+  /// \brief Duration of `span` in microseconds, or -1 when the request
+  /// never crossed it (a boundary stamp is absent or out of order).
+  int64_t SpanUs(const PhaseSpan& span) const;
 };
 
-/// Named indexes into Event::stamps.
-enum EventPhase : size_t {
-  kPhaseAccept = 0,
-  kPhaseParse = 1,
-  kPhaseEnqueue = 2,
-  kPhaseBatchClose = 3,
-  kPhaseRowsAssembled = 4,
-  kPhaseForwardDone = 5,
-  kPhaseIndexDescent = 6,
-  kPhaseReplyFlushed = 7,
-};
+/// \brief Stamps `phase` on `event` with obs::NowMicros(). A no-op for a
+/// null event or when collection is disabled, so the --obs-off path never
+/// reads the clock.
+void Stamp(Event* event, EventPhase phase);
 
 /// \brief Bounded, lock-cheap structured event log: a fixed-size ring of
 /// recent events plus a separate exemplar ring that always captures slow

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -13,13 +11,6 @@
 namespace hignn {
 
 namespace {
-
-// Observation-only phase stamping (DESIGN.md §17): gated on the global
-// telemetry switch so --obs-off keeps the batcher clock-free outside the
-// batching window itself.
-void Stamp(RequestContext* ctx, int64_t RequestContext::*field) {
-  if (ctx != nullptr && obs::Enabled()) ctx->*field = obs::NowMicros();
-}
 
 // True when every id in `requests` is addressable in `store`.
 bool RequestsValidFor(const EmbeddingStore& store,
@@ -64,7 +55,7 @@ int64_t MicroBatcher::queued_rows() const {
 }
 
 Result<std::vector<float>> MicroBatcher::Score(
-    const std::vector<ScoreRequest>& requests, RequestContext* ctx) {
+    const std::vector<ScoreRequest>& requests, obs::Event* event) {
   if (requests.empty()) return std::vector<float>{};
   // Validate before queueing so one bad id rejects only its own request,
   // never a coalesced batch containing other callers' rows. (The
@@ -79,8 +70,10 @@ Result<std::vector<float>> MicroBatcher::Score(
 
   auto job = std::make_shared<Job>();
   job->requests = requests;
-  job->ctx = ctx;
-  Stamp(ctx, &RequestContext::enqueue_us);
+  job->event = event;
+  // Observation-only (DESIGN.md §17): obs::Stamp never reads the clock
+  // under --obs-off, so the batcher stays clock-free outside the window.
+  obs::Stamp(event, obs::kPhaseEnqueue);
   {
     MutexLock lock(mu_);
     if (stopping_) {
@@ -149,7 +142,7 @@ void MicroBatcher::CollectorLoop() {
       // the owning callers are parked in job_finished_.Wait, so these
       // writes cannot race their eventual reads.
       for (const auto& job : batch) {
-        Stamp(job->ctx, &RequestContext::batch_close_us);
+        obs::Stamp(job->event, obs::kPhaseBatchClose);
       }
     }
 
@@ -177,14 +170,14 @@ void MicroBatcher::CollectorLoop() {
     }
     // The batch shares one forward, so its members share the assembly /
     // forward stamps; collect them only when some member wants them.
-    bool any_ctx = false;
-    for (const auto& job : runnable) any_ctx |= job->ctx != nullptr;
-    ScorePhases batch_phases;
+    bool any_event = false;
+    for (const auto& job : runnable) any_event |= job->event != nullptr;
+    obs::Event batch_stamps;
     Result<std::vector<float>> scores =
         combined.empty()
             ? std::vector<float>{}
             : generation->engine->ScoreBatch(
-                  combined, any_ctx ? &batch_phases : nullptr);
+                  combined, any_event ? &batch_stamps : nullptr);
     metrics_->RecordBatch(batch_rows);
 
     // Phase 3 (locked): distribute results and publish done under mu_ so
@@ -201,9 +194,11 @@ void MicroBatcher::CollectorLoop() {
         } else {
           job->status = scores.status();
         }
-        if (job->ctx != nullptr) {
-          job->ctx->rows_assembled_us = batch_phases.rows_assembled_us;
-          job->ctx->forward_done_us = batch_phases.forward_done_us;
+        if (job->event != nullptr) {
+          for (const obs::EventPhase phase :
+               {obs::kPhaseRowsAssembled, obs::kPhaseForwardDone}) {
+            job->event->stamps[phase] = batch_stamps.stamps[phase];
+          }
         }
         offset += job->requests.size();
       }

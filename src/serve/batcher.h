@@ -7,8 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/event_log.h"
 #include "serve/engine.h"
-#include "serve/request_context.h"
 #include "serve/serve_metrics.h"
 #include "serve/store_manager.h"
 #include "util/mutex.h"
@@ -67,13 +67,13 @@ class MicroBatcher {
   /// queue is full (overload shed) or the batcher is stopping; invalid
   /// ids fail with InvalidArgument before entering the queue.
   ///
-  /// `ctx` (optional, borrowed — the caller blocks here for the job's
+  /// `event` (optional, borrowed — the caller blocks here for the job's
   /// whole lifetime, so the pointer cannot dangle) receives the enqueue /
   /// batch-close / rows-assembled / forward-done phase stamps. The
   /// collector writes them before publishing Job::done under the batcher
   /// mutex, so the caller reads them race-free after Score returns.
   Result<std::vector<float>> Score(const std::vector<ScoreRequest>& requests,
-                                   RequestContext* ctx = nullptr);
+                                   obs::Event* event = nullptr);
 
   /// \brief Graceful shutdown: new requests are rejected, queued ones
   /// are drained and answered, then the collector exits. Idempotent.
@@ -87,7 +87,7 @@ class MicroBatcher {
     std::vector<float> scores;
     Status status;
     bool done = false;
-    RequestContext* ctx = nullptr;  ///< borrowed from the blocked caller
+    obs::Event* event = nullptr;  ///< borrowed from the blocked caller
   };
 
   void CollectorLoop();

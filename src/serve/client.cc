@@ -124,12 +124,6 @@ Result<int> ScoringClient::Dial(const std::string& host, int32_t port,
 }
 
 Result<ScoringClient> ScoringClient::Connect(const std::string& host,
-                                             int32_t port) {
-  // Legacy fail-fast client: bounded dial, no retries.
-  return Connect(host, port, ClientConfig{});
-}
-
-Result<ScoringClient> ScoringClient::Connect(const std::string& host,
                                              int32_t port,
                                              const ClientConfig& config) {
   Rng jitter(config.retry.jitter_seed);
@@ -193,19 +187,17 @@ ScoringClient::~ScoringClient() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Result<std::vector<char>> ScoringClient::RoundTripOnce(
-    const std::vector<char>& request) {
+Result<WireReply> ScoringClient::RoundTripOnce(
+    const WireRequest& request, const std::vector<char>& frame) {
   if (fd_ < 0) return Status::FailedPrecondition("client is disconnected");
-  HIGNN_RETURN_IF_ERROR(SendFrame(fd_, request));
-  HIGNN_ASSIGN_OR_RETURN(std::vector<char> response, RecvFrame(fd_));
-  WireReader reader(response);
-  HIGNN_ASSIGN_OR_RETURN(const uint8_t code, reader.TakeU8());
-  if (static_cast<WireStatus>(code) == WireStatus::kOk) {
-    // Strip the status byte; the caller parses the verb-specific body.
-    return std::vector<char>(response.begin() + 1, response.end());
-  }
-  HIGNN_ASSIGN_OR_RETURN(const std::string message, reader.TakeString());
-  switch (static_cast<WireStatus>(code)) {
+  HIGNN_RETURN_IF_ERROR(SendFrame(fd_, frame));
+  HIGNN_ASSIGN_OR_RETURN(const std::vector<char> response, RecvFrame(fd_));
+  Result<WireReply> reply = DecodeReply(request, response);
+  if (!reply.ok()) return Status::IOError(reply.status().message());
+  const std::string& message = reply.value().text;
+  switch (reply.value().status) {
+    case WireStatus::kOk:
+      return reply;
     case WireStatus::kBadRequest:
       return Status::InvalidArgument(message);
     case WireStatus::kOverloaded:
@@ -216,8 +208,13 @@ Result<std::vector<char>> ScoringClient::RoundTripOnce(
   }
 }
 
-Result<std::vector<char>> ScoringClient::RoundTrip(
-    const std::vector<char>& request, bool retryable) {
+Result<WireReply> ScoringClient::RoundTrip(WireRequest request,
+                                           bool retryable) {
+  if (config_.request_id_seed != 0) {
+    request.request_id =
+        DeriveRequestId(config_.request_id_seed, next_request_n_++);
+  }
+  const std::vector<char> frame = EncodeRequest(request);
   const RetryPolicy& policy = config_.retry;
   int64_t slept_ms = 0;
   for (int32_t attempt = 1;; ++attempt) {
@@ -234,9 +231,12 @@ Result<std::vector<char>> ScoringClient::RoundTrip(
       }
     }
     if (status.ok()) {
-      Result<std::vector<char>> body = RoundTripOnce(request);
-      if (body.ok()) return body;
-      status = body.status();
+      Result<WireReply> reply = RoundTripOnce(request, frame);
+      if (reply.ok()) {
+        if (request.request_id != 0) last_trace_ = reply.value().trace;
+        return reply;
+      }
+      status = reply.status();
     }
     const bool transport = IsRetryableTransport(status) ||
                            status.code() == StatusCode::kIOError;
@@ -261,156 +261,59 @@ Result<std::vector<char>> ScoringClient::RoundTrip(
   }
 }
 
-uint64_t ScoringClient::TagRequest(std::vector<char>* frame) {
-  if (config_.request_id_seed == 0) return 0;
-  const uint64_t id =
-      RequestIdGenerator::Derive(config_.request_id_seed, next_request_n_++);
-  WireWriter trailer;
-  trailer.PutU8(kRequestIdTag);
-  trailer.PutU64(id);
-  frame->insert(frame->end(), trailer.bytes().begin(), trailer.bytes().end());
-  return id;
-}
-
-void ScoringClient::ParseReplyTrailer(WireReader& reader,
-                                      uint64_t request_id) {
-  // Trailer := tag(1) + id(8) + eight i64 phase stamps (64). Anything
-  // else trailing the body is some future server's extension — skip it
-  // and keep last_trace_ as the previous traced reply.
-  constexpr size_t kTrailerBytes = 1 + 8 + 8 * 8;
-  if (request_id == 0 || reader.remaining() != kTrailerBytes) return;
-  RequestContext trace;
-  const Result<uint8_t> tag = reader.TakeU8();
-  if (!tag.ok() || tag.value() != kRequestIdTag) return;
-  const Result<uint64_t> echoed = reader.TakeU64();
-  if (!echoed.ok() || echoed.value() != request_id) return;
-  trace.request_id = echoed.value();
-  int64_t* const stamps[] = {
-      &trace.accept_us,         &trace.parse_us,
-      &trace.enqueue_us,        &trace.batch_close_us,
-      &trace.rows_assembled_us, &trace.forward_done_us,
-      &trace.index_descent_us,  &trace.reply_flushed_us};
-  for (int64_t* stamp : stamps) {
-    const Result<int64_t> value = reader.TakeI64();
-    if (!value.ok()) return;
-    *stamp = value.value();
-  }
-  last_trace_ = trace;
-}
-
 Result<std::vector<float>> ScoringClient::Score(
     const std::vector<ScoreRequest>& requests) {
-  WireWriter writer;
-  writer.PutU8(static_cast<uint8_t>(WireVerb::kScore));
-  writer.PutU32(static_cast<uint32_t>(requests.size()));
-  for (const ScoreRequest& request : requests) {
-    writer.PutI32(request.user);
-    writer.PutI32(request.item);
-  }
-  std::vector<char> frame = writer.bytes();
-  const uint64_t request_id = TagRequest(&frame);
-  HIGNN_ASSIGN_OR_RETURN(const std::vector<char> body, RoundTrip(frame));
-  WireReader reader(body);
-  HIGNN_ASSIGN_OR_RETURN(const uint32_t count, reader.TakeU32());
-  if (count != requests.size()) {
-    return Status::IOError("score response count mismatch");
-  }
-  std::vector<float> scores;
-  scores.reserve(count);
-  for (uint32_t r = 0; r < count; ++r) {
-    HIGNN_ASSIGN_OR_RETURN(const float score, reader.TakeF32());
-    scores.push_back(score);
-  }
-  ParseReplyTrailer(reader, request_id);
-  return scores;
-}
-
-Result<std::vector<Recommendation>> ScoringClient::TopK(int32_t user,
-                                                        int32_t k) {
-  return TopK(user, k, /*beam=*/0);
+  WireRequest request{WireVerb::kScore};
+  request.pairs = requests;
+  HIGNN_ASSIGN_OR_RETURN(WireReply reply, RoundTrip(std::move(request)));
+  return std::move(reply.scores);
 }
 
 Result<std::vector<Recommendation>> ScoringClient::TopK(int32_t user,
                                                         int32_t k,
                                                         int32_t beam) {
-  WireWriter writer;
-  writer.PutU8(static_cast<uint8_t>(WireVerb::kTopK));
-  writer.PutI32(user);
-  writer.PutI32(k);
-  // Trailing optional field: 0 (server default) still travels
-  // explicitly — only pre-beam clients send the 8-byte body. The beam
-  // must precede the request-ID tag: the server discriminates the two
-  // optional fields by remaining length (4 = beam, 9 = tag, 13 = both).
-  writer.PutI32(beam);
-  std::vector<char> frame = writer.bytes();
-  const uint64_t request_id = TagRequest(&frame);
-  HIGNN_ASSIGN_OR_RETURN(const std::vector<char> body, RoundTrip(frame));
-  WireReader reader(body);
-  HIGNN_ASSIGN_OR_RETURN(const uint32_t count, reader.TakeU32());
-  std::vector<Recommendation> top;
-  top.reserve(count);
-  for (uint32_t r = 0; r < count; ++r) {
-    Recommendation rec;
-    HIGNN_ASSIGN_OR_RETURN(rec.item, reader.TakeI32());
-    HIGNN_ASSIGN_OR_RETURN(rec.score, reader.TakeF32());
-    top.push_back(rec);
-  }
-  ParseReplyTrailer(reader, request_id);
-  return top;
+  WireRequest request{WireVerb::kTopK};
+  request.user = user;
+  request.k = k;
+  request.beam = beam;
+  HIGNN_ASSIGN_OR_RETURN(WireReply reply, RoundTrip(std::move(request)));
+  return std::move(reply.top);
 }
 
 Status ScoringClient::Health() { return HealthGeneration().status(); }
 
 Result<int64_t> ScoringClient::HealthGeneration() {
-  WireWriter writer;
-  writer.PutU8(static_cast<uint8_t>(WireVerb::kHealth));
-  HIGNN_ASSIGN_OR_RETURN(const std::vector<char> body,
-                         RoundTrip(writer.bytes()));
-  WireReader reader(body);
-  HIGNN_ASSIGN_OR_RETURN(const uint8_t alive, reader.TakeU8());
-  if (alive != 1) return Status::Internal("server reported unhealthy");
-  HIGNN_ASSIGN_OR_RETURN(const uint32_t generation, reader.TakeU32());
-  return static_cast<int64_t>(generation);
+  HIGNN_ASSIGN_OR_RETURN(const WireReply reply,
+                         RoundTrip(WireRequest{WireVerb::kHealth}));
+  return static_cast<int64_t>(reply.generation);
 }
 
 Result<std::string> ScoringClient::Stats() {
-  WireWriter writer;
-  writer.PutU8(static_cast<uint8_t>(WireVerb::kStats));
-  HIGNN_ASSIGN_OR_RETURN(const std::vector<char> body,
-                         RoundTrip(writer.bytes()));
-  WireReader reader(body);
-  return reader.TakeString();
+  HIGNN_ASSIGN_OR_RETURN(WireReply reply,
+                         RoundTrip(WireRequest{WireVerb::kStats}));
+  return std::move(reply.text);
 }
 
 Result<std::string> ScoringClient::Metrics() {
-  WireWriter writer;
-  writer.PutU8(static_cast<uint8_t>(WireVerb::kMetrics));
-  HIGNN_ASSIGN_OR_RETURN(const std::vector<char> body,
-                         RoundTrip(writer.bytes()));
-  WireReader reader(body);
-  return reader.TakeString();
+  HIGNN_ASSIGN_OR_RETURN(WireReply reply,
+                         RoundTrip(WireRequest{WireVerb::kMetrics}));
+  return std::move(reply.text);
 }
 
 Result<std::string> ScoringClient::TraceDump() {
-  WireWriter writer;
-  writer.PutU8(static_cast<uint8_t>(WireVerb::kTraceDump));
-  HIGNN_ASSIGN_OR_RETURN(const std::vector<char> body,
-                         RoundTrip(writer.bytes()));
-  WireReader reader(body);
-  return reader.TakeString();
+  HIGNN_ASSIGN_OR_RETURN(WireReply reply,
+                         RoundTrip(WireRequest{WireVerb::kTraceDump}));
+  return std::move(reply.text);
 }
 
 Result<int64_t> ScoringClient::Reload(const std::string& store_path) {
-  WireWriter writer;
-  writer.PutU8(static_cast<uint8_t>(WireVerb::kReload));
-  writer.PutString(store_path);
+  WireRequest request{WireVerb::kReload};
+  request.store_path = store_path;
   // retryable=false: a reload that dies mid-flight may or may not have
   // published; blindly retrying could swap twice.
-  HIGNN_ASSIGN_OR_RETURN(const std::vector<char> body,
-                         RoundTrip(writer.bytes(), /*retryable=*/false));
-  WireReader reader(body);
-  HIGNN_ASSIGN_OR_RETURN(const uint32_t generation, reader.TakeU32());
-  return static_cast<int64_t>(generation);
+  HIGNN_ASSIGN_OR_RETURN(const WireReply reply,
+                         RoundTrip(std::move(request), /*retryable=*/false));
+  return static_cast<int64_t>(reply.generation);
 }
 
 }  // namespace hignn

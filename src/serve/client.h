@@ -5,15 +5,14 @@
 #include <string>
 #include <vector>
 
+#include "obs/event_log.h"
 #include "predict/recommender.h"
 #include "serve/engine.h"
-#include "serve/request_context.h"
+#include "serve/wire.h"
 #include "util/rng.h"
 #include "util/status.h"
 
 namespace hignn {
-
-class WireReader;
 
 /// \brief Client-side retry policy: capped exponential backoff with
 /// deterministic (seeded) jitter and a total-sleep budget.
@@ -56,12 +55,12 @@ struct ClientConfig {
   int32_t send_timeout_ms = 2000;
   int32_t recv_timeout_ms = 2000;
 
-  /// Non-zero enables request tracing (DESIGN.md §17): every kScore /
-  /// kTopK frame carries a tagged request ID drawn deterministically from
-  /// this seed (RequestIdGenerator::Derive(seed, 0), Derive(seed, 1), ...)
-  /// and the server's reply trailer is parsed into last_trace(). Zero (the
-  /// default) sends untagged legacy frames — byte-identical to a pre-§17
-  /// client.
+  /// Non-zero enables request tracing (DESIGN.md §17): every logical
+  /// call, whatever its verb, carries the next request ID drawn
+  /// deterministically from this seed (DeriveRequestId(seed, 0),
+  /// DeriveRequestId(seed, 1), ...) and the trace of each kOk reply is
+  /// parsed into last_trace(). Zero (the default) sends request ID 0:
+  /// untraced.
   uint64_t request_id_seed = 0;
 
   RetryPolicy retry;
@@ -84,16 +83,13 @@ struct ClientConfig {
 /// a later attempt instead of surfacing the transient to the caller.
 class ScoringClient {
  public:
-  /// \brief Connects to `host:port` (numeric IPv4 host) with default
-  /// timeouts and no retries — the legacy fail-fast client.
-  static Result<ScoringClient> Connect(const std::string& host,
-                                       int32_t port);
-
-  /// \brief Connects with explicit timeouts and retry policy. The
-  /// connect itself honors `config.retry` too: a refused or timed-out
-  /// dial backs off and redials until attempts or budget run out.
-  static Result<ScoringClient> Connect(const std::string& host, int32_t port,
-                                       const ClientConfig& config);
+  /// \brief Connects to `host:port` (numeric IPv4 host). The default
+  /// config has bounded timeouts and no retries (fail fast). The connect
+  /// itself honors `config.retry` too: a refused or timed-out dial backs
+  /// off and redials until attempts or budget run out.
+  static Result<ScoringClient> Connect(
+      const std::string& host, int32_t port,
+      const ClientConfig& config = ClientConfig());
 
   ScoringClient(ScoringClient&& other) noexcept;
   ScoringClient& operator=(ScoringClient&& other) noexcept;
@@ -105,17 +101,12 @@ class ScoringClient {
   Result<std::vector<float>> Score(const std::vector<ScoreRequest>& requests);
 
   /// \brief Top-k recommendations for `user`, ranked like the offline
-  /// recommender (score descending, ties by ascending item id), served
-  /// with the server's configured retrieval beam.
-  Result<std::vector<Recommendation>> TopK(int32_t user, int32_t k);
-
-  /// \brief TopK with an explicit per-request beam override (wire.h):
-  /// 0 defers to the server's --topk-beam, negative forces the exact
-  /// linear scan, positive forces that beam width on the cluster-tree
-  /// index. The two-argument overload sends the legacy 8-byte body, so
-  /// old servers keep answering it.
+  /// recommender (score descending, ties by ascending item id). `beam`
+  /// (wire.h): 0 defers to the server's --topk-beam, negative forces the
+  /// exact linear scan, positive forces that beam width on the
+  /// cluster-tree index.
   Result<std::vector<Recommendation>> TopK(int32_t user, int32_t k,
-                                           int32_t beam);
+                                           int32_t beam = 0);
 
   /// \brief Liveness probe.
   Status Health();
@@ -147,10 +138,10 @@ class ScoringClient {
   int64_t retries_attempted() const { return retries_attempted_; }
 
   /// \brief Server-side phase stamps echoed in the most recent traced
-  /// reply (request_id == 0 until a traced Score/TopK succeeds against a
-  /// trailer-aware server; reply_flushed_us is always -1 — the server
-  /// cannot know the flush time before flushing).
-  const RequestContext& last_trace() const { return last_trace_; }
+  /// kOk reply (request_id == 0 until a traced call succeeds; the
+  /// reply-flushed stamp is always -1 — the server cannot know the flush
+  /// time before flushing).
+  const obs::Event& last_trace() const { return last_trace_; }
 
  private:
   ScoringClient(int fd, const std::string& host, int32_t port,
@@ -161,32 +152,25 @@ class ScoringClient {
   static Result<int> Dial(const std::string& host, int32_t port,
                           const ClientConfig& config);
 
-  /// \brief One request/response round trip; returns the response body
-  /// after mapping the wire status byte to a Status. When `retryable` is
-  /// true, transient failures reconnect and retry per the policy.
-  Result<std::vector<char>> RoundTrip(const std::vector<char>& request,
-                                      bool retryable = true);
+  /// \brief One logical call: draws the request ID (when tracing), then
+  /// sends the request and decodes its reply, mapping a non-kOk status to
+  /// a Status. When `retryable` is true, transient failures reconnect and
+  /// re-send the same bytes per the policy, so client and server logs
+  /// join on one ID however many attempts it took.
+  Result<WireReply> RoundTrip(WireRequest request, bool retryable = true);
 
-  /// \brief A single send/recv/parse exchange with no retry logic.
-  Result<std::vector<char>> RoundTripOnce(const std::vector<char>& request);
-
-  /// \brief Appends the tagged request-ID trailer to `frame` when tracing
-  /// is enabled; returns the ID used (0 when tracing is off). One ID per
-  /// logical call — retries re-send the same bytes, so client and server
-  /// logs join on a single ID no matter how many attempts it took.
-  uint64_t TagRequest(std::vector<char>* frame);
-
-  /// \brief Parses the optional reply trailer into last_trace_. Absent or
-  /// foreign trailers are ignored (an old server or an untagged request).
-  void ParseReplyTrailer(WireReader& reader, uint64_t request_id);
+  /// \brief A single send/recv/decode exchange with no retry logic. A
+  /// malformed reply is an IOError (a protocol violation, never retried).
+  Result<WireReply> RoundTripOnce(const WireRequest& request,
+                                  const std::vector<char>& frame);
 
   int fd_ = -1;
   std::string host_;
   int32_t port_ = 0;
   ClientConfig config_;
   Rng jitter_;
-  uint64_t next_request_n_ = 0;  ///< counter behind RequestIdGenerator::Derive
-  RequestContext last_trace_;
+  uint64_t next_request_n_ = 0;  ///< n of the next DeriveRequestId
+  obs::Event last_trace_;
   int64_t retries_attempted_ = 0;
   /// Set by RoundTripOnce when the server answered kOverloaded — the one
   /// server-reported error that is retryable (the connection stays

@@ -15,11 +15,8 @@ namespace {
 // widest vector width) so Borrow* pointers are safe for any aligned
 // SIMD load a future kernel might issue.
 constexpr size_t kRowAlignment = 64;
-// Version 1: meta/blocks/tails/chains/mlp. Version 2 appends the
-// cluster-tree index sections; version-1 files still load (the index is
-// rebuilt on open).
-constexpr uint32_t kStoreVersionLegacy = 1;
-constexpr uint32_t kStoreVersionIndexed = 2;
+// Meta/blocks/tails/chains/mlp, then the cluster-tree index sections.
+constexpr uint32_t kStoreVersion = 2;
 
 // Tail widths come from the offline feature builder: a tail-only spec
 // measures exactly the profile/statistic block the full spec appends.
@@ -60,8 +57,7 @@ Result<Matrix> BuildItemTails(const SyntheticDataset& dataset,
 Status ExportEmbeddingStore(const HignnModel& model,
                             const SyntheticDataset& dataset,
                             const FeatureSpec& spec, const CvrModel& cvr,
-                            const std::string& path,
-                            const StoreExportOptions& options) {
+                            const std::string& path) {
   if (dataset.num_users() <= 0 || dataset.num_items() <= 0) {
     return Status::InvalidArgument("empty dataset");
   }
@@ -113,8 +109,7 @@ Status ExportEmbeddingStore(const HignnModel& model,
   writer.WriteHeader(kTagEmbeddingStore);
 
   // Meta section: everything the reader needs to index the raw arrays.
-  writer.WriteU32(options.include_index ? kStoreVersionIndexed
-                                        : kStoreVersionLegacy);
+  writer.WriteU32(kStoreVersion);
   writer.WriteI32(dataset.num_users());
   writer.WriteI32(dataset.num_items());
   writer.WriteI32(level_dim);
@@ -174,29 +169,26 @@ Status ExportEmbeddingStore(const HignnModel& model,
 
   cvr.WriteWeightsPayload(writer);
 
-  if (options.include_index) {
-    // The builder step of the hierarchy-as-index retrieval path: the
-    // same deterministic construction Open() runs for legacy stores,
-    // persisted as checksummed sections so serving nodes load the tree
-    // zero-copy instead of recomputing centroids over millions of items.
-    ClusterTreeIndex::Source source;
-    source.num_items = dataset.num_items();
-    source.chain_levels = chain_levels;
-    source.item_block = item_block.size() > 0 ? item_block.data() : nullptr;
-    source.item_tail = item_tail.size() > 0 ? item_tail.data() : nullptr;
-    source.right_chain = right_chain.data();
-    source.geometry.level_dim = level_dim;
-    source.geometry.user_block_cols = static_cast<int32_t>(user_block.cols());
-    source.geometry.item_block_cols = static_cast<int32_t>(item_block.cols());
-    source.geometry.match_levels = match_levels;
-    source.geometry.user_tail_dim = user_tail_dim;
-    source.geometry.item_tail_dim = item_tail_dim;
-    source.geometry.feature_dim = builder.dim();
-    HIGNN_ASSIGN_OR_RETURN(const ClusterTreeIndex index,
-                           ClusterTreeIndex::Build(source));
-    writer.NextSection();
-    index.WriteSections(writer);
-  }
+  // The builder step of the hierarchy-as-index retrieval path, persisted
+  // as checksummed sections so serving nodes load the tree zero-copy
+  // instead of recomputing centroids over millions of items.
+  ClusterTreeIndex::Source source;
+  source.num_items = dataset.num_items();
+  source.chain_levels = chain_levels;
+  source.item_block = item_block.size() > 0 ? item_block.data() : nullptr;
+  source.item_tail = item_tail.size() > 0 ? item_tail.data() : nullptr;
+  source.right_chain = right_chain.data();
+  source.geometry.level_dim = level_dim;
+  source.geometry.user_block_cols = static_cast<int32_t>(user_block.cols());
+  source.geometry.item_block_cols = static_cast<int32_t>(item_block.cols());
+  source.geometry.match_levels = match_levels;
+  source.geometry.user_tail_dim = user_tail_dim;
+  source.geometry.item_tail_dim = item_tail_dim;
+  source.geometry.feature_dim = builder.dim();
+  HIGNN_ASSIGN_OR_RETURN(const ClusterTreeIndex index,
+                         ClusterTreeIndex::Build(source));
+  writer.NextSection();
+  index.WriteSections(writer);
   return writer.Close();
 }
 
@@ -210,7 +202,7 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
 
   std::unique_ptr<EmbeddingStore> store(new EmbeddingStore());
   HIGNN_ASSIGN_OR_RETURN(const uint32_t version, reader->ReadU32());
-  if (version != kStoreVersionLegacy && version != kStoreVersionIndexed) {
+  if (version != kStoreVersion) {
     return Status::IOError(
         StrFormat("unsupported embedding store version %u", version));
   }
@@ -292,27 +284,12 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
   }
   store->model_ = std::make_unique<CvrModel>(std::move(model));
 
-  // Retrieval index: version-2 stores carry it as checksummed sections
-  // (loaded zero-copy, with full structural validation); version-1
-  // stores predate it, so run the exporter's deterministic construction
-  // over the arrays just borrowed — both paths yield byte-identical
-  // trees for the same store contents.
-  if (version == kStoreVersionIndexed) {
-    HIGNN_ASSIGN_OR_RETURN(
-        ClusterTreeIndex index,
-        ClusterTreeIndex::ReadSections(*reader, store->IndexSource()));
-    store->index_ = std::make_unique<ClusterTreeIndex>(std::move(index));
-  } else {
-    Result<ClusterTreeIndex> built =
-        ClusterTreeIndex::Build(store->IndexSource());
-    if (!built.ok()) {
-      return Status::IOError(
-          StrFormat("legacy store index rebuild failed: %s",
-                    built.status().message().c_str()));
-    }
-    store->index_ =
-        std::make_unique<ClusterTreeIndex>(std::move(built).value());
-  }
+  // Retrieval index: checksummed sections loaded zero-copy, with full
+  // structural validation against the arrays just borrowed.
+  HIGNN_ASSIGN_OR_RETURN(
+      ClusterTreeIndex index,
+      ClusterTreeIndex::ReadSections(*reader, store->IndexSource()));
+  store->index_ = std::make_unique<ClusterTreeIndex>(std::move(index));
 
   store->reader_ = std::move(reader);
   return store;

@@ -33,13 +33,11 @@ namespace hignn {
 ///   ■ item tail item counters + metadata features
 ///   ■ chains    per level: left then right cluster ids (original -> G^l)
 ///   ■ mlp       CvrModel topology + exact float weights
-///   ■ index     (version 2) cluster-tree retrieval index: level count +
-///               shapes, then per level the centroid block/tail matrices
-///               and the child CSR (serve/index/cluster_tree.h)
+///   ■ index     cluster-tree retrieval index: level count + shapes,
+///               then per level the centroid block/tail matrices and the
+///               child CSR (serve/index/cluster_tree.h)
 ///
-/// Version 1 stores (no index sections) still load: the index is then
-/// rebuilt on load by the same deterministic construction the exporter
-/// runs, so old artifacts serve the beamed topk path unchanged.
+/// The store version is 2; any other version is rejected as IOError.
 ///
 /// Tails are produced by the offline CvrFeatureBuilder itself (with only
 /// the profile / item-stat blocks enabled), so a serving feature row is
@@ -88,17 +86,18 @@ class EmbeddingStore {
   /// const and stateless, so any number of threads run it in place.
   const CvrModel& model() const { return *model_; }
 
-  /// \brief The cluster-tree retrieval index over the item hierarchy.
-  /// Always present after Open(): read zero-copy from version-2 stores,
-  /// rebuilt deterministically on load for version-1 stores. Empty
+  /// \brief The cluster-tree retrieval index over the item hierarchy,
+  /// read zero-copy from the store's index sections. Empty
   /// (num_levels() == 0) when the store has no item hierarchical block
   /// to route on — the engine then always serves the exact scan.
   const ClusterTreeIndex& index() const { return *index_; }
 
+  /// \brief The store's own arrays as index-construction input:
+  /// ClusterTreeIndex::Build over it reproduces index() byte for byte.
+  ClusterTreeIndex::Source IndexSource() const;
+
  private:
   EmbeddingStore() = default;
-
-  ClusterTreeIndex::Source IndexSource() const;
 
   std::unique_ptr<BinaryReader> reader_;  // owns the bytes rows alias
   std::unique_ptr<CvrModel> model_;
@@ -122,28 +121,17 @@ class EmbeddingStore {
   const int32_t* right_chain_ = nullptr;  // chain_levels x num_items
 };
 
-/// \brief Export knobs.
-struct StoreExportOptions {
-  /// Build and write the cluster-tree index sections (store format
-  /// version 2). Off writes the pre-index version-1 byte layout —
-  /// kept for the backward-compatibility tests and for `hignn
-  /// export-store --no-index`; such stores still serve the beamed
-  /// path via on-load index construction.
-  bool include_index = true;
-};
-
 /// \brief Builds the serving store from a trained hierarchy + predictor:
 /// precomputes the hierarchical embedding blocks for `spec`, the
 /// profile/statistic tails (via the offline feature builder, so the
 /// floats are byte-identical), the full cluster chains, the CVR
-/// weights, and (by default) the cluster-tree retrieval index, and
-/// writes them atomically to `path`. The CLI verb `hignn export-store`
-/// is a thin wrapper over this.
+/// weights, and the cluster-tree retrieval index, and writes them
+/// atomically to `path`. The CLI verb `hignn export-store` is a thin
+/// wrapper over this.
 Status ExportEmbeddingStore(const HignnModel& model,
                             const SyntheticDataset& dataset,
                             const FeatureSpec& spec, const CvrModel& cvr,
-                            const std::string& path,
-                            const StoreExportOptions& options = {});
+                            const std::string& path);
 
 }  // namespace hignn
 

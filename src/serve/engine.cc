@@ -4,8 +4,6 @@
 #include <numeric>
 
 #include "nn/matrix.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -18,13 +16,6 @@ namespace {
 // value has no effect on results (rows are independent); it bounds the
 // per-forward matrices and sets the exact scan's task size.
 constexpr size_t kForwardChunk = 4096;
-
-// Phase stamps are observational and gated on the telemetry switch: with
-// --obs-off the engine never reads the clock (the §11 contract's spirit,
-// and what keeps bench/obs_overhead's off-leg an honest baseline).
-void Stamp(int64_t* slot) {
-  if (slot != nullptr && obs::Enabled()) *slot = obs::NowMicros();
-}
 
 }  // namespace
 
@@ -40,7 +31,7 @@ PredictionEngine::PredictionEngine(std::unique_ptr<EmbeddingStore> store)
     : store_(std::move(store)) {}
 
 Result<std::vector<float>> PredictionEngine::ScoreBatch(
-    const std::vector<ScoreRequest>& batch, ScorePhases* phases) const {
+    const std::vector<ScoreRequest>& batch, obs::Event* event) const {
   if (batch.empty()) return std::vector<float>{};
   for (const ScoreRequest& request : batch) {
     if (request.user < 0 || request.user >= store_->num_users()) {
@@ -55,12 +46,12 @@ Result<std::vector<float>> PredictionEngine::ScoreBatch(
     }
   }
   return ScorePairs(
-      batch.size(), [&](size_t i) { return batch[i]; }, phases);
+      batch.size(), [&](size_t i) { return batch[i]; }, event);
 }
 
 std::vector<float> PredictionEngine::ScorePairs(
     size_t count, const std::function<ScoreRequest(size_t)>& pair,
-    ScorePhases* phases) const {
+    obs::Event* event) const {
   const size_t dim = static_cast<size_t>(store_->feature_dim());
   const CvrModel& model = store_->model();
   const auto assemble = [&](size_t begin, size_t end) {
@@ -83,24 +74,24 @@ std::vector<float> PredictionEngine::ScorePairs(
   };
   if (count <= kForwardChunk) {
     const Matrix rows = assemble(0, count);
-    Stamp(phases ? &phases->rows_assembled_us : nullptr);
+    obs::Stamp(event, obs::kPhaseRowsAssembled);
     forward(rows, 0);
   } else {
     // Assembly is fused into the chunk tasks, so the whole scan counts
     // as forward time.
-    Stamp(phases ? &phases->rows_assembled_us : nullptr);
+    obs::Stamp(event, obs::kPhaseRowsAssembled);
     GlobalThreadPool().ParallelForChunks(
         0, count, (count + kForwardChunk - 1) / kForwardChunk,
         [&](size_t, size_t begin, size_t end) {
           forward(assemble(begin, end), begin);
         });
   }
-  Stamp(phases ? &phases->forward_done_us : nullptr);
+  obs::Stamp(event, obs::kPhaseForwardDone);
   return scores;
 }
 
 Result<std::vector<Recommendation>> PredictionEngine::RecommendExact(
-    int32_t user, int32_t k, ScorePhases* phases) const {
+    int32_t user, int32_t k, obs::Event* event) const {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   if (user < 0 || user >= store_->num_users()) {
     return Status::InvalidArgument(StrFormat(
@@ -111,7 +102,7 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendExact(
   const std::vector<float> scores = ScorePairs(
       items.size(),
       [user](size_t i) { return ScoreRequest{user, static_cast<int32_t>(i)}; },
-      phases);
+      event);
   return TopKByScore(items, scores, k);
 }
 
@@ -122,7 +113,7 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
 
 Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
     int32_t user, int32_t k, int32_t beam,
-    ClusterTreeIndex::SearchStats* stats, ScorePhases* phases) const {
+    ClusterTreeIndex::SearchStats* stats, obs::Event* event) const {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   if (user < 0 || user >= store_->num_users()) {
     return Status::InvalidArgument(StrFormat(
@@ -132,9 +123,9 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
   if (beam <= 0 || index.num_levels() == 0) {
     // Exactness knob: no beam (or nothing to route on) means the plain
     // linear scan — bitwise identical to the two-argument overload. No
-    // descent ran, so index_descent_us stays -1.
+    // descent ran, so the index-descent stamp stays -1.
     if (stats != nullptr) *stats = ClusterTreeIndex::SearchStats{};
-    return RecommendExact(user, k, phases);
+    return RecommendExact(user, k, event);
   }
   const CvrModel& model = store_->model();
   const ClusterTreeIndex::RowScorer scorer = [&model](const Matrix& rows) {
@@ -144,10 +135,10 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
       const std::vector<int32_t> leaves,
       index.SelectLeaves(store_->UserBlock(user), store_->UserTail(user),
                          beam, scorer, stats));
-  Stamp(phases ? &phases->index_descent_us : nullptr);
+  obs::Stamp(event, obs::kPhaseIndexDescent);
   const std::vector<float> scores = ScorePairs(
       leaves.size(), [&](size_t i) { return ScoreRequest{user, leaves[i]}; },
-      phases);
+      event);
   return TopKByScore(leaves, scores, k);
 }
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/event_log.h"
 #include "predict/recommender.h"
 #include "serve/embedding_store.h"
 #include "util/status.h"
@@ -18,17 +19,6 @@ namespace hignn {
 struct ScoreRequest {
   int32_t user = 0;
   int32_t item = 0;
-};
-
-/// \brief Optional phase-stamp out-params for the engine's compute
-/// pipeline (DESIGN.md §17): obs::NowMicros() values written as each
-/// phase completes, -1 for phases the call never entered. Purely
-/// observational — no engine decision reads them — and only written when
-/// telemetry is enabled, so the --obs-off path does not touch the clock.
-struct ScorePhases {
-  int64_t rows_assembled_us = -1;  ///< feature rows gathered
-  int64_t forward_done_us = -1;    ///< MLP forward finished
-  int64_t index_descent_us = -1;   ///< beam descent finished (index path)
 };
 
 /// \brief In-process scoring engine over an EmbeddingStore: assembles
@@ -46,6 +36,11 @@ struct ScorePhases {
 /// how requests are batched or how many threads serve them — and
 /// identical to the offline CvrModel::Predict on the same pair. That is
 /// the property the serving tests pin down.
+///
+/// The optional `event` out-param receives the rows-assembled,
+/// forward-done and (beamed topk) index-descent stamps (DESIGN.md §17).
+/// Purely observational — no engine decision reads them — and never
+/// written under --obs-off, so that path does not touch the clock.
 class PredictionEngine {
  public:
   /// \brief Opens `store_path` (integrity-checked) and readies the model.
@@ -58,7 +53,7 @@ class PredictionEngine {
   /// request, so a mixed batch never reaches the model).
   Result<std::vector<float>> ScoreBatch(
       const std::vector<ScoreRequest>& batch,
-      ScorePhases* phases = nullptr) const;
+      obs::Event* event = nullptr) const;
 
   /// \brief Scores every item for `user` and returns the k best via the
   /// same TopKByScore ranking the offline recommender uses (score
@@ -78,7 +73,7 @@ class PredictionEngine {
   Result<std::vector<Recommendation>> RecommendTopK(
       int32_t user, int32_t k, int32_t beam,
       ClusterTreeIndex::SearchStats* stats = nullptr,
-      ScorePhases* phases = nullptr) const;
+      obs::Event* event = nullptr) const;
 
   const EmbeddingStore& store() const { return *store_; }
 
@@ -92,11 +87,11 @@ class PredictionEngine {
   /// rows, so no full-catalogue matrix ever exists.
   std::vector<float> ScorePairs(
       size_t count, const std::function<ScoreRequest(size_t)>& pair,
-      ScorePhases* phases) const;
+      obs::Event* event) const;
 
   /// \brief Shared exact-scan tail of both RecommendTopK overloads.
   Result<std::vector<Recommendation>> RecommendExact(
-      int32_t user, int32_t k, ScorePhases* phases) const;
+      int32_t user, int32_t k, obs::Event* event) const;
 
   const std::unique_ptr<const EmbeddingStore> store_;
 };

@@ -111,8 +111,8 @@ Result<ClusterTreeIndex> ClusterTreeIndex::Build(const Source& source) {
     level.num_clusters = num_clusters;
 
     // Centroids: double-precision accumulation in ascending item order,
-    // rounded to float once — the fixed order makes export-time and
-    // on-load construction byte-identical.
+    // rounded to float once — the fixed order makes every build from the
+    // same arrays byte-identical.
     std::vector<double> block_sum(static_cast<size_t>(num_clusters) *
                                   block_cols);
     std::vector<double> tail_sum(static_cast<size_t>(num_clusters) *

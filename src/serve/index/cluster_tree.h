@@ -27,9 +27,9 @@ struct IndexFeatureGeometry {
 };
 
 /// \brief One level of the routing tree. Arrays are either borrowed
-/// from a store reader (v2 stores — zero-copy, like every other store
-/// section) or owned (on-load construction for v1 stores and at export
-/// time); the `owned_*` vectors are empty in the borrowed case.
+/// from a store reader (zero-copy, like every other store section) or
+/// owned (construction at export time); the `owned_*` vectors are empty
+/// in the borrowed case.
 struct ClusterTreeLevel {
   int32_t num_clusters = 0;
   int32_t num_children = 0;
@@ -59,8 +59,8 @@ struct ClusterTreeLevel {
 /// cluster's representative is the centroid of its member items'
 /// embedding block and tail (double-precision accumulation in
 /// ascending item order, rounded to float once), and the child lists
-/// are sorted ascending. Export-time construction and on-load
-/// construction therefore produce byte-identical trees.
+/// are sorted ascending. Building twice from the same arrays therefore
+/// produces byte-identical trees.
 ///
 /// Retrieval (SelectLeaves) is beam-search descent: score the user
 /// against every level-L centroid through the same CVR head the leaves
@@ -101,10 +101,9 @@ class ClusterTreeIndex {
   using RowScorer =
       std::function<Result<std::vector<float>>(const Matrix& rows)>;
 
-  /// \brief Deterministic construction from chains + embeddings (used
-  /// both by `hignn export-store` and when loading version-1 stores
-  /// that predate the index sections). Fails with InvalidArgument if
-  /// the chains are not a consistent partition hierarchy.
+  /// \brief Deterministic construction from chains + embeddings (run
+  /// by `hignn export-store`). Fails with InvalidArgument if the chains
+  /// are not a consistent partition hierarchy.
   static Result<ClusterTreeIndex> Build(const Source& source);
 
   /// \brief Serializes the tree as checksummed store sections: one

@@ -2,7 +2,7 @@
 
 namespace hignn {
 
-uint64_t RequestIdGenerator::Derive(uint64_t seed, uint64_t n) {
+uint64_t DeriveRequestId(uint64_t seed, uint64_t n) {
   // splitmix64 finalizer over seed + n * golden-gamma — the standard
   // counter-mode construction (same constants as util/rng.h's seeder).
   uint64_t z = seed + (n + 1) * 0x9E3779B97F4A7C15ULL;

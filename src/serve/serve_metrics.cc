@@ -57,18 +57,11 @@ void ServeMetrics::BindMetrics(obs::MetricsRegistry* registry) {
                                         obs::DefaultLatencyBoundsUs());
   batch_rows_ = &registry->GetHistogram("serve.batch_rows",
                                         obs::DefaultBatchRowBounds());
-  phase_parse_ = &registry->GetHistogram("serve.phase.parse_us",
-                                         obs::DefaultLatencyBoundsUs());
-  phase_queue_wait_ = &registry->GetHistogram(
-      "serve.phase.queue_wait_us", obs::DefaultLatencyBoundsUs());
-  phase_assemble_ = &registry->GetHistogram("serve.phase.assemble_us",
-                                            obs::DefaultLatencyBoundsUs());
-  phase_forward_ = &registry->GetHistogram("serve.phase.forward_us",
-                                           obs::DefaultLatencyBoundsUs());
-  phase_index_ = &registry->GetHistogram("serve.phase.index_us",
-                                         obs::DefaultLatencyBoundsUs());
-  phase_reply_ = &registry->GetHistogram("serve.phase.reply_us",
-                                         obs::DefaultLatencyBoundsUs());
+  for (size_t s = 0; s < obs::kNumSpans; ++s) {
+    phase_us_[s] = &registry->GetHistogram(
+        StrFormat("serve.phase.%s_us", obs::kPhaseSpans[s].name),
+        obs::DefaultLatencyBoundsUs());
+  }
 }
 
 void ServeMetrics::RecordRequest(ServeVerbStat verb, double latency_us,
@@ -78,29 +71,11 @@ void ServeMetrics::RecordRequest(ServeVerbStat verb, double latency_us,
   latency_us_->Record(latency_us);
 }
 
-void ServeMetrics::RecordPhases(const RequestContext& ctx) {
-  const auto record = [](obs::Histogram* histogram, int64_t end,
-                         int64_t begin) {
-    if (begin >= 0 && end >= begin) {
-      histogram->Record(static_cast<double>(end - begin));
-    }
-  };
-  record(phase_parse_, ctx.parse_us, ctx.accept_us);
-  record(phase_queue_wait_, ctx.batch_close_us, ctx.enqueue_us);
-  record(phase_index_, ctx.index_descent_us, ctx.parse_us);
-  // Row assembly starts where the previous phase on this verb's path
-  // ended: the batch close (batched score), the index descent (beamed
-  // topk), or the parse (exact-scan topk).
-  const int64_t assemble_from = ctx.batch_close_us >= 0
-                                    ? ctx.batch_close_us
-                                    : ctx.index_descent_us >= 0
-                                          ? ctx.index_descent_us
-                                          : ctx.parse_us;
-  record(phase_assemble_, ctx.rows_assembled_us, assemble_from);
-  record(phase_forward_, ctx.forward_done_us, ctx.rows_assembled_us);
-  const int64_t reply_from =
-      ctx.forward_done_us >= 0 ? ctx.forward_done_us : ctx.parse_us;
-  record(phase_reply_, ctx.reply_flushed_us, reply_from);
+void ServeMetrics::RecordPhases(const obs::Event& event) {
+  for (size_t s = 0; s < obs::kNumSpans; ++s) {
+    const int64_t us = event.SpanUs(obs::kPhaseSpans[s]);
+    if (us >= 0) phase_us_[s]->Record(static_cast<double>(us));
+  }
 }
 
 void ServeMetrics::RecordShed() { shed_->Add(1); }

@@ -5,8 +5,8 @@
 #include <memory>
 #include <string>
 
+#include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "serve/request_context.h"
 #include "util/status.h"
 
 namespace hignn {
@@ -53,11 +53,11 @@ class ServeMetrics {
   void RecordRequest(ServeVerbStat verb, double latency_us, bool ok);
 
   /// \brief Per-phase latency attribution from a completed request's
-  /// context (DESIGN.md §17): adjacent stamp deltas land in the
-  /// `serve.phase.*_us` histograms. A phase is recorded only when both of
-  /// its boundary stamps are present, so verbs that skip a phase (health,
+  /// event (DESIGN.md §17): each obs::kPhaseSpans span lands in its
+  /// `serve.phase.<name>_us` histogram. A span is recorded only when its
+  /// boundary stamps are present, so verbs that skip a phase (health,
   /// exact-scan topk) never pollute the distribution with zeros.
-  void RecordPhases(const RequestContext& ctx);
+  void RecordPhases(const obs::Event& event);
 
   /// \brief One request rejected by overload shedding (fast-fail).
   void RecordShed();
@@ -125,12 +125,7 @@ class ServeMetrics {
   obs::Gauge* store_generation_ = nullptr;
   obs::Histogram* latency_us_ = nullptr;
   obs::Histogram* batch_rows_ = nullptr;
-  obs::Histogram* phase_parse_ = nullptr;
-  obs::Histogram* phase_queue_wait_ = nullptr;
-  obs::Histogram* phase_assemble_ = nullptr;
-  obs::Histogram* phase_forward_ = nullptr;
-  obs::Histogram* phase_index_ = nullptr;
-  obs::Histogram* phase_reply_ = nullptr;
+  obs::Histogram* phase_us_[obs::kNumSpans] = {};  ///< by obs::kPhaseSpans
 };
 
 }  // namespace hignn

@@ -26,48 +26,27 @@ namespace {
 // How often the accept loop wakes to check the stop flag.
 constexpr int kAcceptPollMs = 50;
 
-// Per-frame request row bound: protocol sanity, distinct from the
-// batcher's queue bound (which governs overload, not parsing).
-constexpr uint32_t kMaxRequestRows = 1u << 20;
+// A known verb byte v is counted as ServeVerbStat v - 1.
+static_assert(static_cast<int>(WireVerb::kScore) == 1 &&
+              static_cast<int>(WireVerb::kTraceDump) == kNumServeVerbs &&
+              static_cast<int>(ServeVerbStat::kTraceDump) ==
+                  kNumServeVerbs - 1);
 
-WireStatus WireStatusForError(const Status& status) {
+WireReply ErrorReply(const Status& status) {
+  WireReply reply;
   switch (status.code()) {
     case StatusCode::kInvalidArgument:
-      return WireStatus::kBadRequest;
+      reply.status = WireStatus::kBadRequest;
+      break;
     case StatusCode::kFailedPrecondition:
-      return WireStatus::kOverloaded;
+      reply.status = WireStatus::kOverloaded;
+      break;
     default:
-      return WireStatus::kInternal;
+      reply.status = WireStatus::kInternal;
+      break;
   }
-}
-
-std::vector<char> ErrorResponse(WireStatus code, const std::string& message) {
-  WireWriter writer;
-  writer.PutU8(static_cast<uint8_t>(code));
-  writer.PutString(message);
-  return writer.bytes();
-}
-
-// Observation-only phase stamp, no-op under --obs-off (§17).
-void Stamp(int64_t* slot) {
-  if (obs::Enabled()) *slot = obs::NowMicros();
-}
-
-// RequestContext -> structured event-log record.
-obs::Event EventFromContext(const RequestContext& ctx) {
-  obs::Event event;
-  event.request_id = ctx.request_id;
-  event.verb = ctx.verb;
-  event.ok = ctx.ok;
-  event.stamps[obs::kPhaseAccept] = ctx.accept_us;
-  event.stamps[obs::kPhaseParse] = ctx.parse_us;
-  event.stamps[obs::kPhaseEnqueue] = ctx.enqueue_us;
-  event.stamps[obs::kPhaseBatchClose] = ctx.batch_close_us;
-  event.stamps[obs::kPhaseRowsAssembled] = ctx.rows_assembled_us;
-  event.stamps[obs::kPhaseForwardDone] = ctx.forward_done_us;
-  event.stamps[obs::kPhaseIndexDescent] = ctx.index_descent_us;
-  event.stamps[obs::kPhaseReplyFlushed] = ctx.reply_flushed_us;
-  return event;
+  reply.text = status.message();
+  return reply;
 }
 
 }  // namespace
@@ -230,129 +209,59 @@ void ScoringServer::ServeConnection(int fd) {
       if (IsRecvTimeout(frame.status()) && !stopping_.load()) continue;
       break;  // closed, corrupt, or shutting down
     }
-    RequestContext ctx;
-    Stamp(&ctx.accept_us);
-    const std::vector<char> response = HandleRequest(frame.value(), &ctx);
+    obs::Event event;
+    obs::Stamp(&event, obs::kPhaseAccept);
+    const std::vector<char> response = HandleRequest(frame.value(), &event);
     const bool sent = SendFrame(fd, response).ok();
-    if (sent) Stamp(&ctx.reply_flushed_us);
+    if (sent) obs::Stamp(&event, obs::kPhaseReplyFlushed);
     // Full-lifecycle accounting happens only now that the reply has been
     // flushed (or failed): per-phase histograms plus the structured event
     // record, slow exemplars retained by the log itself.
-    metrics_->RecordPhases(ctx);
-    event_log_->Record(EventFromContext(ctx));
+    metrics_->RecordPhases(event);
+    event_log_->Record(event);
     if (!sent) break;
   }
   ::close(fd);
 }
 
 std::vector<char> ScoringServer::HandleRequest(
-    const std::vector<char>& payload, RequestContext* ctx) {
+    const std::vector<char>& payload, obs::Event* event) {
   obs::Stopwatch timer;
-  WireReader reader(payload);
-  Result<uint8_t> verb_byte = reader.TakeU8();
-  if (!verb_byte.ok()) {
-    return ErrorResponse(WireStatus::kBadRequest, "empty request frame");
+  if (!payload.empty()) event->verb = static_cast<uint8_t>(payload[0]);
+  Result<WireRequest> request = DecodeRequest(payload);
+  WireReply reply;
+  if (request.ok()) {
+    event->request_id = request.value().request_id;
+    obs::Stamp(event, obs::kPhaseParse);
+    reply = Execute(request.value(), event);
+  } else {
+    reply = ErrorReply(request.status());
   }
-  ctx->verb = verb_byte.value();
+  event->ok = reply.status == WireStatus::kOk;
+  // Unknown verbs and empty frames have no counter.
+  if (event->verb >= 1 && event->verb <= kNumServeVerbs) {
+    metrics_->RecordRequest(static_cast<ServeVerbStat>(event->verb - 1),
+                            timer.Seconds() * 1e6, event->ok);
+  }
+  if (!request.ok()) return EncodeReply(WireRequest(), reply);
+  reply.trace = *event;
+  return EncodeReply(request.value(), reply);
+}
 
-  const auto finish = [&](ServeVerbStat verb, bool ok,
-                          std::vector<char> response) {
-    ctx->ok = ok;
-    metrics_->RecordRequest(verb, timer.Seconds() * 1e6, ok);
-    return response;
-  };
-
-  // Appends the reply trace trailer (wire.h) when the request carried a
-  // request-ID tag: the ID echoed back plus the phase stamps known while
-  // the reply is being built (reply_flushed is by definition not yet).
-  const auto append_trace = [&](WireWriter& writer) {
-    if (ctx->request_id == 0) return;
-    writer.PutU8(kRequestIdTag);
-    writer.PutU64(ctx->request_id);
-    writer.PutI64(ctx->accept_us);
-    writer.PutI64(ctx->parse_us);
-    writer.PutI64(ctx->enqueue_us);
-    writer.PutI64(ctx->batch_close_us);
-    writer.PutI64(ctx->rows_assembled_us);
-    writer.PutI64(ctx->forward_done_us);
-    writer.PutI64(ctx->index_descent_us);
-    writer.PutI64(-1);  // reply_flushed: unknowable until after send
-  };
-
-  switch (static_cast<WireVerb>(verb_byte.value())) {
+WireReply ScoringServer::Execute(const WireRequest& request,
+                                 obs::Event* event) {
+  WireReply reply;
+  switch (request.verb) {
     case WireVerb::kScore: {
-      Result<uint32_t> count = reader.TakeU32();
-      if (!count.ok() || count.value() > kMaxRequestRows) {
-        return finish(ServeVerbStat::kScore, false,
-                      ErrorResponse(WireStatus::kBadRequest,
-                                    "bad score request count"));
-      }
-      std::vector<ScoreRequest> requests;
-      requests.reserve(count.value());
-      for (uint32_t r = 0; r < count.value(); ++r) {
-        ScoreRequest request;
-        Result<int32_t> user = reader.TakeI32();
-        Result<int32_t> item = reader.TakeI32();
-        if (!user.ok() || !item.ok()) {
-          return finish(ServeVerbStat::kScore, false,
-                        ErrorResponse(WireStatus::kBadRequest,
-                                      "truncated score request"));
-        }
-        request.user = user.value();
-        request.item = item.value();
-        requests.push_back(request);
-      }
-      Result<uint64_t> request_id = TakeOptionalRequestId(reader);
-      if (!request_id.ok()) {
-        return finish(ServeVerbStat::kScore, false,
-                      ErrorResponse(WireStatus::kBadRequest,
-                                    request_id.status().message()));
-      }
-      ctx->request_id = request_id.value();
-      Stamp(&ctx->parse_us);
-      Result<std::vector<float>> scores = batcher_->Score(requests, ctx);
-      if (!scores.ok()) {
-        return finish(ServeVerbStat::kScore, false,
-                      ErrorResponse(WireStatusForError(scores.status()),
-                                    scores.status().message()));
-      }
-      WireWriter writer;
-      writer.PutU8(static_cast<uint8_t>(WireStatus::kOk));
-      writer.PutU32(static_cast<uint32_t>(scores.value().size()));
-      for (float score : scores.value()) writer.PutF32(score);
-      append_trace(writer);
-      return finish(ServeVerbStat::kScore, true, writer.bytes());
+      Result<std::vector<float>> scores =
+          batcher_->Score(request.pairs, event);
+      if (!scores.ok()) return ErrorReply(scores.status());
+      reply.scores = std::move(scores).value();
+      break;
     }
     case WireVerb::kTopK: {
-      Result<int32_t> user = reader.TakeI32();
-      Result<int32_t> k = reader.TakeI32();
-      if (!user.ok() || !k.ok()) {
-        return finish(ServeVerbStat::kTopK, false,
-                      ErrorResponse(WireStatus::kBadRequest,
-                                    "truncated topk request"));
-      }
-      // Optional trailing fields, discriminated by remaining length
-      // (wire.h): 0 = neither, 4 = beam, 9 = request-ID tag, 13 = both.
-      // Absent or 0 beam means the configured default, negative exact.
-      int32_t beam = 0;
-      if (reader.remaining() == 4 || reader.remaining() == 13) {
-        Result<int32_t> wire_beam = reader.TakeI32();
-        if (!wire_beam.ok()) {
-          return finish(ServeVerbStat::kTopK, false,
-                        ErrorResponse(WireStatus::kBadRequest,
-                                      "truncated topk beam field"));
-        }
-        beam = wire_beam.value();
-      }
-      Result<uint64_t> request_id = TakeOptionalRequestId(reader);
-      if (!request_id.ok()) {
-        return finish(ServeVerbStat::kTopK, false,
-                      ErrorResponse(WireStatus::kBadRequest,
-                                    request_id.status().message()));
-      }
-      ctx->request_id = request_id.value();
-      Stamp(&ctx->parse_us);
-      const int32_t effective_beam = beam == 0 ? config_.topk_beam : beam;
+      const int32_t beam =
+          request.beam == 0 ? config_.topk_beam : request.beam;
       // Hold one generation for the whole ranking pass; a concurrent
       // reload cannot swap the store out from under it — the index is
       // part of the generation's store, so beamed descent and leaf
@@ -360,44 +269,21 @@ std::vector<char> ScoringServer::HandleRequest(
       const std::shared_ptr<const StoreGeneration> generation =
           stores_->Current();
       ClusterTreeIndex::SearchStats search_stats;
-      ScorePhases phases;
       Result<std::vector<Recommendation>> top =
-          generation->engine->RecommendTopK(user.value(), k.value(),
-                                            effective_beam, &search_stats,
-                                            &phases);
-      ctx->rows_assembled_us = phases.rows_assembled_us;
-      ctx->forward_done_us = phases.forward_done_us;
-      ctx->index_descent_us = phases.index_descent_us;
-      if (!top.ok()) {
-        return finish(ServeVerbStat::kTopK, false,
-                      ErrorResponse(WireStatusForError(top.status()),
-                                    top.status().message()));
-      }
+          generation->engine->RecommendTopK(request.user, request.k, beam,
+                                            &search_stats, event);
+      if (!top.ok()) return ErrorReply(top.status());
       metrics_->RecordIndexSearch(search_stats.nodes_scored,
-                                  search_stats.leaves_selected,
-                                  effective_beam,
+                                  search_stats.leaves_selected, beam,
                                   /*exact=*/search_stats.levels_descended ==
                                       0);
-      WireWriter writer;
-      writer.PutU8(static_cast<uint8_t>(WireStatus::kOk));
-      writer.PutU32(static_cast<uint32_t>(top.value().size()));
-      for (const Recommendation& rec : top.value()) {
-        writer.PutI32(rec.item);
-        writer.PutF32(rec.score);
-      }
-      append_trace(writer);
-      return finish(ServeVerbStat::kTopK, true, writer.bytes());
+      reply.top = std::move(top).value();
+      break;
     }
-    case WireVerb::kHealth: {
-      Stamp(&ctx->parse_us);
-      WireWriter writer;
-      writer.PutU8(static_cast<uint8_t>(WireStatus::kOk));
-      writer.PutU8(1);
-      writer.PutU32(static_cast<uint32_t>(stores_->generation()));
-      return finish(ServeVerbStat::kHealth, true, writer.bytes());
-    }
+    case WireVerb::kHealth:
+      reply.generation = static_cast<uint32_t>(stores_->generation());
+      break;
     case WireVerb::kStats: {
-      Stamp(&ctx->parse_us);
       // ToJson() is the stable pre-§17 wire format; the daemon-scoped
       // fields (start generation, monotonic uptime, exemplar config) are
       // spliced in as a trailing "daemon" section so every older field
@@ -413,48 +299,27 @@ std::vector<char> ScoringServer::HandleRequest(
           static_cast<long long>(event_log_->slow_threshold_us()),
           static_cast<long long>(event_log_->recorded()),
           static_cast<long long>(event_log_->slow_recorded()));
-      WireWriter writer;
-      writer.PutU8(static_cast<uint8_t>(WireStatus::kOk));
-      writer.PutString(json);
-      return finish(ServeVerbStat::kStats, true, writer.bytes());
+      reply.text = std::move(json);
+      break;
     }
     case WireVerb::kReload: {
-      Result<std::string> path = reader.TakeString();
-      if (!path.ok()) {
-        return finish(ServeVerbStat::kReload, false,
-                      ErrorResponse(WireStatus::kBadRequest,
-                                    "truncated reload request"));
-      }
-      Stamp(&ctx->parse_us);
-      Result<int64_t> generation = stores_->Reload(path.value());
+      Result<int64_t> generation = stores_->Reload(request.store_path);
       if (!generation.ok()) {
         // The failed swap is a no-op for traffic: report the error but
         // keep serving the previous generation.
-        return finish(ServeVerbStat::kReload, false,
-                      ErrorResponse(WireStatus::kInternal,
-                                    generation.status().message()));
+        return ErrorReply(Status::Internal(generation.status().message()));
       }
-      WireWriter writer;
-      writer.PutU8(static_cast<uint8_t>(WireStatus::kOk));
-      writer.PutU32(static_cast<uint32_t>(generation.value()));
-      return finish(ServeVerbStat::kReload, true, writer.bytes());
+      reply.generation = static_cast<uint32_t>(generation.value());
+      break;
     }
-    case WireVerb::kMetrics: {
-      Stamp(&ctx->parse_us);
-      WireWriter writer;
-      writer.PutU8(static_cast<uint8_t>(WireStatus::kOk));
-      writer.PutString(metrics_->registry().DumpPrometheus());
-      return finish(ServeVerbStat::kMetrics, true, writer.bytes());
-    }
-    case WireVerb::kTraceDump: {
-      Stamp(&ctx->parse_us);
-      WireWriter writer;
-      writer.PutU8(static_cast<uint8_t>(WireStatus::kOk));
-      writer.PutString(event_log_->DumpJsonl());
-      return finish(ServeVerbStat::kTraceDump, true, writer.bytes());
-    }
+    case WireVerb::kMetrics:
+      reply.text = metrics_->registry().DumpPrometheus();
+      break;
+    case WireVerb::kTraceDump:
+      reply.text = event_log_->DumpJsonl();
+      break;
   }
-  return ErrorResponse(WireStatus::kBadRequest, "unknown verb");
+  return reply;
 }
 
 }  // namespace hignn

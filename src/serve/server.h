@@ -12,9 +12,9 @@
 #include "obs/event_log.h"
 #include "serve/batcher.h"
 #include "serve/index/cluster_tree.h"
-#include "serve/request_context.h"
 #include "serve/serve_metrics.h"
 #include "serve/store_manager.h"
+#include "serve/wire.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -93,11 +93,14 @@ class ScoringServer {
   void ServeConnection(int fd);
 
   /// \brief Decodes one request frame and builds the response payload.
-  /// `ctx` carries the request's trace state: the verb / request ID /
+  /// `event` carries the request's trace state: the verb / request ID /
   /// parse-to-forward stamps are filled here (and by the layers below),
-  /// reply_flushed by ServeConnection after the frame is sent.
+  /// the reply-flushed stamp by ServeConnection after the frame is sent.
   std::vector<char> HandleRequest(const std::vector<char>& payload,
-                                  RequestContext* ctx);
+                                  obs::Event* event);
+
+  /// \brief Runs one decoded request and returns its reply.
+  WireReply Execute(const WireRequest& request, obs::Event* event);
 
   StoreManager* const stores_;
   ServeMetrics* const metrics_;

@@ -6,55 +6,51 @@
 #include <string>
 #include <vector>
 
+#include "obs/event_log.h"
+#include "predict/recommender.h"
+#include "serve/engine.h"
 #include "util/status.h"
 
 namespace hignn {
 
 /// \brief The scoring server's wire protocol: little-endian,
-/// length-prefixed frames over TCP.
+/// length-prefixed frames over TCP, every layout fixed per verb.
 ///
 ///   frame    := u32 payload_length, payload bytes
-///   request  := u8 verb, verb-specific body
-///   response := u8 status, body (scores / recommendations / JSON) on
-///               kOk, else u32-prefixed error message
+///   request  := u8 verb, verb body, u64 request_id
+///   reply    := u8 status, then on kOk the verb's reply body [+ trace],
+///               else a u32-prefixed error message
 ///
-/// Verb bodies:
-///   kScore  request  u32 n, then n x (i32 user, i32 item)
-///           response u32 n, then n x f32 probability (request order)
-///   kTopK   request  i32 user, i32 k [, i32 beam]
-///           response u32 n, then n x (i32 item, f32 score), ranked
+/// Verb bodies (request / kOk reply):
+///   kScore     u32 n, n x (i32 user, i32 item)
+///              u32 n, n x f32 probability (request order)
+///   kTopK      i32 user, i32 k, i32 beam
+///              u32 n, n x (i32 item, f32 score), ranked
+///              beam 0 = the server's configured default (--topk-beam);
+///              < 0 = exact linear scan; > 0 = beam-search descent of the
+///              store's cluster-tree index with that width.
+///   kHealth    empty / u8 1, u32 store generation
+///   kStats     empty / u32-prefixed JSON string
+///   kReload    u32-prefixed store path ("" = re-open the path the
+///              current generation was loaded from) / u32 new store
+///              generation. A reload that fails validation answers
+///              kInternal and the previous generation keeps serving.
+///   kMetrics   empty / u32-prefixed Prometheus text exposition of the
+///              daemon's MetricsRegistry (DESIGN.md §17)
+///   kTraceDump empty / u32-prefixed JSONL dump of the daemon's event log
 ///
-///           `beam` is an optional trailing field (the only versioned
-///           spot in the protocol): 8-byte bodies from older clients
-///           parse as beam 0. 0 = use the server's configured beam
-///           (--topk-beam); < 0 = exact linear scan (bitwise identical
-///           to the pre-index protocol); > 0 = beam-search descent of
-///           the store's cluster-tree index with that width.
-///   kHealth request  empty; response u8 1, u32 store generation
-///   kStats  request  empty; response u32-prefixed JSON string
-///   kReload request  u32-prefixed store path ("" = re-open the path the
-///                    current generation was loaded from)
-///           response u32 new store generation. A reload that fails
-///                    validation answers kInternal and the previous
-///                    generation keeps serving untouched.
-///   kMetrics   request  empty
-///              response u32-prefixed Prometheus text exposition of the
-///                       daemon's MetricsRegistry (DESIGN.md §17)
-///   kTraceDump request  empty
-///              response u32-prefixed JSONL dump of the daemon's
-///                       structured event log (obs::EventLog)
+/// request_id 0 means untraced. A kOk reply to a request with a non-zero
+/// request_id appends the trace: `u64 request_id, 8 x i64 phase stamps`
+/// (obs::EventPhase order, -1 = phase not reached; reply_flushed is
+/// always -1 because the reply is not yet flushed while being built).
+/// No other reply carries it, so its presence depends on the request
+/// alone.
 ///
-/// Request-ID tag (DESIGN.md §17): any request body may carry an optional
-/// trailing `u8 kRequestIdTag, u64 id` (9 bytes). Servers that predate
-/// the tag ignore trailing bytes, so new clients interop with old
-/// daemons; old clients simply omit it and parse as "untraced"
-/// (request_id 0) — the same compat scheme as kTopK's trailing beam.
-/// When a kScore/kTopK request carried a tag, the kOk response appends a
-/// trailing trace: `u8 kRequestIdTag, u64 id, 8 x i64 phase stamps`
-/// (lifecycle order per obs::EventPhase; -1 = phase not reached;
-/// reply_flushed is -1 on the wire because the reply is not yet flushed
-/// while being built). Old clients stop after the scores and never see
-/// the trailer.
+/// Decoding is strict: a frame must have exactly the length its layout
+/// requires, or it is rejected as kBadRequest. The request ID goes last
+/// so every body's leading count, user or string length sits at the
+/// same offset as in every earlier layout; no earlier frame can then have
+/// the length its current layout requires, and all of them are rejected.
 ///
 /// Floats travel as their IEEE-754 bit pattern in a u32, so a score is
 /// bit-exact across the wire — the parity tests compare for equality,
@@ -69,10 +65,6 @@ enum class WireVerb : uint8_t {
   kTraceDump = 7,
 };
 
-/// \brief Tag byte introducing the optional request-ID trailer. Chosen
-/// printable ('R') so a hex dump of a tagged frame reads naturally.
-inline constexpr uint8_t kRequestIdTag = 0x52;
-
 /// \brief Response status on the wire.
 enum class WireStatus : uint8_t {
   kOk = 0,
@@ -85,56 +77,58 @@ enum class WireStatus : uint8_t {
 /// treated as a protocol violation, not an allocation request.
 inline constexpr uint32_t kMaxFrameBytes = 1u << 24;  // 16 MiB
 
-/// \brief Append-only payload builder (all little-endian).
-class WireWriter {
- public:
-  void PutU8(uint8_t value) { bytes_.push_back(static_cast<char>(value)); }
-  void PutU32(uint32_t value);
-  void PutU64(uint64_t value);
-  void PutI32(int32_t value) { PutU32(static_cast<uint32_t>(value)); }
-  void PutI64(int64_t value) { PutU64(static_cast<uint64_t>(value)); }
-  void PutF32(float value);
-  /// \brief u32 length prefix + raw bytes.
-  void PutString(const std::string& value);
+/// \brief Per-frame kScore row bound: protocol sanity, distinct from the
+/// batcher's queue bound (which governs overload, not parsing).
+inline constexpr uint32_t kMaxRequestRows = 1u << 20;
 
-  const std::vector<char>& bytes() const { return bytes_; }
+/// \brief One request; only the fields of `verb`'s body are encoded.
+struct WireRequest {
+  explicit WireRequest(WireVerb v = WireVerb::kHealth) : verb(v) {}
 
- private:
-  std::vector<char> bytes_;
+  WireVerb verb;
+  std::vector<ScoreRequest> pairs;  ///< kScore
+  int32_t user = 0;                 ///< kTopK
+  int32_t k = 0;                    ///< kTopK
+  int32_t beam = 0;                 ///< kTopK
+  std::string store_path;           ///< kReload
+  uint64_t request_id = 0;          ///< 0 = untraced
 };
 
-/// \brief Bounds-checked payload parser; every read fails with
-/// InvalidArgument on truncation instead of reading past the frame.
-class WireReader {
- public:
-  WireReader(const char* data, size_t size) : data_(data), size_(size) {}
-  explicit WireReader(const std::vector<char>& payload)
-      : WireReader(payload.data(), payload.size()) {}
-
-  Result<uint8_t> TakeU8();
-  Result<uint32_t> TakeU32();
-  Result<uint64_t> TakeU64();
-  Result<int32_t> TakeI32();
-  Result<int64_t> TakeI64();
-  Result<float> TakeF32();
-  Result<std::string> TakeString();
-
-  bool AtEnd() const { return pos_ == size_; }
-  /// \brief Unconsumed bytes — how parsers discriminate the optional
-  /// trailing fields (kTopK beam, request-ID tag) by length.
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
+/// \brief One reply to a WireRequest; only the fields of the request
+/// verb's reply body are encoded.
+struct WireReply {
+  WireStatus status = WireStatus::kOk;
+  std::vector<float> scores;        ///< kScore
+  std::vector<Recommendation> top;  ///< kTopK
+  uint32_t generation = 0;          ///< kHealth, kReload
+  /// kStats / kMetrics / kTraceDump body, or the error message of a
+  /// non-kOk reply.
+  std::string text;
+  /// The server's phase stamps; on the wire only for a kOk reply to a
+  /// traced request.
+  obs::Event trace;
 };
 
-/// \brief Consumes the optional trailing request-ID tag: returns 0 when
-/// the reader is at end (an untraced legacy frame), the tagged ID when
-/// exactly `u8 kRequestIdTag, u64 id` remains, and InvalidArgument for
-/// anything else (wrong tag byte or a malformed trailer length).
-Result<uint64_t> TakeOptionalRequestId(WireReader& reader);
+/// \brief Request payload (without the frame's length prefix).
+std::vector<char> EncodeRequest(const WireRequest& request);
+
+/// \brief Parses a request payload. InvalidArgument when the verb is
+/// unknown, a kScore count exceeds kMaxRequestRows, or the payload is
+/// not exactly the verb's length (the message names the verb and the
+/// expected vs received byte count).
+Result<WireRequest> DecodeRequest(const std::vector<char>& payload);
+
+/// \brief Reply payload to `request`: its verb picks the body layout and
+/// its request_id whether a kOk reply carries `reply.trace`.
+std::vector<char> EncodeReply(const WireRequest& request,
+                              const WireReply& reply);
+
+/// \brief Parses the reply to `request`. InvalidArgument for an unknown
+/// status, a length other than the layout's, a kScore reply whose count
+/// differs from the request's, a health byte other than 1, or a trace
+/// that does not echo the request ID.
+Result<WireReply> DecodeReply(const WireRequest& request,
+                              const std::vector<char>& payload);
 
 /// \brief Writes one length-prefixed frame to a connected socket,
 /// looping over partial sends. Peer resets (ECONNRESET / EPIPE / a send

@@ -322,6 +322,9 @@ Status BinaryReader::Pull(void* dst, size_t count) {
   if (count > payload_size_ - pos_) {
     return Status::IOError("truncated input");
   }
+  // An empty array's destination may be null, which memcpy forbids even
+  // for zero bytes.
+  if (count == 0) return Status::OK();
   std::memcpy(dst, buffer_.data() + pos_, count);
   pos_ += count;
   return Status::OK();

@@ -211,6 +211,24 @@ TEST(CorruptionTest, GarbageAndEmptyFilesAreRejected) {
 
 // A failed rewrite must leave the previous artifact untouched and no tmp
 // debris behind — the atomic tmp+rename contract.
+// A 0 x 0 matrix reads and writes zero-length arrays — the edge the
+// sanitizer legs must see (no null pointers handed to memcpy).
+TEST(CorruptionTest, EmptyMatrixRoundTripsAndRejectsTruncation) {
+  const std::string path = TempPath("empty_matrix.bin");
+  ASSERT_TRUE(SaveMatrix(Matrix(), path).ok());
+  Result<Matrix> loaded = LoadMatrix(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().rows(), 0u);
+  EXPECT_EQ(loaded.value().cols(), 0u);
+
+  const std::string bytes = ReadBytes(path);
+  const std::string truncated_path = TempPath("empty_matrix_truncated.bin");
+  WriteBytes(truncated_path, bytes.substr(0, bytes.size() - 1));
+  Result<Matrix> truncated = LoadMatrix(truncated_path);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), StatusCode::kIOError);
+}
+
 TEST(CorruptionTest, FailedOverwriteLeavesOldArtifactIntact) {
   FaultGuard guard;
   const std::string path = TempPath("overwrite_victim.bin");

@@ -7,8 +7,10 @@
 // Also compiled into hignn_threading_tests so `ctest -L tsan` races the
 // registry atomics and per-thread trace buffers under TSan.
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -261,6 +263,44 @@ TEST(ObsEventLogTest, GoldenJsonlLineAndDurationSemantics) {
             "\"reply_flushed_us\": 1250}\n");
   // Determinism: the same history dumps the same bytes.
   EXPECT_EQ(log.DumpJsonl(), log.DumpJsonl());
+}
+
+// The span table's pairing, per verb path: each span runs from its first
+// present begin stamp to its end stamp, and is absent (-1) when either is
+// missing or the stamps are out of order.
+TEST(ObsEventLogTest, SpansPairStampsAlongEachVerbPath) {
+  std::vector<std::string> names;
+  for (const obs::PhaseSpan& span : obs::kPhaseSpans) names.push_back(span.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"parse", "queue_wait", "index",
+                                             "assemble", "forward", "reply"}));
+  const auto spans = [](const obs::Event& event) {
+    std::vector<int64_t> us;
+    for (const obs::PhaseSpan& span : obs::kPhaseSpans) {
+      us.push_back(event.SpanUs(span));
+    }
+    return us;
+  };
+  obs::Event score;  // batched score: no index descent
+  const int64_t score_stamps[] = {100, 101, 103, 110, 120, 150, -1, 160};
+  std::copy(std::begin(score_stamps), std::end(score_stamps), score.stamps);
+  EXPECT_EQ(spans(score), (std::vector<int64_t>{1, 7, -1, 10, 30, 10}));
+
+  obs::Event beamed;  // beamed topk: no batch
+  const int64_t beamed_stamps[] = {100, 101, -1, -1, 140, 150, 130, 151};
+  std::copy(std::begin(beamed_stamps), std::end(beamed_stamps),
+            beamed.stamps);
+  EXPECT_EQ(spans(beamed), (std::vector<int64_t>{1, -1, 29, 10, 10, 1}));
+
+  obs::Event exact;  // exact topk: assembly starts at the parse
+  const int64_t exact_stamps[] = {100, 102, -1, -1, 110, 150, -1, 155};
+  std::copy(std::begin(exact_stamps), std::end(exact_stamps), exact.stamps);
+  EXPECT_EQ(spans(exact), (std::vector<int64_t>{2, -1, -1, 8, 40, 5}));
+
+  obs::Event health;  // health: the reply starts at the parse
+  health.stamps[obs::kPhaseAccept] = 100;
+  health.stamps[obs::kPhaseParse] = 104;
+  health.stamps[obs::kPhaseReplyFlushed] = 103;  // out of order: absent
+  EXPECT_EQ(spans(health), (std::vector<int64_t>{4, -1, -1, -1, -1, -1}));
 }
 
 TEST(ObsEventLogTest, RingEvictsFastEventsButExemplarsKeepSlowOnes) {

@@ -336,10 +336,11 @@ TEST_F(ServeChaosFixture, ExemplarCaptureSurvivesFrameFaultsAndReload) {
   fault::Configure("serve.frame.send=fail@1");
   const std::vector<float> first = client.Score(pairs_).ValueOrDie();
   EXPECT_EQ(client.retries_attempted(), 1);
-  const uint64_t first_id = RequestIdGenerator::Derive(0xC4A05, 0);
+  const uint64_t first_id = DeriveRequestId(0xC4A05, 0);
   EXPECT_EQ(client.last_trace().request_id, first_id);
 
-  // Leg 2: a hot-reload swaps the generation between the traced calls.
+  // Leg 2: a hot-reload swaps the generation between the traced calls
+  // (itself a logical call, so it draws request ID n = 1).
   fault::Configure("");
   ASSERT_EQ(client.Reload().ValueOrDie(), 2);
 
@@ -348,7 +349,7 @@ TEST_F(ServeChaosFixture, ExemplarCaptureSurvivesFrameFaultsAndReload) {
   fault::Configure("serve.frame.recv=fail@1");
   const std::vector<float> second = client.Score(pairs_).ValueOrDie();
   EXPECT_GE(client.retries_attempted(), 2);
-  const uint64_t second_id = RequestIdGenerator::Derive(0xC4A05, 1);
+  const uint64_t second_id = DeriveRequestId(0xC4A05, 2);
   EXPECT_EQ(client.last_trace().request_id, second_id);
   fault::Configure("");
 

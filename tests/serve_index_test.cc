@@ -2,11 +2,10 @@
 // exactness knob (beam <= 0 and beam = "infinity" are bitwise identical
 // to the linear scan), determinism across thread counts and hot-reload
 // generations, recall@10 at the default beam on a planted hierarchy,
-// byte-identical on-load index reconstruction for legacy version-1
-// stores, rejection of corrupted/truncated index sections, the wire
-// protocol's optional per-request beam field (including the pre-beam
-// 8-byte body old clients send), and the shared TopKByScore tie-break
-// contract both paths rest on.
+// stored index sections byte-identical to a rebuild from the store's own
+// arrays, rejection of corrupted/truncated index sections, the wire
+// protocol's per-request beam field, and the shared TopKByScore
+// tie-break contract both paths rest on.
 
 #include <cmath>
 #include <cstring>
@@ -19,11 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "data/planted.h"
 #include "predict/recommender.h"
 #include "serve/client.h"
@@ -33,7 +27,6 @@
 #include "serve/serve_metrics.h"
 #include "serve/server.h"
 #include "serve/store_manager.h"
-#include "serve/wire.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -58,8 +51,8 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
 
 // One planted world shared by every test: cluster structure and score
 // landscape are planted (data/planted.h), so beam descent has a
-// hierarchy it can actually route — exported once with the index
-// sections (v2) and once in the legacy pre-index layout (v1).
+// hierarchy it can actually route — exported twice, so a hot reload can
+// swap in a second file with the same contents.
 class PlantedIndexFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -76,12 +69,10 @@ class PlantedIndexFixture : public ::testing::Test {
     EXPECT_TRUE(ExportEmbeddingStore(world_->model, world_->dataset,
                                      world_->spec, world_->cvr, store_path_)
                     .ok());
-    legacy_path_ = TempPath("planted_index_v1.hgnnstore");
-    StoreExportOptions legacy;
-    legacy.include_index = false;
+    reexport_path_ = TempPath("planted_index_reexport.hgnnstore");
     EXPECT_TRUE(ExportEmbeddingStore(world_->model, world_->dataset,
-                                     world_->spec, world_->cvr, legacy_path_,
-                                     legacy)
+                                     world_->spec, world_->cvr,
+                                     reexport_path_)
                     .ok());
   }
 
@@ -92,12 +83,12 @@ class PlantedIndexFixture : public ::testing::Test {
 
   static PlantedWorld* world_;
   static std::string store_path_;
-  static std::string legacy_path_;
+  static std::string reexport_path_;
 };
 
 PlantedWorld* PlantedIndexFixture::world_ = nullptr;
 std::string PlantedIndexFixture::store_path_;
-std::string PlantedIndexFixture::legacy_path_;
+std::string PlantedIndexFixture::reexport_path_;
 
 // ------------------------------------------------------ tie-breaking --
 
@@ -290,7 +281,7 @@ TEST_F(PlantedIndexFixture, BeamedTopKIsIdenticalAcrossHotReloads) {
           ->engine->RecommendTopK(77, 10, kDefaultTopKBeam)
           .ValueOrDie();
   ASSERT_TRUE(stores->Reload().ok());
-  ASSERT_TRUE(stores->Reload(legacy_path_).ok());  // v1: index rebuilt
+  ASSERT_TRUE(stores->Reload(reexport_path_).ok());  // a second export
   const std::vector<Recommendation> after =
       stores->Current()
           ->engine->RecommendTopK(77, 10, kDefaultTopKBeam)
@@ -327,11 +318,17 @@ TEST_F(PlantedIndexFixture, DefaultBeamHoldsRecallAt10Above95Percent) {
 
 // ----------------------------------------------- store format / load --
 
+// The stored index sections are exactly what ClusterTreeIndex::Build
+// makes of the store's own arrays: construction is a pure function of
+// them, whoever runs it.
 TEST_F(PlantedIndexFixture, LegacyStoreRebuildsByteIdenticalIndex) {
-  auto v2 = std::move(EmbeddingStore::Open(store_path_).ValueOrDie());
-  auto v1 = std::move(EmbeddingStore::Open(legacy_path_).ValueOrDie());
-  const ClusterTreeIndex& a = v2->index();
-  const ClusterTreeIndex& b = v1->index();
+  auto store = std::move(EmbeddingStore::Open(store_path_).ValueOrDie());
+  // Levels alias their own vectors, so the built index stays in place.
+  const Result<ClusterTreeIndex> rebuilt =
+      ClusterTreeIndex::Build(store->IndexSource());
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  const ClusterTreeIndex& a = store->index();
+  const ClusterTreeIndex& b = rebuilt.value();
   ASSERT_EQ(a.num_levels(), b.num_levels());
   ASSERT_GE(a.num_levels(), 2);
   const int32_t block = a.geometry().item_block_cols;
@@ -361,29 +358,32 @@ TEST_F(PlantedIndexFixture, LegacyStoreRebuildsByteIdenticalIndex) {
   }
 }
 
-TEST_F(PlantedIndexFixture, LegacyAndIndexedStoresServeIdenticalBeamedTopK) {
-  auto indexed = std::move(PredictionEngine::Open(store_path_).ValueOrDie());
-  auto legacy = std::move(PredictionEngine::Open(legacy_path_).ValueOrDie());
-  for (int32_t user : {5, 99, 180}) {
-    const std::vector<Recommendation> a =
-        indexed->RecommendTopK(user, 10, kDefaultTopKBeam).ValueOrDie();
-    const std::vector<Recommendation> b =
-        legacy->RecommendTopK(user, 10, kDefaultTopKBeam).ValueOrDie();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i], b[i]) << "user " << user << " rank " << i;
-    }
-  }
-}
-
 TEST_F(PlantedIndexFixture, CorruptedIndexSectionIsRejectedAsIOError) {
   std::string bytes = ReadBytes(store_path_);
-  const std::string v1_bytes = ReadBytes(legacy_path_);
-  ASSERT_GT(bytes.size(), v1_bytes.size());
-  // The index sections are everything the v2 layout appends after the
-  // v1 layout; flip a bit comfortably inside them.
-  const size_t index_start = v1_bytes.size();
-  const size_t target = index_start + (bytes.size() - index_start) / 2;
+  const int32_t levels =
+      EmbeddingStore::Open(store_path_).ValueOrDie()->index().num_levels();
+  ASSERT_GE(levels, 1);
+  // The container footer (util/io.h) ends with: per-section (u64 length,
+  // u32 crc) table, u32 section count, u32 footer crc, magic "HGNC". The
+  // index is written last, as one meta section plus one per level, so
+  // it spans the payload's final 1 + levels sections.
+  const auto load = [&](size_t at, size_t width) {
+    uint64_t value = 0;
+    std::memcpy(&value, bytes.data() + at, width);
+    return value;
+  };
+  constexpr size_t kEntryBytes = 8 + 4;
+  ASSERT_GT(bytes.size(), 12u);
+  const size_t count = load(bytes.size() - 12, 4);
+  ASSERT_GT(count, static_cast<size_t>(levels) + 1);
+  const size_t table = bytes.size() - 12 - count * kEntryBytes;
+  size_t index_bytes = 0;
+  for (size_t section = count - 1 - static_cast<size_t>(levels);
+       section < count; ++section) {
+    index_bytes += load(table + section * kEntryBytes, 8);
+  }
+  ASSERT_LT(index_bytes, table);
+  const size_t target = table - index_bytes / 2;
   bytes[target] = static_cast<char>(bytes[target] ^ 0x10);
   const std::string corrupt_path = TempPath("planted_index_corrupt.hgnnstore");
   WriteBytes(corrupt_path, bytes);
@@ -454,54 +454,6 @@ TEST_F(PlantedIndexFixture, WireBeamOverrideSelectsExactOrBeamedPath) {
   EXPECT_NE(json.find("\"index\": {\"searches\": 6, \"exact\": 2"),
             std::string::npos)
       << json;
-  server->Stop();
-}
-
-TEST_F(PlantedIndexFixture, PreBeamEightByteTopKBodyStillParses) {
-  ServeMetrics metrics;
-  auto stores =
-      std::move(StoreManager::Open(store_path_, &metrics).ValueOrDie());
-  auto server =
-      std::move(ScoringServer::Start(stores.get(), &metrics, ServerConfig())
-                    .ValueOrDie());
-
-  // Hand-rolled legacy client: verb + user + k, no beam field — exactly
-  // the body a pre-index binary emits. Must be served with the
-  // configured default beam.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server->port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-      0);
-
-  WireWriter request;
-  request.PutU8(static_cast<uint8_t>(WireVerb::kTopK));
-  request.PutI32(33);
-  request.PutI32(5);
-  ASSERT_EQ(request.bytes().size(), 9u);  // the old fixed-size body
-  ASSERT_TRUE(SendFrame(fd, request.bytes()).ok());
-  const std::vector<char> body = RecvFrame(fd).ValueOrDie();
-  ::close(fd);
-
-  WireReader reader(body);
-  ASSERT_EQ(reader.TakeU8().ValueOrDie(),
-            static_cast<uint8_t>(WireStatus::kOk));
-  const uint32_t count = reader.TakeU32().ValueOrDie();
-  const std::vector<Recommendation> expected =
-      stores->Current()
-          ->engine->RecommendTopK(33, 5, kDefaultTopKBeam)
-          .ValueOrDie();
-  ASSERT_EQ(count, expected.size());
-  for (uint32_t i = 0; i < count; ++i) {
-    Recommendation rec;
-    rec.item = reader.TakeI32().ValueOrDie();
-    rec.score = reader.TakeF32().ValueOrDie();
-    EXPECT_EQ(rec, expected[i]) << "rank " << i;
-  }
   server->Stop();
 }
 

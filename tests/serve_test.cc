@@ -35,6 +35,7 @@
 #include "serve/store_manager.h"
 #include "serve/wire.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace hignn {
 namespace {
@@ -402,8 +403,7 @@ TEST_F(ServeFixture, TcpOverloadShedsWithFastFailure) {
 
 // ------------------------------------------------- request tracing (§17) --
 
-// Speaks the raw wire protocol so the compat matrix can send frames no
-// current client emits (legacy bodies, malformed trailers).
+// Speaks raw frames so a test can send bytes no client emits.
 class RawWireClient {
  public:
   explicit RawWireClient(int32_t port) {
@@ -435,15 +435,14 @@ class RawWireClient {
 };
 
 TEST(RequestIdTest, StreamIsDeterministicNonZeroAndSeedScoped) {
-  RequestIdGenerator a(0xFEED);
-  RequestIdGenerator b(0xFEED);
-  RequestIdGenerator other(0xBEEF);
   for (uint64_t n = 0; n < 100; ++n) {
-    const uint64_t id = a.Next();
-    EXPECT_EQ(id, b.Next());                            // same seed, same stream
-    EXPECT_EQ(id, RequestIdGenerator::Derive(0xFEED, n));  // pure function
-    EXPECT_NE(id, 0u);                                  // 0 is "untraced"
-    EXPECT_NE(id, other.Next());                        // seeds partition IDs
+    const uint64_t id = DeriveRequestId(0xFEED, n);
+    EXPECT_EQ(id, DeriveRequestId(0xFEED, n));    // pure function
+    EXPECT_NE(id, 0u);                            // 0 is "untraced"
+    EXPECT_NE(id, DeriveRequestId(0xBEEF, n));    // seeds partition IDs
+    if (n > 0) {
+      EXPECT_NE(id, DeriveRequestId(0xFEED, n - 1));
+    }
   }
 }
 
@@ -475,26 +474,28 @@ TEST_F(ServeFixture, TracedScoreEchoesStampsAndLandsInTheEventLog) {
     ASSERT_EQ(actual[i], expected[i]) << "pair " << i;
   }
 
-  // The echoed trailer carries the predicted ID and ordered stamps.
-  const RequestContext& trace = traced.last_trace();
-  EXPECT_EQ(trace.request_id, RequestIdGenerator::Derive(0xFEED, 0));
-  EXPECT_GE(trace.accept_us, 0);
-  EXPECT_GE(trace.parse_us, trace.accept_us);
-  EXPECT_GE(trace.enqueue_us, trace.parse_us);
-  EXPECT_GE(trace.batch_close_us, trace.enqueue_us);
-  EXPECT_GE(trace.rows_assembled_us, trace.batch_close_us);
-  EXPECT_GE(trace.forward_done_us, trace.rows_assembled_us);
-  EXPECT_EQ(trace.index_descent_us, -1);  // a score never descends the tree
-  EXPECT_EQ(trace.reply_flushed_us, -1);  // unknowable before the flush
+  // The echoed trace carries the predicted ID and ordered stamps.
+  const obs::Event trace = traced.last_trace();
+  const int64_t* stamp = trace.stamps;
+  EXPECT_EQ(trace.request_id, DeriveRequestId(0xFEED, 0));
+  EXPECT_GE(stamp[obs::kPhaseAccept], 0);
+  EXPECT_GE(stamp[obs::kPhaseParse], stamp[obs::kPhaseAccept]);
+  EXPECT_GE(stamp[obs::kPhaseEnqueue], stamp[obs::kPhaseParse]);
+  EXPECT_GE(stamp[obs::kPhaseBatchClose], stamp[obs::kPhaseEnqueue]);
+  EXPECT_GE(stamp[obs::kPhaseRowsAssembled], stamp[obs::kPhaseBatchClose]);
+  EXPECT_GE(stamp[obs::kPhaseForwardDone], stamp[obs::kPhaseRowsAssembled]);
+  // A score never descends the tree; the flush is unknowable before it.
+  EXPECT_EQ(stamp[obs::kPhaseIndexDescent], -1);
+  EXPECT_EQ(stamp[obs::kPhaseReplyFlushed], -1);
 
   // A beamed topk descends the index instead of closing a batch.
   EXPECT_TRUE(traced.TopK(3, 5).ok());
-  const RequestContext& topk_trace = traced.last_trace();
-  EXPECT_EQ(topk_trace.request_id, RequestIdGenerator::Derive(0xFEED, 1));
-  EXPECT_GE(topk_trace.index_descent_us, topk_trace.parse_us);
-  EXPECT_GE(topk_trace.rows_assembled_us, topk_trace.index_descent_us);
-  EXPECT_EQ(topk_trace.enqueue_us, -1);
-  EXPECT_EQ(topk_trace.batch_close_us, -1);
+  const int64_t* topk = traced.last_trace().stamps;
+  EXPECT_EQ(traced.last_trace().request_id, DeriveRequestId(0xFEED, 1));
+  EXPECT_GE(topk[obs::kPhaseIndexDescent], topk[obs::kPhaseParse]);
+  EXPECT_GE(topk[obs::kPhaseRowsAssembled], topk[obs::kPhaseIndexDescent]);
+  EXPECT_EQ(topk[obs::kPhaseEnqueue], -1);
+  EXPECT_EQ(topk[obs::kPhaseBatchClose], -1);
 
   server->Stop();  // joins handlers: every event is recorded by now
 
@@ -517,7 +518,10 @@ TEST_F(ServeFixture, TracedScoreEchoesStampsAndLandsInTheEventLog) {
             2);
 }
 
-TEST_F(ServeFixture, UntracedLegacyFramesStillParseAndLogAsUntraced) {
+// Frames of every earlier request layout are a kBadRequest naming the
+// expected and received lengths, logged as failed; the connection stays
+// usable and answers the next valid frame, logged as untraced.
+TEST_F(ServeFixture, LegacyFramesAreBadRequestsAndTheConnectionServesOn) {
   ServeMetrics metrics;
   auto stores =
       std::move(StoreManager::Open(store_path_, &metrics).ValueOrDie());
@@ -527,120 +531,52 @@ TEST_F(ServeFixture, UntracedLegacyFramesStillParseAndLogAsUntraced) {
   auto server =
       std::move(
       ScoringServer::Start(stores.get(), &metrics, config).ValueOrDie());
-
-  // The stock client (seed 0) IS the legacy client: no trailer bytes.
-  auto legacy =
-      std::move(ScoringClient::Connect("127.0.0.1", server->port())
-                    .ValueOrDie());
-  EXPECT_TRUE(legacy.Score(TestPairs(4)).ok());
-  EXPECT_EQ(legacy.last_trace().request_id, 0u);
-
-  // Old-style kTopK with the 8-byte (user, k) body — no beam, no tag.
-  RawWireClient raw(server->port());
-  WireWriter writer;
-  writer.PutU8(static_cast<uint8_t>(WireVerb::kTopK));
-  writer.PutI32(3);
-  writer.PutI32(5);
-  std::vector<char> response = raw.RoundTrip(writer.bytes());
-  ASSERT_FALSE(response.empty());
-  EXPECT_EQ(static_cast<WireStatus>(response[0]), WireStatus::kOk);
-
-  server->Stop();
-  // Both requests recorded as untraced, stamps intact.
-  EXPECT_EQ(log.recorded(), 2);
-  EXPECT_NE(log.DumpJsonl().find("\"request_id\": \"0000000000000000\""),
-            std::string::npos);
-}
-
-TEST_F(ServeFixture, TopKTrailingFieldMatrixDisambiguatesByLength) {
-  ServeMetrics metrics;
-  auto stores =
-      std::move(StoreManager::Open(store_path_, &metrics).ValueOrDie());
-  auto server =
-      std::move(ScoringServer::Start(stores.get(), &metrics, ServerConfig())
-                    .ValueOrDie());
   RawWireClient raw(server->port());
 
-  const uint64_t id = RequestIdGenerator::Derive(0xFEED, 0);
-  constexpr size_t kTrailerBytes = 1 + 8 + 8 * 8;
-  struct Case {
-    bool beam;
-    bool tag;
+  // Little-endian frame builder for layouts the codec does not write.
+  const auto frame = [](WireVerb verb, std::initializer_list<uint32_t> words) {
+    std::vector<char> bytes{static_cast<char>(verb)};
+    for (uint32_t word : words) {
+      for (int b = 0; b < 4; ++b) {
+        bytes.push_back(static_cast<char>((word >> (8 * b)) & 0xffu));
+      }
+    }
+    return bytes;
   };
-  for (const Case& c :
-       {Case{false, false}, Case{true, false}, Case{false, true},
-        Case{true, true}}) {
-    SCOPED_TRACE(testing::Message()
-                 << "beam=" << c.beam << " tag=" << c.tag);
-    WireWriter writer;
-    writer.PutU8(static_cast<uint8_t>(WireVerb::kTopK));
-    writer.PutI32(3);
-    writer.PutI32(5);
-    if (c.beam) writer.PutI32(0);  // 0 = server default
-    if (c.tag) {
-      writer.PutU8(kRequestIdTag);
-      writer.PutU64(id);
-    }
-    std::vector<char> response = raw.RoundTrip(writer.bytes());
+  // kTopK user 3, k 5, beam 0: the 13-byte body before request IDs.
+  const std::vector<char> legacy_topk = frame(WireVerb::kTopK, {3, 5, 0});
+  // kScore with one (3, 7) pair and no request ID.
+  const std::vector<char> legacy_score = frame(WireVerb::kScore, {1, 3, 7});
+  for (const std::vector<char>& legacy : {legacy_topk, legacy_score}) {
+    const std::vector<char> response = raw.RoundTrip(legacy);
     ASSERT_FALSE(response.empty());
-    ASSERT_EQ(static_cast<WireStatus>(response[0]), WireStatus::kOk);
-    WireReader reader(response);
-    ASSERT_TRUE(reader.TakeU8().ok());  // status
-    const uint32_t count = reader.TakeU32().ValueOrDie();
-    for (uint32_t r = 0; r < count; ++r) {
-      ASSERT_TRUE(reader.TakeI32().ok());
-      ASSERT_TRUE(reader.TakeF32().ok());
-    }
-    // The reply trailer appears exactly when the request was tagged.
-    EXPECT_EQ(reader.remaining(), c.tag ? kTrailerBytes : 0u);
-    if (c.tag) {
-      EXPECT_EQ(reader.TakeU8().ValueOrDie(), kRequestIdTag);
-      EXPECT_EQ(reader.TakeU64().ValueOrDie(), id);
-    }
+    EXPECT_EQ(static_cast<WireStatus>(response[0]), WireStatus::kBadRequest);
+    const std::string message(response.begin() + 5, response.end());
+    EXPECT_NE(message.find(StrFormat("received %zu", legacy.size())),
+              std::string::npos)
+        << message;
   }
+
+  const WireRequest health(WireVerb::kHealth);
+  const std::vector<char> response = raw.RoundTrip(EncodeRequest(health));
+  const WireReply reply = DecodeReply(health, response).ValueOrDie();
+  EXPECT_EQ(reply.status, WireStatus::kOk);
+  EXPECT_EQ(reply.generation, 1u);
+
   server->Stop();
-}
-
-TEST_F(ServeFixture, MalformedRequestIdTrailersAreBadRequests) {
-  ServeMetrics metrics;
-  auto stores =
-      std::move(StoreManager::Open(store_path_, &metrics).ValueOrDie());
-  auto server =
-      std::move(ScoringServer::Start(stores.get(), &metrics, ServerConfig())
-                    .ValueOrDie());
-  RawWireClient raw(server->port());
-
-  // Truncated trailer: 5 stray bytes after the pairs (not 0, not 9).
-  WireWriter truncated;
-  truncated.PutU8(static_cast<uint8_t>(WireVerb::kScore));
-  truncated.PutU32(1);
-  truncated.PutI32(3);
-  truncated.PutI32(7);
-  truncated.PutU8(kRequestIdTag);
-  truncated.PutU32(0xDEAD);
-  std::vector<char> response = raw.RoundTrip(truncated.bytes());
-  ASSERT_FALSE(response.empty());
-  EXPECT_EQ(static_cast<WireStatus>(response[0]), WireStatus::kBadRequest);
-
-  // Right length, wrong tag byte.
-  WireWriter wrong_tag;
-  wrong_tag.PutU8(static_cast<uint8_t>(WireVerb::kScore));
-  wrong_tag.PutU32(1);
-  wrong_tag.PutI32(3);
-  wrong_tag.PutI32(7);
-  wrong_tag.PutU8(0x99);
-  wrong_tag.PutU64(42);
-  response = raw.RoundTrip(wrong_tag.bytes());
-  ASSERT_FALSE(response.empty());
-  EXPECT_EQ(static_cast<WireStatus>(response[0]), WireStatus::kBadRequest);
-
-  // The connection survives protocol rejections; a clean frame works.
-  WireWriter clean;
-  clean.PutU8(static_cast<uint8_t>(WireVerb::kHealth));
-  response = raw.RoundTrip(clean.bytes());
-  ASSERT_FALSE(response.empty());
-  EXPECT_EQ(static_cast<WireStatus>(response[0]), WireStatus::kOk);
-  server->Stop();
+  EXPECT_EQ(log.recorded(), 3);
+  const std::string jsonl = log.DumpJsonl();
+  size_t failed = 0;
+  for (size_t at = jsonl.find("\"ok\": false"); at != std::string::npos;
+       at = jsonl.find("\"ok\": false", at + 1)) {
+    ++failed;
+  }
+  EXPECT_EQ(failed, 2u) << jsonl;
+  EXPECT_NE(jsonl.find("\"request_id\": \"0000000000000000\", \"verb\": 3, "
+                       "\"ok\": true"),
+            std::string::npos)
+      << jsonl;
+  EXPECT_EQ(metrics.errors_total(), 2);
 }
 
 TEST_F(ServeFixture, StatsCarriesTheDaemonSectionAndMetricsVerbsServe) {
@@ -687,8 +623,7 @@ TEST_F(ServeFixture, StatsCarriesTheDaemonSectionAndMetricsVerbsServe) {
   const std::string jsonl = client.TraceDump().ValueOrDie();
   char id_hex[32];
   std::snprintf(id_hex, sizeof(id_hex), "%016llx",
-                static_cast<unsigned long long>(
-                    RequestIdGenerator::Derive(0x5EED, 0)));
+                static_cast<unsigned long long>(DeriveRequestId(0x5EED, 0)));
   EXPECT_NE(jsonl.find(id_hex), std::string::npos) << jsonl;
   server->Stop();
 }

@@ -74,9 +74,6 @@ commands:
              [--preset tiny] [--users N] [--items N] [--seed S]
              [--levels 2] [--dim 16] [--steps 120] [--threads N]
              [--cvr-epochs 2]
-             [--no-index]  (write the legacy v1 layout without the
-                            cluster-tree retrieval index; servers then
-                            rebuild the identical index on load)
 
 telemetry (any command):
   [--metrics-out FILE.json]  dump the metrics registry on success
@@ -376,11 +373,8 @@ int RunExportStore(const CommandLine& cl) {
   auto loss = cvr.value().Train(builder.value(), samples.train);
   if (!loss.ok()) return Fail(loss.status());
 
-  StoreExportOptions export_options;
-  export_options.include_index = !cl.GetBool("no-index");
   if (Status status = ExportEmbeddingStore(model.value(), dataset.value(),
-                                           spec, cvr.value(), out,
-                                           export_options);
+                                           spec, cvr.value(), out);
       !status.ok()) {
     return Fail(status);
   }

@@ -6,7 +6,8 @@
 // trace (`--trace-out`) and prints:
 //
 //   * a per-phase latency table (count / p50 / p95 / p99 / max) over the
-//     same six phase deltas the server's serve.phase.* histograms record,
+//     six obs::kPhaseSpans spans the server's serve.phase.* histograms
+//     record,
 //   * one line per slow exemplar naming its dominant phase — the single
 //     place the request spent most of its time, which is the attribution
 //     operators act on,
@@ -28,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/event_log.h"
 #include "util/flags.h"
 
 namespace hignn {
@@ -43,24 +45,6 @@ or the trace-dump wire verb) and attributes latency to serving phases.
 )");
   return 2;
 }
-
-/// One parsed event-log line; mirrors obs::Event without depending on it
-/// (the analyzer must keep reading logs from older/newer builds whose
-/// struct layout drifted — the JSONL keys are the contract, not the ABI).
-struct LoggedEvent {
-  std::string request_id;
-  int64_t duration_us = 0;
-  bool slow = false;
-  bool ok = false;
-  int64_t accept_us = -1;
-  int64_t parse_us = -1;
-  int64_t enqueue_us = -1;
-  int64_t batch_close_us = -1;
-  int64_t rows_assembled_us = -1;
-  int64_t forward_done_us = -1;
-  int64_t index_descent_us = -1;
-  int64_t reply_flushed_us = -1;
-};
 
 /// Finds `"key": <value>` in a JSON object line and returns the raw value
 /// token (quotes stripped). The event log and Chrome trace are emitted by
@@ -106,46 +90,6 @@ int64_t Percentile(const std::vector<int64_t>& sorted, double p) {
   return sorted[index - 1];
 }
 
-/// The six phase deltas, paired exactly like ServeMetrics::RecordPhases —
-/// a phase exists only when both boundary stamps are present, and the
-/// assemble/reply phases start wherever the verb's path last stamped.
-struct PhaseDeltas {
-  static constexpr int kNumPhases = 6;
-  static const char* Name(int phase) {
-    static const char* const kNames[kNumPhases] = {
-        "parse", "queue_wait", "index", "assemble", "forward", "reply"};
-    return kNames[phase];
-  }
-  /// Delta for `phase` in microseconds, or -1 when the event never
-  /// crossed that phase.
-  static int64_t Of(const LoggedEvent& e, int phase) {
-    const auto delta = [](int64_t end, int64_t begin) {
-      return (begin >= 0 && end >= begin) ? end - begin : int64_t{-1};
-    };
-    switch (phase) {
-      case 0:
-        return delta(e.parse_us, e.accept_us);
-      case 1:
-        return delta(e.batch_close_us, e.enqueue_us);
-      case 2:
-        return delta(e.index_descent_us, e.parse_us);
-      case 3:
-        return delta(e.rows_assembled_us,
-                     e.batch_close_us >= 0
-                         ? e.batch_close_us
-                         : e.index_descent_us >= 0 ? e.index_descent_us
-                                                   : e.parse_us);
-      case 4:
-        return delta(e.forward_done_us, e.rows_assembled_us);
-      case 5:
-        return delta(e.reply_flushed_us,
-                     e.forward_done_us >= 0 ? e.forward_done_us : e.parse_us);
-      default:
-        return -1;
-    }
-  }
-};
-
 int RunAnalyze(const CommandLine& cl) {
   const std::string events_path = cl.GetString("events");
   if (events_path.empty()) return Usage();
@@ -160,50 +104,40 @@ int RunAnalyze(const CommandLine& cl) {
     std::fprintf(stderr, "error: cannot open %s\n", events_path.c_str());
     return 1;
   }
-  std::vector<LoggedEvent> events;
+  // Every event, and separately the slow exemplars, in log order. The
+  // JSONL keys are the contract: stamps are read by Event::PhaseName.
+  std::vector<obs::Event> events;
+  std::vector<obs::Event> exemplars;
+  int64_t traced_count = 0;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.empty() || line.find("\"request_id\"") == std::string::npos) {
-      continue;
+    std::string request_id;
+    if (!ExtractField(line, "request_id", &request_id)) continue;
+    obs::Event event;
+    event.request_id = std::strtoull(request_id.c_str(), nullptr, 16);
+    for (size_t phase = 0; phase < obs::kNumPhases; ++phase) {
+      event.stamps[phase] = ExtractI64(line, obs::Event::PhaseName(phase), -1);
     }
-    LoggedEvent event;
-    ExtractField(line, "request_id", &event.request_id);
-    event.duration_us = ExtractI64(line, "duration_us", 0);
-    event.slow = ExtractBool(line, "slow");
-    event.ok = ExtractBool(line, "ok");
-    event.accept_us = ExtractI64(line, "accept_us", -1);
-    event.parse_us = ExtractI64(line, "parse_us", -1);
-    event.enqueue_us = ExtractI64(line, "enqueue_us", -1);
-    event.batch_close_us = ExtractI64(line, "batch_close_us", -1);
-    event.rows_assembled_us = ExtractI64(line, "rows_assembled_us", -1);
-    event.forward_done_us = ExtractI64(line, "forward_done_us", -1);
-    event.index_descent_us = ExtractI64(line, "index_descent_us", -1);
-    event.reply_flushed_us = ExtractI64(line, "reply_flushed_us", -1);
     events.push_back(event);
+    if (ExtractBool(line, "slow")) exemplars.push_back(event);
+    if (event.request_id != 0) ++traced_count;
   }
-
-  int64_t slow_count = 0;
-  int64_t traced_count = 0;
-  for (const LoggedEvent& event : events) {
-    if (event.slow) ++slow_count;
-    if (event.request_id != "0000000000000000") ++traced_count;
-  }
-  std::printf("hignn_obs: %zu events (%lld slow, %lld traced) from %s\n",
-              events.size(), static_cast<long long>(slow_count),
+  std::printf("hignn_obs: %zu events (%zu slow, %lld traced) from %s\n",
+              events.size(), exemplars.size(),
               static_cast<long long>(traced_count), events_path.c_str());
 
   std::printf("phase latency percentiles (us):\n");
   std::printf("  %-12s %8s %10s %10s %10s %10s\n", "phase", "count", "p50",
               "p95", "p99", "max");
-  for (int phase = 0; phase < PhaseDeltas::kNumPhases; ++phase) {
+  for (const obs::PhaseSpan& span : obs::kPhaseSpans) {
     std::vector<int64_t> samples;
-    for (const LoggedEvent& event : events) {
-      const int64_t delta = PhaseDeltas::Of(event, phase);
+    for (const obs::Event& event : events) {
+      const int64_t delta = event.SpanUs(span);
       if (delta >= 0) samples.push_back(delta);
     }
     std::sort(samples.begin(), samples.end());
-    std::printf("  %-12s %8zu %10lld %10lld %10lld %10lld\n",
-                PhaseDeltas::Name(phase), samples.size(),
+    std::printf("  %-12s %8zu %10lld %10lld %10lld %10lld\n", span.name,
+                samples.size(),
                 static_cast<long long>(Percentile(samples, 0.50)),
                 static_cast<long long>(Percentile(samples, 0.95)),
                 static_cast<long long>(Percentile(samples, 0.99)),
@@ -211,26 +145,25 @@ int RunAnalyze(const CommandLine& cl) {
                     samples.empty() ? 0 : samples.back()));
   }
 
-  // Slow exemplars: name the single phase that dominated each one. A
-  // request with no phase deltas at all (a health probe that somehow
-  // tripped the threshold) is attributed to "unknown".
-  std::printf("slow exemplars: %lld\n", static_cast<long long>(slow_count));
-  for (const LoggedEvent& event : events) {
-    if (!event.slow) continue;
-    int dominant = -1;
+  // Slow exemplars: name the single span that dominated each one. A
+  // request with no spans at all (a health probe that somehow tripped
+  // the threshold) is attributed to "unknown".
+  std::printf("slow exemplars: %zu\n", exemplars.size());
+  for (const obs::Event& event : exemplars) {
+    const char* dominant = "unknown";
     int64_t dominant_us = -1;
-    for (int phase = 0; phase < PhaseDeltas::kNumPhases; ++phase) {
-      const int64_t delta = PhaseDeltas::Of(event, phase);
+    for (const obs::PhaseSpan& span : obs::kPhaseSpans) {
+      const int64_t delta = event.SpanUs(span);
       if (delta > dominant_us) {
         dominant_us = delta;
-        dominant = phase;
+        dominant = span.name;
       }
     }
-    std::printf("  request %s duration_us=%lld dominant=%s dominant_us=%lld\n",
-                event.request_id.c_str(),
-                static_cast<long long>(event.duration_us),
-                dominant >= 0 ? PhaseDeltas::Name(dominant) : "unknown",
-                static_cast<long long>(dominant >= 0 ? dominant_us : 0));
+    std::printf(
+        "  request %016llx duration_us=%lld dominant=%s dominant_us=%lld\n",
+        static_cast<unsigned long long>(event.request_id),
+        static_cast<long long>(event.DurationUs()), dominant,
+        static_cast<long long>(std::max<int64_t>(dominant_us, 0)));
   }
 
   const std::string trace_path = cl.GetString("trace");

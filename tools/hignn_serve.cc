@@ -114,9 +114,9 @@ client retry flags (score/topk/health/stats/reload):
   [--retry-budget-ms 2000] total backoff sleep budget per call
   [--connect-timeout-ms 2000]  non-blocking connect deadline
   [--io-timeout-ms 2000]       per-call socket send/recv timeout
-  [--request-id-seed 0]        non-zero tags score/topk frames with
-                               deterministic request IDs and prints the
-                               server's echoed phase stamps to stderr
+  [--request-id-seed 0]        non-zero sends deterministic request IDs;
+                               score/topk print the server's echoed
+                               phase stamps to stderr
 )");
   return 2;
 }
@@ -270,22 +270,19 @@ Result<ScoringClient> ConnectFlag(const CommandLine& cl) {
 
 // When the caller opted into tracing (--request-id-seed), prints the
 // server's echoed phase stamps to stderr so the tab-separated stdout
-// stays machine-parsable.
+// stays machine-parsable. The reply-flushed stamp is left out: the server
+// cannot know it before flushing.
 void PrintTrace(const ScoringClient& client) {
-  const RequestContext& trace = client.last_trace();
+  const obs::Event& trace = client.last_trace();
   if (trace.request_id == 0) return;
-  std::fprintf(stderr,
-               "trace %016llx accept=%lld parse=%lld enqueue=%lld "
-               "batch_close=%lld rows_assembled=%lld forward_done=%lld "
-               "index_descent=%lld\n",
-               static_cast<unsigned long long>(trace.request_id),
-               static_cast<long long>(trace.accept_us),
-               static_cast<long long>(trace.parse_us),
-               static_cast<long long>(trace.enqueue_us),
-               static_cast<long long>(trace.batch_close_us),
-               static_cast<long long>(trace.rows_assembled_us),
-               static_cast<long long>(trace.forward_done_us),
-               static_cast<long long>(trace.index_descent_us));
+  std::string line = StrFormat(
+      "trace %016llx", static_cast<unsigned long long>(trace.request_id));
+  for (size_t phase = 0; phase < obs::kPhaseReplyFlushed; ++phase) {
+    const std::string name = obs::Event::PhaseName(phase);  // "<name>_us"
+    line += StrFormat(" %s=%lld", name.substr(0, name.size() - 3).c_str(),
+                      static_cast<long long>(trace.stamps[phase]));
+  }
+  std::fprintf(stderr, "%s\n", line.c_str());
 }
 
 int RunScore(const CommandLine& cl) {
