@@ -349,13 +349,16 @@ int Run(int32_t bench_users, int32_t bench_items) {
       "\"p99\": %.1f},\n",
       mean_us, p50, p95, p99);
   json += "  \"phase_latency_us\": {\n" + phases_json + "  },\n";
+  // The load sends only score requests, so the score counters are the
+  // server's totals.
+  obs::MetricsRegistry& served = metrics.registry();
   json += StrFormat(
       "  \"server\": {\"requests_total\": %lld, \"batches_total\": %lld, "
       "\"shed_total\": %lld, \"errors_total\": %lld},\n",
-      static_cast<long long>(metrics.requests_total()),
+      static_cast<long long>(served.GetCounter("serve.requests.score").value()),
       static_cast<long long>(metrics.batches_total()),
-      static_cast<long long>(metrics.shed_total()),
-      static_cast<long long>(metrics.errors_total()));
+      static_cast<long long>(served.GetCounter("serve.shed_total").value()),
+      static_cast<long long>(served.GetCounter("serve.errors.score").value()));
   json += StrFormat(
       "  \"topk_index\": {\n"
       "    \"users\": %d, \"items\": %d, \"levels\": %d, \"k\": %d, "

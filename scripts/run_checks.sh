@@ -15,9 +15,11 @@
 #      difference from the host libm's std::tanh)
 #   4. the `lint` label: hignn_lint fixture tests + whole-tree scan
 #   5. the `serve` label plus three end-to-end smokes: the client-verb
-#      round trip, a retrieval-index leg (beamed-vs-exact topk parity,
-#      four concurrent clients, a truncated store rejected on reload
-#      with the previous generation still serving), and a chaos leg
+#      round trip (the `stats` reply and the --metrics-out dump parsed as
+#      the registry's JSON when python3 is present), a retrieval-index
+#      leg (beamed-vs-exact topk parity, four concurrent clients, a
+#      truncated store rejected on reload with the previous generation
+#      still serving), and a chaos leg
 #      (HIGNN_FAULT_INJECT-failed reload, wire reload, SIGHUP hot-swap,
 #      bitwise score stability throughout)
 #   6. an introspection smoke (DESIGN.md §17): a traced daemon scraped
@@ -81,7 +83,25 @@ PORT="$(cat "$SMOKE_DIR/port")"
 "$BUILD_DIR/tools/hignn_serve" health --port "$PORT"
 "$BUILD_DIR/tools/hignn_serve" score --port "$PORT" --user 3 --item 7
 "$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" --user 3 --k 5
-"$BUILD_DIR/tools/hignn_serve" stats --port "$PORT"
+"$BUILD_DIR/tools/hignn_serve" stats --port "$PORT" \
+  | tee "$SMOKE_DIR/stats.json"
+if command -v python3 >/dev/null 2>&1; then
+  # stats = {"daemon": {...}, "registry": <MetricsRegistry::DumpJson()>},
+  # and the registry already counts the score and topk requests above.
+  python3 - "$SMOKE_DIR/stats.json" <<'PY'
+import json, sys
+stats = json.load(open(sys.argv[1]))
+assert sorted(stats) == ["daemon", "registry"], sorted(stats)
+registry = stats["registry"]
+for key in ("counters", "gauges", "histograms", "series"):
+    assert key in registry, "missing section: " + key
+for verb in ("score", "topk"):
+    assert registry["counters"]["serve.requests." + verb] >= 1, verb
+print("stats OK: daemon %s" % stats["daemon"])
+PY
+else
+  echo "python3 not installed; skipping stats JSON validation"
+fi
 
 echo "== retrieval-index smoke (beamed vs exact, concurrency, corruption)"
 # Beamed (server default --topk-beam) vs exact (--beam -1): at this scale
@@ -119,6 +139,18 @@ HEALTH="$("$BUILD_DIR/tools/hignn_serve" health --port "$PORT")"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 test -s "$SMOKE_DIR/metrics.json"
+if command -v python3 >/dev/null 2>&1; then
+  # --metrics-out writes the registry's JSON, as `hignn fit` does.
+  python3 - "$SMOKE_DIR/metrics.json" <<'PY'
+import json, sys
+metrics = json.load(open(sys.argv[1]))
+for key in ("counters", "gauges", "histograms", "series"):
+    assert key in metrics, "missing section: " + key
+print("metrics.json OK: %d counters" % len(metrics["counters"]))
+PY
+else
+  echo "python3 not installed; skipping metrics.json validation"
+fi
 
 echo "== serving chaos smoke (fault-injected reload + SIGHUP hot-swap)"
 # serve.store.open is one-shot at hit 2: the initial open (hit 1) passes,

@@ -65,8 +65,8 @@ class Gauge {
 /// Fixed bounds keep Record() allocation-free and make percentile
 /// estimates deterministic functions of the counts — no reservoir
 /// sampling, no randomness, no unordered iteration. This is the one
-/// histogram/percentile implementation in the tree: ServeMetrics and the
-/// benches are façades over it.
+/// histogram/percentile implementation in the tree: ServeMetrics records
+/// into it, and the serving verbs, run reports and benches read it.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);

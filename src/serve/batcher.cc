@@ -49,11 +49,6 @@ void MicroBatcher::Stop() {
   if (collector_.joinable()) collector_.join();
 }
 
-int64_t MicroBatcher::queued_rows() const {
-  MutexLock lock(mu_);
-  return queued_rows_;
-}
-
 Result<std::vector<float>> MicroBatcher::Score(
     const std::vector<ScoreRequest>& requests, obs::Event* event) {
   if (requests.empty()) return std::vector<float>{};
@@ -80,15 +75,15 @@ Result<std::vector<float>> MicroBatcher::Score(
       return Status::FailedPrecondition("batcher is shutting down");
     }
     const int64_t rows = static_cast<int64_t>(requests.size());
-    if (queued_rows_ + rows > config_.max_queue_rows) {
+    if (queue_rows_ + rows > config_.max_queue_rows) {
       metrics_->RecordShed();
       return Status::FailedPrecondition(
           StrFormat("overloaded: %lld rows queued (limit %d)",
-                    static_cast<long long>(queued_rows_),
+                    static_cast<long long>(queue_rows_),
                     config_.max_queue_rows));
     }
     queue_.push_back(job);
-    queued_rows_ += rows;
+    queue_rows_ += rows;
     job_arrived_.NotifyOne();
     while (!job->done) job_finished_.Wait(lock);
   }
@@ -121,7 +116,7 @@ void MicroBatcher::CollectorLoop() {
       // affects batch composition, never scores.
       // hignn-lint: allow(nondet-source) reviewed wall-clock batching window
       WallTimer window;
-      while (!stopping_ && queued_rows_ < config_.max_batch) {
+      while (!stopping_ && queue_rows_ < config_.max_batch) {
         const double remaining = delay_seconds - window.Seconds();
         if (remaining <= 0.0) break;
         job_arrived_.WaitFor(lock, std::chrono::duration<double>(remaining));
@@ -136,7 +131,7 @@ void MicroBatcher::CollectorLoop() {
         batch.push_back(queue_.front());
         queue_.pop_front();
         batch_rows += rows;
-        queued_rows_ -= rows;
+        queue_rows_ -= rows;
       }
       // Stamp the window close on every member while still under mu_ —
       // the owning callers are parked in job_finished_.Wait, so these

@@ -79,8 +79,6 @@ class MicroBatcher {
   /// are drained and answered, then the collector exits. Idempotent.
   void Stop();
 
-  int64_t queued_rows() const;
-
  private:
   struct Job {
     std::vector<ScoreRequest> requests;
@@ -96,11 +94,11 @@ class MicroBatcher {
   ServeMetrics* const metrics_;
   const BatcherConfig config_;
 
-  mutable Mutex mu_;
+  Mutex mu_;
   CondVar job_arrived_;   // signalled to the collector
   CondVar job_finished_;  // signalled to waiting callers
   std::deque<std::shared_ptr<Job>> queue_ HIGNN_GUARDED_BY(mu_);
-  int64_t queued_rows_ HIGNN_GUARDED_BY(mu_) = 0;
+  int64_t queue_rows_ HIGNN_GUARDED_BY(mu_) = 0;  ///< rows across queue_
   bool stopping_ HIGNN_GUARDED_BY(mu_) = false;
 
   // The collector blocks on its cv for whole batching windows; parking

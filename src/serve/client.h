@@ -115,7 +115,8 @@ class ScoringClient {
   /// server is currently publishing.
   Result<int64_t> HealthGeneration();
 
-  /// \brief Server metrics snapshot as JSON.
+  /// \brief Server stats JSON: `{"daemon": {...}, "registry": {...}}`,
+  /// the registry part being MetricsRegistry::DumpJson().
   Result<std::string> Stats();
 
   /// \brief Server metrics in Prometheus text exposition format

@@ -90,27 +90,6 @@ std::vector<float> PredictionEngine::ScorePairs(
   return scores;
 }
 
-Result<std::vector<Recommendation>> PredictionEngine::RecommendExact(
-    int32_t user, int32_t k, obs::Event* event) const {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (user < 0 || user >= store_->num_users()) {
-    return Status::InvalidArgument(StrFormat(
-        "user id %d out of range [0, %d)", user, store_->num_users()));
-  }
-  std::vector<int32_t> items(static_cast<size_t>(store_->num_items()));
-  std::iota(items.begin(), items.end(), 0);
-  const std::vector<float> scores = ScorePairs(
-      items.size(),
-      [user](size_t i) { return ScoreRequest{user, static_cast<int32_t>(i)}; },
-      event);
-  return TopKByScore(items, scores, k);
-}
-
-Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
-    int32_t user, int32_t k) const {
-  return RecommendExact(user, k, nullptr);
-}
-
 Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
     int32_t user, int32_t k, int32_t beam,
     ClusterTreeIndex::SearchStats* stats, obs::Event* event) const {
@@ -120,26 +99,29 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
         "user id %d out of range [0, %d)", user, store_->num_users()));
   }
   const ClusterTreeIndex& index = store_->index();
+  std::vector<int32_t> candidates;
   if (beam <= 0 || index.num_levels() == 0) {
     // Exactness knob: no beam (or nothing to route on) means the plain
-    // linear scan — bitwise identical to the two-argument overload. No
-    // descent ran, so the index-descent stamp stays -1.
+    // linear scan over every item. No descent ran, so the index-descent
+    // stamp stays -1.
     if (stats != nullptr) *stats = ClusterTreeIndex::SearchStats{};
-    return RecommendExact(user, k, event);
+    candidates.resize(static_cast<size_t>(store_->num_items()));
+    std::iota(candidates.begin(), candidates.end(), 0);
+  } else {
+    const CvrModel& model = store_->model();
+    const ClusterTreeIndex::RowScorer scorer = [&model](const Matrix& rows) {
+      return model.PredictRows(rows);
+    };
+    HIGNN_ASSIGN_OR_RETURN(
+        candidates,
+        index.SelectLeaves(store_->UserBlock(user), store_->UserTail(user),
+                           beam, scorer, stats));
+    obs::Stamp(event, obs::kPhaseIndexDescent);
   }
-  const CvrModel& model = store_->model();
-  const ClusterTreeIndex::RowScorer scorer = [&model](const Matrix& rows) {
-    return model.PredictRows(rows);
-  };
-  HIGNN_ASSIGN_OR_RETURN(
-      const std::vector<int32_t> leaves,
-      index.SelectLeaves(store_->UserBlock(user), store_->UserTail(user),
-                         beam, scorer, stats));
-  obs::Stamp(event, obs::kPhaseIndexDescent);
   const std::vector<float> scores = ScorePairs(
-      leaves.size(), [&](size_t i) { return ScoreRequest{user, leaves[i]}; },
-      event);
-  return TopKByScore(leaves, scores, k);
+      candidates.size(),
+      [&](size_t i) { return ScoreRequest{user, candidates[i]}; }, event);
+  return TopKByScore(candidates, scores, k);
 }
 
 }  // namespace hignn

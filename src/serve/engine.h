@@ -55,23 +55,18 @@ class PredictionEngine {
       const std::vector<ScoreRequest>& batch,
       obs::Event* event = nullptr) const;
 
-  /// \brief Scores every item for `user` and returns the k best via the
-  /// same TopKByScore ranking the offline recommender uses (score
-  /// descending, ties by ascending item id).
-  Result<std::vector<Recommendation>> RecommendTopK(int32_t user,
-                                                     int32_t k) const;
-
-  /// \brief Top-k through the cluster-tree retrieval index: beam-search
+  /// \brief The k best items for `user`, ranked by the same TopKByScore
+  /// the offline recommender uses (score descending, ties by ascending
+  /// item id). `beam` <= 0 — or an empty index (store without an item
+  /// hierarchical block) — scores every item: the exact linear scan.
+  /// `beam` > 0 goes through the cluster-tree retrieval index: beam-search
   /// descent over the store's hierarchy selects candidate leaves, and
   /// only those are brute-forced through the CVR head (same ScoreBatch
-  /// arithmetic, same TopKByScore order). Exactness knob: `beam` <= 0 —
-  /// or an empty index (store without an item hierarchical block) —
-  /// falls back to the full linear scan, bitwise identical to the
-  /// two-argument overload. Results are deterministic for any fixed
-  /// beam regardless of thread count. `stats` (optional) receives the
-  /// per-search index telemetry; it is zeroed on the exact path.
+  /// arithmetic). Results are deterministic for any fixed beam regardless
+  /// of thread count. `stats` (optional) receives the per-search index
+  /// telemetry; it is zeroed on the exact path.
   Result<std::vector<Recommendation>> RecommendTopK(
-      int32_t user, int32_t k, int32_t beam,
+      int32_t user, int32_t k, int32_t beam = -1,
       ClusterTreeIndex::SearchStats* stats = nullptr,
       obs::Event* event = nullptr) const;
 
@@ -88,10 +83,6 @@ class PredictionEngine {
   std::vector<float> ScorePairs(
       size_t count, const std::function<ScoreRequest(size_t)>& pair,
       obs::Event* event) const;
-
-  /// \brief Shared exact-scan tail of both RecommendTopK overloads.
-  Result<std::vector<Recommendation>> RecommendExact(
-      int32_t user, int32_t k, obs::Event* event) const;
 
   const std::unique_ptr<const EmbeddingStore> store_;
 };

@@ -1,29 +1,8 @@
 #include "serve/serve_metrics.h"
 
-#include "util/io.h"
 #include "util/string_util.h"
 
 namespace hignn {
-
-const char* ServeVerbStatName(ServeVerbStat verb) {
-  switch (verb) {
-    case ServeVerbStat::kScore:
-      return "score";
-    case ServeVerbStat::kTopK:
-      return "recommend_topk";
-    case ServeVerbStat::kHealth:
-      return "health";
-    case ServeVerbStat::kStats:
-      return "stats";
-    case ServeVerbStat::kReload:
-      return "reload";
-    case ServeVerbStat::kMetrics:
-      return "metrics";
-    case ServeVerbStat::kTraceDump:
-      return "trace_dump";
-  }
-  return "unknown";
-}
 
 ServeMetrics::ServeMetrics()
     : owned_registry_(std::make_unique<obs::MetricsRegistry>()) {
@@ -36,8 +15,8 @@ ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry) {
 
 void ServeMetrics::BindMetrics(obs::MetricsRegistry* registry) {
   registry_ = registry;
-  for (int32_t v = 0; v < kNumServeVerbs; ++v) {
-    const char* name = ServeVerbStatName(static_cast<ServeVerbStat>(v));
+  for (int32_t v = 0; v < kNumWireVerbs; ++v) {
+    const char* name = VerbName(static_cast<WireVerb>(v + 1));
     requests_[v] =
         &registry->GetCounter(StrFormat("serve.requests.%s", name));
     errors_[v] = &registry->GetCounter(StrFormat("serve.errors.%s", name));
@@ -64,10 +43,11 @@ void ServeMetrics::BindMetrics(obs::MetricsRegistry* registry) {
   }
 }
 
-void ServeMetrics::RecordRequest(ServeVerbStat verb, double latency_us,
+void ServeMetrics::RecordRequest(WireVerb verb, double latency_us,
                                  bool ok) {
-  requests_[static_cast<int32_t>(verb)]->Add(1);
-  if (!ok) errors_[static_cast<int32_t>(verb)]->Add(1);
+  const int32_t v = static_cast<int32_t>(verb) - 1;
+  requests_[v]->Add(1);
+  if (!ok) errors_[v]->Add(1);
   latency_us_->Record(latency_us);
 }
 
@@ -104,101 +84,6 @@ void ServeMetrics::RecordIndexSearch(int64_t nodes_scored,
   index_nodes_scored_->Add(nodes_scored);
   index_leaves_scored_->Add(leaves_scored);
   index_beam_->Set(static_cast<double>(beam));
-}
-
-int64_t ServeMetrics::requests_total() const {
-  int64_t total = 0;
-  for (const obs::Counter* counter : requests_) total += counter->value();
-  return total;
-}
-
-int64_t ServeMetrics::errors_total() const {
-  int64_t total = 0;
-  for (const obs::Counter* counter : errors_) total += counter->value();
-  return total;
-}
-
-int64_t ServeMetrics::shed_total() const { return shed_->value(); }
-
-int64_t ServeMetrics::reload_total() const { return reload_->value(); }
-
-int64_t ServeMetrics::reload_failed_total() const {
-  return reload_failed_->value();
-}
-
-int64_t ServeMetrics::store_generation() const {
-  return static_cast<int64_t>(store_generation_->value());
-}
-
-int64_t ServeMetrics::batches_total() const { return batch_rows_->count(); }
-
-int64_t ServeMetrics::index_searches_total() const {
-  return index_searches_->value();
-}
-
-int64_t ServeMetrics::index_exact_total() const {
-  return index_exact_->value();
-}
-
-int64_t ServeMetrics::index_nodes_scored_total() const {
-  return index_nodes_scored_->value();
-}
-
-int64_t ServeMetrics::index_leaves_scored_total() const {
-  return index_leaves_scored_->value();
-}
-
-int64_t ServeMetrics::index_beam() const {
-  return static_cast<int64_t>(index_beam_->value());
-}
-
-double ServeMetrics::LatencyPercentile(double p) const {
-  return latency_us_->Percentile(p);
-}
-
-std::string ServeMetrics::ToJson() const {
-  std::string json = "{\n  \"verbs\": {";
-  for (int32_t v = 0; v < kNumServeVerbs; ++v) {
-    json += StrFormat(
-        "%s\"%s\": {\"requests\": %lld, \"errors\": %lld}", v ? ", " : "",
-        ServeVerbStatName(static_cast<ServeVerbStat>(v)),
-        static_cast<long long>(requests_[v]->value()),
-        static_cast<long long>(errors_[v]->value()));
-  }
-  json += "},\n";
-  json += StrFormat("  \"shed_total\": %lld,\n",
-                    static_cast<long long>(shed_->value()));
-  json += StrFormat("  \"store_generation\": %lld,\n",
-                    static_cast<long long>(store_generation()));
-  json += StrFormat(
-      "  \"reloads\": {\"total\": %lld, \"failed\": %lld},\n",
-      static_cast<long long>(reload_->value()),
-      static_cast<long long>(reload_failed_->value()));
-  json += StrFormat(
-      "  \"index\": {\"searches\": %lld, \"exact\": %lld, "
-      "\"nodes_scored\": %lld, \"leaves_scored\": %lld, \"beam\": %lld},\n",
-      static_cast<long long>(index_searches_->value()),
-      static_cast<long long>(index_exact_->value()),
-      static_cast<long long>(index_nodes_scored_->value()),
-      static_cast<long long>(index_leaves_scored_->value()),
-      static_cast<long long>(index_beam()));
-  json += StrFormat(
-      "  \"latency_us\": {\"count\": %lld, \"p50\": %.1f, \"p95\": %.1f, "
-      "\"p99\": %.1f, \"histogram\": %s},\n",
-      static_cast<long long>(latency_us_->count()),
-      latency_us_->Percentile(0.50), latency_us_->Percentile(0.95),
-      latency_us_->Percentile(0.99), latency_us_->BucketsJson().c_str());
-  json += StrFormat(
-      "  \"batch_rows\": {\"count\": %lld, \"p50\": %.1f, "
-      "\"histogram\": %s}\n",
-      static_cast<long long>(batch_rows_->count()),
-      batch_rows_->Percentile(0.50), batch_rows_->BucketsJson().c_str());
-  json += "}\n";
-  return json;
-}
-
-Status ServeMetrics::DumpJson(const std::string& path) const {
-  return AtomicWriteTextFile(path, ToJson());
 }
 
 }  // namespace hignn

@@ -26,12 +26,6 @@ namespace {
 // How often the accept loop wakes to check the stop flag.
 constexpr int kAcceptPollMs = 50;
 
-// A known verb byte v is counted as ServeVerbStat v - 1.
-static_assert(static_cast<int>(WireVerb::kScore) == 1 &&
-              static_cast<int>(WireVerb::kTraceDump) == kNumServeVerbs &&
-              static_cast<int>(ServeVerbStat::kTraceDump) ==
-                  kNumServeVerbs - 1);
-
 WireReply ErrorReply(const Status& status) {
   WireReply reply;
   switch (status.code()) {
@@ -239,8 +233,8 @@ std::vector<char> ScoringServer::HandleRequest(
   }
   event->ok = reply.status == WireStatus::kOk;
   // Unknown verbs and empty frames have no counter.
-  if (event->verb >= 1 && event->verb <= kNumServeVerbs) {
-    metrics_->RecordRequest(static_cast<ServeVerbStat>(event->verb - 1),
+  if (event->verb >= 1 && event->verb <= kNumWireVerbs) {
+    metrics_->RecordRequest(static_cast<WireVerb>(event->verb),
                             timer.Seconds() * 1e6, event->ok);
   }
   if (!request.ok()) return EncodeReply(WireRequest(), reply);
@@ -283,25 +277,20 @@ WireReply ScoringServer::Execute(const WireRequest& request,
     case WireVerb::kHealth:
       reply.generation = static_cast<uint32_t>(stores_->generation());
       break;
-    case WireVerb::kStats: {
-      // ToJson() is the stable pre-§17 wire format; the daemon-scoped
-      // fields (start generation, monotonic uptime, exemplar config) are
-      // spliced in as a trailing "daemon" section so every older field
-      // keeps its exact bytes.
-      std::string json = metrics_->ToJson();  // ends "...}\n}\n"
-      json.erase(json.size() - 3);            // keep "...}", drop "\n}\n"
-      json += StrFormat(
-          ",\n  \"daemon\": {\"start_generation\": %lld, "
-          "\"uptime_us\": %lld, \"slow_threshold_us\": %lld, "
-          "\"events_recorded\": %lld, \"slow_events\": %lld}\n}\n",
+    case WireVerb::kStats:
+      // The daemon's own fields, then the registry's JSON unchanged.
+      reply.text = StrFormat(
+          "{\"daemon\": {\"start_generation\": %lld, \"uptime_us\": %lld, "
+          "\"slow_threshold_us\": %lld, \"events_recorded\": %lld, "
+          "\"slow_events\": %lld},\n\"registry\": ",
           static_cast<long long>(start_generation_),
           static_cast<long long>(obs::NowMicros() - start_us_),
           static_cast<long long>(event_log_->slow_threshold_us()),
           static_cast<long long>(event_log_->recorded()),
           static_cast<long long>(event_log_->slow_recorded()));
-      reply.text = std::move(json);
+      reply.text += metrics_->registry().DumpJson();  // ends with "}\n"
+      reply.text += "}\n";
       break;
-    }
     case WireVerb::kReload: {
       Result<int64_t> generation = stores_->Reload(request.store_path);
       if (!generation.ok()) {

@@ -12,6 +12,9 @@ Result<std::unique_ptr<StoreManager>> StoreManager::Open(
   if (path.empty()) {
     return Status::InvalidArgument("store path must not be empty");
   }
+  if (metrics == nullptr) {
+    return Status::InvalidArgument("metrics must not be null");
+  }
   std::unique_ptr<StoreManager> manager(new StoreManager(metrics));
   HIGNN_ASSIGN_OR_RETURN(std::unique_ptr<PredictionEngine> engine,
                          OpenEngine(path));
@@ -42,9 +45,7 @@ void StoreManager::Publish(std::shared_ptr<const StoreGeneration> next) {
     current_ = std::move(next);
     generation_.store(current_->number, std::memory_order_relaxed);
   }
-  if (metrics_ != nullptr) {
-    metrics_->SetStoreGeneration(generation());
-  }
+  metrics_->SetStoreGeneration(generation());
 }
 
 Result<int64_t> StoreManager::Reload(const std::string& path) {
@@ -56,10 +57,8 @@ Result<int64_t> StoreManager::Reload(const std::string& path) {
   // keeps flowing against `previous` the whole time; a failure below
   // this block simply never publishes.
   Result<std::unique_ptr<PredictionEngine>> engine = OpenEngine(source);
-  reload_total_.fetch_add(1, std::memory_order_relaxed);
+  metrics_->RecordReload(engine.ok());
   if (!engine.ok()) {
-    reload_failed_total_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->RecordReload(false);
     HIGNN_LOG(kWarning) << "store reload from '" << source
                         << "' failed (generation " << previous->number
                         << " keeps serving): "
@@ -78,7 +77,6 @@ Result<int64_t> StoreManager::Reload(const std::string& path) {
   fault::MaybeCrash("serve.reload.publish");
 
   Publish(next);
-  if (metrics_ != nullptr) metrics_->RecordReload(true);
   HIGNN_LOG(kInfo) << "store reloaded from '" << source << "' (generation "
                    << next->number << ", " << next->store().num_users()
                    << " users x " << next->store().num_items() << " items, "

@@ -42,7 +42,7 @@ struct StoreGeneration {
 /// re-runs every io v2 CRC/truncation check) and only then swaps the
 /// published pointer — so a reload that fails validation is a no-op for
 /// traffic: the previous generation keeps serving, untouched, and the
-/// failure is only visible as reload_failed_total ticking up.
+/// failure is only visible as `serve.reload_failed_total` ticking up.
 ///
 /// Reloads are serialized among themselves but never block readers for
 /// longer than the pointer swap.
@@ -54,8 +54,8 @@ struct StoreGeneration {
 class StoreManager {
  public:
   /// \brief Opens the initial generation from `path`. `metrics` is
-  /// borrowed (may be null for tests that don't care); reload counters
-  /// and the store_generation gauge report through it.
+  /// borrowed, must outlive the manager, and receives the reload counters
+  /// and the store_generation gauge; null is InvalidArgument.
   static Result<std::unique_ptr<StoreManager>> Open(const std::string& path,
                                                     ServeMetrics* metrics);
 
@@ -78,13 +78,6 @@ class StoreManager {
     return generation_.load(std::memory_order_relaxed);
   }
 
-  int64_t reload_total() const {
-    return reload_total_.load(std::memory_order_relaxed);
-  }
-  int64_t reload_failed_total() const {
-    return reload_failed_total_.load(std::memory_order_relaxed);
-  }
-
  private:
   explicit StoreManager(ServeMetrics* metrics) : metrics_(metrics) {}
 
@@ -95,15 +88,13 @@ class StoreManager {
 
   void Publish(std::shared_ptr<const StoreGeneration> next);
 
-  ServeMetrics* const metrics_;  // borrowed, may be null
+  ServeMetrics* const metrics_;  // borrowed
 
   mutable Mutex mu_;  ///< guards current_ (the RCU pointer)
   std::shared_ptr<const StoreGeneration> current_ HIGNN_GUARDED_BY(mu_);
 
   Mutex reload_mu_;  ///< serializes whole Reload() calls
   std::atomic<int64_t> generation_{0};
-  std::atomic<int64_t> reload_total_{0};
-  std::atomic<int64_t> reload_failed_total_{0};
 };
 
 }  // namespace hignn

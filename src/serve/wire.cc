@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include <sys/socket.h>
@@ -35,13 +36,6 @@ uint64_t LoadLittleEndian(const char* data, int bytes) {
 // payload is too short to hold it (its length check then fails).
 uint64_t LeadingU32(const std::vector<char>& payload) {
   return payload.size() >= 5 ? LoadLittleEndian(payload.data() + 1, 4) : 0;
-}
-
-const char* VerbName(WireVerb verb) {
-  static const char* const kNames[] = {"score",  "topk",    "health",
-                                       "stats",  "reload",  "metrics",
-                                       "trace_dump"};
-  return kNames[static_cast<size_t>(verb) - 1];
 }
 
 Status CheckLength(WireVerb verb, const char* what, uint64_t expected,
@@ -121,6 +115,15 @@ class WireReader {
 
 }  // namespace
 
+const char* VerbName(WireVerb verb) {
+  static constexpr const char* kNames[] = {"score",  "topk",    "health",
+                                           "stats",  "reload",  "metrics",
+                                           "trace_dump"};
+  static_assert(std::size(kNames) == kNumWireVerbs &&
+                static_cast<int32_t>(WireVerb::kTraceDump) == kNumWireVerbs);
+  return kNames[static_cast<size_t>(verb) - 1];
+}
+
 std::vector<char> EncodeRequest(const WireRequest& request) {
   WireWriter writer;
   writer.PutU8(static_cast<uint8_t>(request.verb));
@@ -152,8 +155,7 @@ Result<WireRequest> DecodeRequest(const std::vector<char>& payload) {
     return Status::InvalidArgument("empty request frame");
   }
   const uint8_t verb = static_cast<uint8_t>(payload[0]);
-  if (verb < static_cast<uint8_t>(WireVerb::kScore) ||
-      verb > static_cast<uint8_t>(WireVerb::kTraceDump)) {
+  if (verb < 1 || verb > kNumWireVerbs) {
     return Status::InvalidArgument(StrFormat("unknown verb %u", verb));
   }
   WireRequest request;

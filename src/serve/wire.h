@@ -30,7 +30,8 @@ namespace hignn {
 ///              < 0 = exact linear scan; > 0 = beam-search descent of the
 ///              store's cluster-tree index with that width.
 ///   kHealth    empty / u8 1, u32 store generation
-///   kStats     empty / u32-prefixed JSON string
+///   kStats     empty / u32-prefixed JSON string: the daemon's fields and
+///              its MetricsRegistry::DumpJson() (DESIGN.md §17)
 ///   kReload    u32-prefixed store path ("" = re-open the path the
 ///              current generation was loaded from) / u32 new store
 ///              generation. A reload that fails validation answers
@@ -64,6 +65,13 @@ enum class WireVerb : uint8_t {
   kMetrics = 6,
   kTraceDump = 7,
 };
+
+/// \brief Known verb bytes run from 1 to kNumWireVerbs.
+inline constexpr int32_t kNumWireVerbs = 7;
+
+/// \brief Lowercase verb name ("score", "topk", ...), used in the codec's
+/// error messages and the `serve.{requests,errors}.<name>` counters.
+const char* VerbName(WireVerb verb);
 
 /// \brief Response status on the wire.
 enum class WireStatus : uint8_t {

@@ -25,6 +25,7 @@
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "serve/serve_metrics.h"
+#include "serve/wire.h"
 #include "util/status.h"
 #include "util/string_util.h"
 
@@ -473,28 +474,21 @@ TEST(ObsRunReportTest, CorruptionAndTruncationAreRejected) {
 TEST(ObsServeFacadeTest, ServeMetricsReportsIntoItsRegistry) {
   obs::MetricsRegistry registry;
   ServeMetrics metrics(&registry);
-  metrics.RecordRequest(ServeVerbStat::kScore, 120.0, /*ok=*/true);
-  metrics.RecordRequest(ServeVerbStat::kTopK, 300.0, /*ok=*/false);
+  metrics.RecordRequest(WireVerb::kScore, 120.0, /*ok=*/true);
+  metrics.RecordRequest(WireVerb::kTopK, 300.0, /*ok=*/false);
   metrics.RecordShed();
   metrics.RecordBatch(4);
 
+  // Counter names come from the wire's VerbName table.
   EXPECT_EQ(registry.GetCounter("serve.requests.score").value(), 1);
-  EXPECT_EQ(registry.GetCounter("serve.errors.recommend_topk").value(), 1);
+  EXPECT_EQ(registry.GetCounter("serve.errors.score").value(), 0);
+  EXPECT_EQ(registry.GetCounter("serve.requests.topk").value(), 1);
+  EXPECT_EQ(registry.GetCounter("serve.errors.topk").value(), 1);
   EXPECT_EQ(registry.GetCounter("serve.shed_total").value(), 1);
   EXPECT_EQ(
       registry.GetHistogram("serve.latency_us", {}).count(), 2);
-  EXPECT_EQ(metrics.requests_total(), 2);
-  EXPECT_EQ(metrics.errors_total(), 1);
-
-  // The wire format (pinned byte-for-byte in serve_test.cc) surfaces the
-  // same values the registry holds.
-  const std::string json = metrics.ToJson();
-  EXPECT_NE(json.find("\"score\": {\"requests\": 1, \"errors\": 0}"),
-            std::string::npos);
-  EXPECT_NE(
-      json.find("\"recommend_topk\": {\"requests\": 1, \"errors\": 1}"),
-      std::string::npos);
-  EXPECT_NE(json.find("\"shed_total\": 1"), std::string::npos);
+  EXPECT_EQ(metrics.batches_total(), 1);
+  EXPECT_EQ(&metrics.registry(), &registry);
 }
 
 // The tentpole invariant: telemetry is observation-only. Training with

@@ -25,6 +25,7 @@
 #include "core/hignn.h"
 #include "data/synthetic.h"
 #include "obs/event_log.h"
+#include "obs/metrics.h"
 #include "predict/cvr_model.h"
 #include "predict/features.h"
 #include "serve/client.h"
@@ -115,9 +116,16 @@ std::vector<ScoreRequest> ServeChaosFixture::pairs_;
 
 // ------------------------------------------------------ StoreManager ----
 
+TEST_F(ServeChaosFixture, OpenWithoutMetricsIsInvalidArgument) {
+  auto stores = StoreManager::Open(store_path_, nullptr);
+  ASSERT_FALSE(stores.ok());
+  EXPECT_EQ(stores.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(ServeChaosFixture, ReloadPreservesBitwiseScoreParity) {
+  ServeMetrics metrics;
   auto stores =
-      std::move(StoreManager::Open(store_path_, nullptr).ValueOrDie());
+      std::move(StoreManager::Open(store_path_, &metrics).ValueOrDie());
   EXPECT_EQ(stores->generation(), 1);
   const std::vector<float> before =
       stores->Current()->engine->ScoreBatch(pairs_).ValueOrDie();
@@ -136,13 +144,16 @@ TEST_F(ServeChaosFixture, ReloadPreservesBitwiseScoreParity) {
   for (size_t i = 0; i < after.size(); ++i) {
     ASSERT_EQ(after[i], before[i]) << "pair " << i;  // bitwise, not near
   }
-  EXPECT_EQ(stores->reload_total(), 2);
-  EXPECT_EQ(stores->reload_failed_total(), 0);
+  obs::MetricsRegistry& registry = metrics.registry();
+  EXPECT_EQ(registry.GetCounter("serve.reload_total").value(), 2);
+  EXPECT_EQ(registry.GetCounter("serve.reload_failed_total").value(), 0);
+  EXPECT_EQ(registry.GetGauge("serve.store_generation").value(), 3.0);
 }
 
 TEST_F(ServeChaosFixture, InFlightGenerationSurvivesAReloadUnderneathIt) {
+  ServeMetrics metrics;
   auto stores =
-      std::move(StoreManager::Open(store_path_, nullptr).ValueOrDie());
+      std::move(StoreManager::Open(store_path_, &metrics).ValueOrDie());
   const std::shared_ptr<const StoreGeneration> held = stores->Current();
   ASSERT_TRUE(stores->Reload().ok());
   ASSERT_TRUE(stores->Reload().ok());
@@ -183,19 +194,22 @@ TEST_F(ServeChaosFixture, CorruptAndTruncatedReloadsAreNoOps) {
   for (size_t i = 0; i < after.size(); ++i) {
     ASSERT_EQ(after[i], before[i]) << "pair " << i;
   }
-  EXPECT_EQ(stores->reload_total(), 2);
-  EXPECT_EQ(stores->reload_failed_total(), 2);
-  EXPECT_EQ(metrics.reload_failed_total(), 2);
+  obs::MetricsRegistry& registry = metrics.registry();
+  EXPECT_EQ(registry.GetCounter("serve.reload_total").value(), 2);
+  EXPECT_EQ(registry.GetCounter("serve.reload_failed_total").value(), 2);
+  EXPECT_EQ(registry.GetGauge("serve.store_generation").value(), 1.0);
 }
 
 TEST_F(ServeChaosFixture, InjectedOpenFaultFailsReloadThenRecovers) {
+  ServeMetrics metrics;
   auto stores =
-      std::move(StoreManager::Open(store_path_, nullptr).ValueOrDie());
+      std::move(StoreManager::Open(store_path_, &metrics).ValueOrDie());
   fault::Configure("serve.store.open=fail");
   auto injected = stores->Reload();
   ASSERT_FALSE(injected.ok());
   EXPECT_EQ(stores->generation(), 1);
-  EXPECT_EQ(stores->reload_failed_total(), 1);
+  EXPECT_EQ(
+      metrics.registry().GetCounter("serve.reload_failed_total").value(), 1);
   fault::Configure("");
   // One-shot fault cleared: the very next reload succeeds.
   EXPECT_EQ(stores->Reload().ValueOrDie(), 2);
@@ -235,10 +249,21 @@ TEST_F(ServeChaosFixture, ReloadVerbSwapsGenerationsVisibleToClients) {
   for (size_t i = 0; i < after.size(); ++i) {
     ASSERT_EQ(after[i], before[i]) << "pair " << i;
   }
+  // The daemon section keeps the generation it started on; the registry
+  // counts both reload attempts and publishes the live generation.
   const std::string json = client.Stats().ValueOrDie();
-  EXPECT_NE(json.find("\"store_generation\": 2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"reloads\": {\"total\": 2, \"failed\": 1}"),
+  EXPECT_EQ(json.rfind("{\"daemon\": {\"start_generation\": 1, ", 0), 0u)
+      << json;
+  EXPECT_NE(json.find("\"serve.reload_failed_total\": 1,\n"),
             std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"serve.reload_total\": 2,\n"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"serve.requests.reload\": 2,\n"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"serve.errors.reload\": 1,\n"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"serve.store_generation\": 2\n"), std::string::npos)
       << json;
   server->Stop();
 }
@@ -447,9 +472,11 @@ TEST_F(ServeChaosFixture, ReloadUnderLoadLosesNothing) {
         << statuses[static_cast<size_t>(c)].ToString();
   }
   EXPECT_EQ(stores->generation(), 1 + kReloads);
-  EXPECT_EQ(stores->reload_total(), kReloads);
-  EXPECT_EQ(stores->reload_failed_total(), 0);
-  EXPECT_EQ(metrics.store_generation(), 1 + kReloads);
+  obs::MetricsRegistry& registry = metrics.registry();
+  EXPECT_EQ(registry.GetCounter("serve.reload_total").value(), kReloads);
+  EXPECT_EQ(registry.GetCounter("serve.reload_failed_total").value(), 0);
+  EXPECT_EQ(registry.GetGauge("serve.store_generation").value(),
+            static_cast<double>(1 + kReloads));
 }
 
 }  // namespace

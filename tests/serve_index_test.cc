@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "data/planted.h"
+#include "obs/metrics.h"
 #include "predict/recommender.h"
 #include "serve/client.h"
 #include "serve/embedding_store.h"
@@ -445,14 +446,23 @@ TEST_F(PlantedIndexFixture, WireBeamOverrideSelectsExactOrBeamedPath) {
 
   // serve.index.* metrics observed the traffic: four beamed searches,
   // two exact ones.
-  EXPECT_EQ(metrics.index_searches_total(), 6);
-  EXPECT_EQ(metrics.index_exact_total(), 2);
-  EXPECT_GT(metrics.index_nodes_scored_total(), 0);
-  EXPECT_GT(metrics.index_leaves_scored_total(), 0);
-  EXPECT_EQ(metrics.index_beam(), kDefaultTopKBeam);
+  obs::MetricsRegistry& registry = metrics.registry();
+  EXPECT_EQ(registry.GetCounter("serve.index.searches_total").value(), 6);
+  EXPECT_EQ(registry.GetCounter("serve.index.exact_total").value(), 2);
+  EXPECT_GT(registry.GetCounter("serve.index.nodes_scored_total").value(), 0);
+  EXPECT_GT(registry.GetCounter("serve.index.leaves_scored_total").value(),
+            0);
+  EXPECT_EQ(registry.GetGauge("serve.index.beam").value(),
+            static_cast<double>(kDefaultTopKBeam));
   const std::string json = client.Stats().ValueOrDie();
-  EXPECT_NE(json.find("\"index\": {\"searches\": 6, \"exact\": 2"),
+  EXPECT_EQ(json.rfind("{\"daemon\": {\"start_generation\": 1, ", 0), 0u)
+      << json;
+  EXPECT_NE(json.find("\"serve.index.searches_total\": 6,\n"),
             std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"serve.index.exact_total\": 2,\n"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"serve.requests.topk\": 6,\n"), std::string::npos)
       << json;
   server->Stop();
 }

@@ -278,9 +278,9 @@ TEST_F(ServeFixture, EngineRejectsInvalidIds) {
 // -------------------------------------------------------------- batcher --
 
 TEST_F(ServeFixture, BatcherStopRejectsNewWorkAfterDraining) {
-  auto stores =
-      std::move(StoreManager::Open(store_path_, nullptr).ValueOrDie());
   ServeMetrics metrics;
+  auto stores =
+      std::move(StoreManager::Open(store_path_, &metrics).ValueOrDie());
   MicroBatcher batcher(stores.get(), &metrics, BatcherConfig());
   EXPECT_TRUE(batcher.Score(TestPairs(4)).ok());
   batcher.Stop();
@@ -290,16 +290,16 @@ TEST_F(ServeFixture, BatcherStopRejectsNewWorkAfterDraining) {
 }
 
 TEST_F(ServeFixture, BatcherShedsRequestsBeyondTheQueueBound) {
-  auto stores =
-      std::move(StoreManager::Open(store_path_, nullptr).ValueOrDie());
   ServeMetrics metrics;
+  auto stores =
+      std::move(StoreManager::Open(store_path_, &metrics).ValueOrDie());
   BatcherConfig config;
   config.max_queue_rows = 8;
   MicroBatcher batcher(stores.get(), &metrics, config);
   auto shed = batcher.Score(TestPairs(16));  // 16 rows > bound of 8
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(metrics.shed_total(), 1);
+  EXPECT_EQ(metrics.registry().GetCounter("serve.shed_total").value(), 1);
   EXPECT_TRUE(batcher.Score(TestPairs(4)).ok());  // still serving
 }
 
@@ -369,14 +369,28 @@ TEST_F(ServeFixture, TcpStatsReportsServedTraffic) {
 
   EXPECT_TRUE(client.Score(TestPairs(8)).ok());
   EXPECT_TRUE(client.Health().ok());
+  // {"daemon": {...}, "registry": <MetricsRegistry::DumpJson()>}: the
+  // score and health requests are already counted, this stats one not yet.
   const std::string json = client.Stats().ValueOrDie();
-  EXPECT_NE(json.find("\"verbs\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"score\": {\"requests\": 1"), std::string::npos)
+  EXPECT_EQ(json.rfind("{\"daemon\": {\"start_generation\": 1, ", 0), 0u)
       << json;
-  EXPECT_NE(json.find("\"latency_us\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"batch_rows\""), std::string::npos) << json;
-  EXPECT_GE(metrics.requests_total(), 2);
-  EXPECT_GE(metrics.batches_total(), 1);
+  EXPECT_NE(json.find("},\n\"registry\": {\n  \"counters\": {"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"serve.requests.score\": 1,\n"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"serve.requests.health\": 1,\n"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"serve.requests.stats\": 0,\n"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"serve.latency_us\": {\"count\": 2,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"serve.batch_rows\": {\"count\": 1,"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.substr(json.size() - 4), "}\n}\n") << json;
+  EXPECT_EQ(metrics.batches_total(), 1);
   server->Stop();
 }
 
@@ -396,7 +410,7 @@ TEST_F(ServeFixture, TcpOverloadShedsWithFastFailure) {
   auto shed = client.Score(TestPairs(16));  // 16 rows > bound of 8
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_GE(metrics.shed_total(), 1);
+  EXPECT_GE(metrics.registry().GetCounter("serve.shed_total").value(), 1);
   EXPECT_TRUE(client.Score(TestPairs(4)).ok());  // recovered immediately
   server->Stop();
 }
@@ -576,7 +590,9 @@ TEST_F(ServeFixture, LegacyFramesAreBadRequestsAndTheConnectionServesOn) {
                        "\"ok\": true"),
             std::string::npos)
       << jsonl;
-  EXPECT_EQ(metrics.errors_total(), 2);
+  EXPECT_EQ(metrics.registry().GetCounter("serve.errors.topk").value(), 1);
+  EXPECT_EQ(metrics.registry().GetCounter("serve.errors.score").value(), 1);
+  EXPECT_EQ(metrics.registry().GetCounter("serve.errors.health").value(), 0);
 }
 
 TEST_F(ServeFixture, StatsCarriesTheDaemonSectionAndMetricsVerbsServe) {
@@ -632,8 +648,9 @@ TEST_F(ServeFixture, StatsCarriesTheDaemonSectionAndMetricsVerbsServe) {
 // or four handlers interleave them — the determinism half of the serving
 // contract, checked end to end through real sockets.
 TEST_F(ServeFixture, ConcurrentClientsGetIdenticalScoresAtAnyThreadCount) {
+  ServeMetrics store_metrics;
   auto stores =
-      std::move(StoreManager::Open(store_path_, nullptr).ValueOrDie());
+      std::move(StoreManager::Open(store_path_, &store_metrics).ValueOrDie());
   const std::vector<ScoreRequest> pairs = TestPairs(32);
   const std::vector<float> expected = OfflineScores(pairs);
 

@@ -3,7 +3,8 @@
 // Serve mode loads an embedding store (built by `hignn export-store`)
 // and answers score/topk/health/stats/reload requests over the wire.h
 // TCP protocol until SIGINT/SIGTERM, then shuts down gracefully and
-// dumps a metrics JSON snapshot:
+// dumps the metrics registry as JSON (the `hignn fit --metrics-out`
+// shape):
 //
 //   hignn export-store --preset tiny --out /tmp/tiny.hgnnstore
 //   hignn_serve serve --store /tmp/tiny.hgnnstore --port 0 \
@@ -80,7 +81,8 @@ commands:
            [--recv-timeout-ms 200]
            [--topk-beam 32]       (default retrieval beam for topk;
                                    <= 0 serves the exact linear scan)
-           [--metrics-out FILE]   (dump metrics JSON on shutdown)
+           [--metrics-out FILE]   (dump the metrics registry as JSON
+                                   on shutdown)
            [--trace-out FILE]     (dump Chrome trace_event JSON on
                                    shutdown; open in chrome://tracing)
            [--events-out FILE]    (dump the per-request event log as
@@ -97,7 +99,7 @@ commands:
             cluster-tree beam width)
   health   liveness probe (prints the live store generation)
            --port P [--host 127.0.0.1]
-  stats    print the server's metrics JSON
+  stats    print the server's JSON: {"daemon": {...}, "registry": {...}}
            --port P [--host 127.0.0.1]
   metrics  print the server's metrics in Prometheus text format
            --port P [--host 127.0.0.1]
@@ -214,7 +216,8 @@ int RunServe(const CommandLine& cl) {
   server.value()->Stop();
   const std::string metrics_out = cl.GetString("metrics-out");
   if (!metrics_out.empty()) {
-    if (Status status = metrics.DumpJson(metrics_out); !status.ok()) {
+    if (Status status = metrics.registry().DumpJsonToFile(metrics_out);
+        !status.ok()) {
       return Fail(status);
     }
     std::printf("metrics written to %s\n", metrics_out.c_str());
