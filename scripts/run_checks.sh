@@ -28,10 +28,16 @@
 #      analyzed by hignn_obs (per-phase percentiles + dominant-phase
 #      attribution of slow exemplars), and the observation-only contract
 #      re-proved over the wire against an --obs-off daemon
-#   7. clang-tidy over src/ via compile_commands.json, when clang-tidy is
+#   7. the linker-backed dead-code gate (scripts/run_deadcode.sh, in
+#      <build-dir>-deadcode): every global hignn:: function is linked by a
+#      shipped binary or listed with a reason in scripts/deadcode_allow.txt
+#   8. the benchmark smoke: hignn_bench/run.py --smoke builds hignn_bench
+#      from its own CMake project and runs every workload at toy size,
+#      untraced and traced, checking every metric and correctness check
+#   9. clang-tidy over src/ via compile_commands.json, when clang-tidy is
 #      installed (skipped with a notice otherwise, so the gate stays green
 #      in minimal containers)
-#   8. a Clang -Wthread-safety -Werror build of the hignn library, when
+#  10. a Clang -Wthread-safety -Werror build of the hignn library, when
 #      clang++ is installed — the compiler-checked half of the concurrency
 #      contract (HIGNN_GUARDED_BY / HIGNN_REQUIRES annotations); skipped
 #      with a notice under GCC-only toolchains, where hignn_lint's
@@ -314,6 +320,16 @@ TOPK_OFF="$("$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" \
 [ "$TOPK_TRACED" = "$TOPK_OFF" ]
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
+
+echo "== dead-code gate (gc-sections link vs scripts/deadcode_allow.txt)"
+scripts/run_deadcode.sh "$BUILD_DIR-deadcode"
+
+echo "== hignn_bench smoke (every workload at toy size)"
+if command -v python3 >/dev/null 2>&1; then
+  python3 hignn_bench/run.py --smoke
+else
+  echo "python3 not installed; skipping the hignn_bench smoke"
+fi
 
 echo "== clang-tidy"
 if command -v clang-tidy >/dev/null 2>&1; then

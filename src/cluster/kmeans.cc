@@ -524,11 +524,6 @@ Result<KMeansResult> RunKMeans(const Matrix& points,
     obs::CounterAdd("kmeans.iterations", result.value().iterations);
     obs::CounterAdd("kmeans.reseeds", result.value().reseeds);
   }
-  if (result.ok() && result.value().reseeds > 0) {
-    HIGNN_LOG(kDebug) << StrFormat(
-        "kmeans: reseeded %d empty cluster(s) of k=%d over %d iteration(s)",
-        result.value().reseeds, k, result.value().iterations);
-  }
   return result;
 }
 

@@ -306,13 +306,25 @@ Result<TrainingCheckpoint> LoadCheckpointFile(const std::string& path) {
   if (num_levels < 0 || num_levels > 64) {
     return Status::IOError("unreasonable checkpoint level count");
   }
-  ckpt.completed_levels.reserve(static_cast<size_t>(num_levels));
+  // Finished levels form one chain, as in a saved model, and the
+  // in-progress graph chains onto the last of them. A finished run's final
+  // boundary has no next level; it keeps that level's own input graph,
+  // which Fit never trains on.
+  std::vector<HignnLevel>& done = ckpt.completed_levels;
+  done.reserve(static_cast<size_t>(num_levels));
   for (int32_t l = 0; l < num_levels; ++l) {
-    HIGNN_ASSIGN_OR_RETURN(HignnLevel level, ReadLevelPayload(reader));
-    ckpt.completed_levels.push_back(std::move(level));
+    HIGNN_ASSIGN_OR_RETURN(
+        HignnLevel level,
+        ReadLevelPayload(reader, done.empty() ? nullptr : &done.back()));
+    done.push_back(std::move(level));
   }
 
   HIGNN_ASSIGN_OR_RETURN(ckpt.graph, ReadGraphPayload(reader));
+  if (!done.empty() &&
+      (ckpt.graph.num_left() != done.back().graph.num_left() ||
+       ckpt.graph.num_right() != done.back().graph.num_right())) {
+    HIGNN_RETURN_IF_ERROR(CheckLevelChain(done.back(), ckpt.graph));
+  }
   HIGNN_ASSIGN_OR_RETURN(ckpt.left_features, ReadMatrixPayload(reader));
   HIGNN_ASSIGN_OR_RETURN(ckpt.right_features, ReadMatrixPayload(reader));
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/checkpoint.h"
+#include "core/serialization.h"
 #include "core/training_monitor.h"
 #include "graph/coarsen.h"
 #include "nn/optimizer.h"
@@ -81,36 +82,6 @@ int32_t HignnModel::RightClusterAt(int32_t i, int32_t level) const {
     vertex = assignment[static_cast<size_t>(vertex)];
   }
   return vertex;
-}
-
-std::vector<float> HignnModel::HierarchicalLeft(int32_t u) const {
-  const size_t d = static_cast<size_t>(level_dim());
-  std::vector<float> out;
-  out.reserve(static_cast<size_t>(hierarchical_dim()));
-  int32_t vertex = u;
-  for (int32_t l = 1; l <= num_levels(); ++l) {
-    const HignnLevel& level = levels_[static_cast<size_t>(l - 1)];
-    const float* row =
-        level.left_embeddings.row(static_cast<size_t>(vertex));
-    out.insert(out.end(), row, row + d);
-    vertex = level.left_assignment[static_cast<size_t>(vertex)];
-  }
-  return out;
-}
-
-std::vector<float> HignnModel::HierarchicalRight(int32_t i) const {
-  const size_t d = static_cast<size_t>(level_dim());
-  std::vector<float> out;
-  out.reserve(static_cast<size_t>(hierarchical_dim()));
-  int32_t vertex = i;
-  for (int32_t l = 1; l <= num_levels(); ++l) {
-    const HignnLevel& level = levels_[static_cast<size_t>(l - 1)];
-    const float* row =
-        level.right_embeddings.row(static_cast<size_t>(vertex));
-    out.insert(out.end(), row, row + d);
-    vertex = level.right_assignment[static_cast<size_t>(vertex)];
-  }
-  return out;
 }
 
 namespace {
@@ -246,6 +217,13 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
         HIGNN_LOG(kWarning)
             << "ignoring inconsistent checkpoint (completed levels "
             << ckpt.completed_levels.size() << ", level " << ckpt.level << ")";
+      } else if (ckpt.level <= config.levels &&
+                 !ckpt.completed_levels.empty() &&
+                 !CheckLevelChain(ckpt.completed_levels.back(), ckpt.graph)
+                      .ok()) {
+        HIGNN_LOG(kWarning) << "ignoring inconsistent checkpoint (level "
+                            << ckpt.level
+                            << " graph does not chain onto the level below)";
       } else {
         resumed = true;
         next_sequence = ckpt.sequence + 1;

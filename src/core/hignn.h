@@ -94,13 +94,10 @@ class HignnModel {
   int32_t LeftClusterAt(int32_t u, int32_t level) const;
   int32_t RightClusterAt(int32_t i, int32_t level) const;
 
-  /// \brief z^H_u = CONCAT(z^1_u, ..., z^L_u) (Sec. IV-A): the level-l
-  /// block is the embedding of u's cluster chain at that level.
-  std::vector<float> HierarchicalLeft(int32_t u) const;
-  std::vector<float> HierarchicalRight(int32_t i) const;
-
   /// \brief Hierarchical embeddings for every original vertex, restricted
-  /// to levels [1, max_level]; max_level <= 0 means all levels. Rows are
+  /// to levels [1, max_level]; max_level <= 0 means all levels. Row u is
+  /// z^H_u = CONCAT(z^1_u, ..., z^L_u) (Sec. IV-A): its level-l block is
+  /// the embedding of u's cluster chain at that level, so rows are
   /// (max_level * d) wide. Used to build the CGNN / GE / HUP / HIA
   /// baselines from one trained hierarchy.
   Matrix AllHierarchicalLeft(int32_t max_level = 0) const;

@@ -25,6 +25,16 @@ Result<Matrix> ReadMatrixPayload(BinaryReader& reader) {
   if (rows > (1ULL << 31) || cols > (1ULL << 31)) {
     return Status::IOError("unreasonable matrix shape");
   }
+  // A u64 count and rows * cols floats follow; a shape the verified bytes
+  // cannot hold is rejected before it is allocated.
+  const size_t left = reader.remaining();
+  if (left < sizeof(uint64_t) ||
+      rows * cols > (left - sizeof(uint64_t)) / sizeof(float)) {
+    return Status::IOError(StrFormat(
+        "matrix shape %llu x %llu exceeds the %zu bytes left",
+        static_cast<unsigned long long>(rows),
+        static_cast<unsigned long long>(cols), left));
+  }
   Matrix matrix(static_cast<size_t>(rows), static_cast<size_t>(cols));
   HIGNN_RETURN_IF_ERROR(reader.ReadFloats(matrix.data(), matrix.size()));
   return matrix;
@@ -48,6 +58,23 @@ Result<BipartiteGraph> ReadGraphPayload(BinaryReader& reader) {
   HIGNN_ASSIGN_OR_RETURN(int64_t num_edges, reader.ReadI64());
   if (num_left < 0 || num_right < 0 || num_edges < 0) {
     return Status::IOError("negative graph dimensions");
+  }
+  // Every count is bounded by the verified bytes left before anything is
+  // allocated: an edge takes kEdgeBytes here, and each vertex owns at
+  // least one 4-byte entry after the graph (its cluster assignment in a
+  // level, its feature row in a checkpoint).
+  constexpr uint64_t kEdgeBytes = 2 * sizeof(int32_t) + sizeof(float);
+  const uint64_t left = reader.remaining();
+  const uint64_t edges = static_cast<uint64_t>(num_edges);
+  const uint64_t vertices = static_cast<uint64_t>(num_left) +
+                            static_cast<uint64_t>(num_right);
+  if (edges > left / kEdgeBytes ||
+      vertices > (left - edges * kEdgeBytes) / sizeof(int32_t)) {
+    return Status::IOError(StrFormat(
+        "graph of %d x %d vertices and %lld edges exceeds the %llu bytes "
+        "left",
+        num_left, num_right, static_cast<long long>(num_edges),
+        static_cast<unsigned long long>(left)));
   }
   BipartiteGraphBuilder builder(num_left, num_right);
   for (int64_t k = 0; k < num_edges; ++k) {
@@ -73,6 +100,23 @@ Result<std::vector<int32_t>> ReadAssignment(BinaryReader& reader,
   return assignment;
 }
 
+// Every vertex must map to a cluster of the level above.
+Status CheckAssignment(const std::vector<int32_t>& assignment,
+                       int32_t num_clusters, const char* side) {
+  if (num_clusters < 0) {
+    return Status::IOError(
+        StrFormat("negative %s cluster count %d", side, num_clusters));
+  }
+  for (size_t v = 0; v < assignment.size(); ++v) {
+    if (assignment[v] < 0 || assignment[v] >= num_clusters) {
+      return Status::IOError(StrFormat(
+          "%s vertex %zu is assigned to cluster %d, outside [0, %d)", side,
+          v, assignment[v], num_clusters));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 void WriteLevelPayload(BinaryWriter& writer, const HignnLevel& level) {
@@ -86,50 +130,58 @@ void WriteLevelPayload(BinaryWriter& writer, const HignnLevel& level) {
   writer.WriteF64(level.train_loss);
 }
 
-Result<HignnLevel> ReadLevelPayload(BinaryReader& reader) {
+Status CheckLevelChain(const HignnLevel& below, const BipartiteGraph& graph) {
+  if (graph.num_left() != below.num_left_clusters ||
+      graph.num_right() != below.num_right_clusters) {
+    return Status::IOError(StrFormat(
+        "level graph has %d x %d vertices, but the level below has %d x %d "
+        "clusters",
+        graph.num_left(), graph.num_right(), below.num_left_clusters,
+        below.num_right_clusters));
+  }
+  return Status::OK();
+}
+
+Result<HignnLevel> ReadLevelPayload(BinaryReader& reader,
+                                    const HignnLevel* below) {
   HignnLevel level;
   HIGNN_ASSIGN_OR_RETURN(level.graph, ReadGraphPayload(reader));
+  if (below != nullptr) {
+    HIGNN_RETURN_IF_ERROR(CheckLevelChain(*below, level.graph));
+  }
+  const size_t num_left = static_cast<size_t>(level.graph.num_left());
+  const size_t num_right = static_cast<size_t>(level.graph.num_right());
   HIGNN_ASSIGN_OR_RETURN(level.left_embeddings, ReadMatrixPayload(reader));
   HIGNN_ASSIGN_OR_RETURN(level.right_embeddings, ReadMatrixPayload(reader));
-  HIGNN_ASSIGN_OR_RETURN(
-      level.left_assignment,
-      ReadAssignment(reader, static_cast<size_t>(level.graph.num_left())));
-  HIGNN_ASSIGN_OR_RETURN(
-      level.right_assignment,
-      ReadAssignment(reader, static_cast<size_t>(level.graph.num_right())));
+  if (level.left_embeddings.rows() != num_left ||
+      level.right_embeddings.rows() != num_right) {
+    return Status::IOError(StrFormat(
+        "level embeddings have %zu x %zu rows for %zu x %zu vertices",
+        level.left_embeddings.rows(), level.right_embeddings.rows(),
+        num_left, num_right));
+  }
+  // z^H concatenates one row per level, so every level and side shares the
+  // first level's width.
+  const size_t width = below != nullptr ? below->left_embeddings.cols()
+                                        : level.left_embeddings.cols();
+  if (level.left_embeddings.cols() != width ||
+      level.right_embeddings.cols() != width) {
+    return Status::IOError(StrFormat(
+        "level embedding widths %zu / %zu differ from the model's %zu",
+        level.left_embeddings.cols(), level.right_embeddings.cols(), width));
+  }
+  HIGNN_ASSIGN_OR_RETURN(level.left_assignment,
+                         ReadAssignment(reader, num_left));
+  HIGNN_ASSIGN_OR_RETURN(level.right_assignment,
+                         ReadAssignment(reader, num_right));
   HIGNN_ASSIGN_OR_RETURN(level.num_left_clusters, reader.ReadI32());
   HIGNN_ASSIGN_OR_RETURN(level.num_right_clusters, reader.ReadI32());
+  HIGNN_RETURN_IF_ERROR(
+      CheckAssignment(level.left_assignment, level.num_left_clusters, "left"));
+  HIGNN_RETURN_IF_ERROR(CheckAssignment(level.right_assignment,
+                                        level.num_right_clusters, "right"));
   HIGNN_ASSIGN_OR_RETURN(level.train_loss, reader.ReadF64());
   return level;
-}
-
-Status SaveMatrix(const Matrix& matrix, const std::string& path) {
-  BinaryWriter writer(path);
-  if (!writer.ok()) return Status::IOError("cannot open " + path);
-  writer.WriteHeader(kTagMatrix);
-  WriteMatrixPayload(writer, matrix);
-  return writer.Close();
-}
-
-Result<Matrix> LoadMatrix(const std::string& path) {
-  BinaryReader reader(path);
-  HIGNN_RETURN_IF_ERROR(reader.ReadHeader(kTagMatrix));
-  return ReadMatrixPayload(reader);
-}
-
-Status SaveBipartiteGraph(const BipartiteGraph& graph,
-                          const std::string& path) {
-  BinaryWriter writer(path);
-  if (!writer.ok()) return Status::IOError("cannot open " + path);
-  writer.WriteHeader(kTagBipartiteGraph);
-  WriteGraphPayload(writer, graph);
-  return writer.Close();
-}
-
-Result<BipartiteGraph> LoadBipartiteGraph(const std::string& path) {
-  BinaryReader reader(path);
-  HIGNN_RETURN_IF_ERROR(reader.ReadHeader(kTagBipartiteGraph));
-  return ReadGraphPayload(reader);
 }
 
 Status SaveHignnModel(const HignnModel& model, const std::string& path) {
@@ -149,13 +201,16 @@ Result<HignnModel> LoadHignnModel(const std::string& path) {
   BinaryReader reader(path);
   HIGNN_RETURN_IF_ERROR(reader.ReadHeader(kTagHignnModel));
   HIGNN_ASSIGN_OR_RETURN(int32_t num_levels, reader.ReadI32());
-  if (num_levels < 0 || num_levels > 64) {
-    return Status::IOError("unreasonable level count");
+  if (num_levels < 1 || num_levels > 64) {
+    return Status::IOError(
+        StrFormat("model has %d levels, not 1 to 64", num_levels));
   }
   std::vector<HignnLevel> levels;
   levels.reserve(static_cast<size_t>(num_levels));
   for (int32_t l = 0; l < num_levels; ++l) {
-    HIGNN_ASSIGN_OR_RETURN(HignnLevel level, ReadLevelPayload(reader));
+    HIGNN_ASSIGN_OR_RETURN(
+        HignnLevel level,
+        ReadLevelPayload(reader, levels.empty() ? nullptr : &levels.back()));
     levels.push_back(std::move(level));
   }
   return HignnModel::FromLevels(std::move(levels));

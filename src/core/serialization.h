@@ -21,14 +21,13 @@ namespace hignn {
 /// HIGNN_ASSIGN_OR_RETURN(HignnModel model, LoadHignnModel("hierarchy.hgnn"));
 /// ```
 
-Status SaveMatrix(const Matrix& matrix, const std::string& path);
-Result<Matrix> LoadMatrix(const std::string& path);
-
-Status SaveBipartiteGraph(const BipartiteGraph& graph,
-                          const std::string& path);
-Result<BipartiteGraph> LoadBipartiteGraph(const std::string& path);
-
 Status SaveHignnModel(const HignnModel& model, const std::string& path);
+
+/// \brief Loads a model saved by SaveHignnModel. Beyond the checksums,
+/// the structure must hold: 1 to 64 levels, each as ReadLevelPayload
+/// checks it, chained so that each level's vertex counts are the cluster
+/// counts of the level below. Anything else is IOError, so a loaded
+/// model never indexes out of bounds.
 Result<HignnModel> LoadHignnModel(const std::string& path);
 
 /// \brief Loads a bipartite graph from a text edge list: one
@@ -46,13 +45,24 @@ Status SaveBipartiteGraphTsv(const BipartiteGraph& graph,
 /// \brief Raw payload codecs for embedding artifacts inside larger
 /// containers (the training checkpointer composes these). Writers emit
 /// into the writer's current checksum section; readers assume the
-/// container was already verified via ReadHeader.
+/// container was already verified via ReadHeader, and bound every count
+/// a payload declares by the verified bytes left before they allocate.
 void WriteMatrixPayload(BinaryWriter& writer, const Matrix& matrix);
 Result<Matrix> ReadMatrixPayload(BinaryReader& reader);
 void WriteGraphPayload(BinaryWriter& writer, const BipartiteGraph& graph);
 Result<BipartiteGraph> ReadGraphPayload(BinaryReader& reader);
 void WriteLevelPayload(BinaryWriter& writer, const HignnLevel& level);
-Result<HignnLevel> ReadLevelPayload(BinaryReader& reader);
+
+/// \brief Reads one level and checks it: one embedding row per vertex,
+/// every assignment inside [0, cluster count), and one embedding width
+/// for both sides (the first level's, taken from `below` when given).
+/// With `below` (the level under it) it also applies CheckLevelChain.
+Result<HignnLevel> ReadLevelPayload(BinaryReader& reader,
+                                    const HignnLevel* below);
+
+/// \brief IOError unless `graph` can sit on `below`: its vertex counts
+/// must be below's cluster counts.
+Status CheckLevelChain(const HignnLevel& below, const BipartiteGraph& graph);
 
 }  // namespace hignn
 

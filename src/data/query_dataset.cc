@@ -231,14 +231,4 @@ std::string QueryDataset::QueryText(int32_t query) const {
   return Join(words, " ");
 }
 
-std::string QueryDataset::ItemTitle(int32_t item) const {
-  HIGNN_CHECK_GE(item, 0);
-  HIGNN_CHECK_LT(static_cast<size_t>(item), item_tokens_.size());
-  std::vector<std::string> words;
-  for (int32_t t : item_tokens_[static_cast<size_t>(item)]) {
-    words.push_back(vocab_.TokenOf(t));
-  }
-  return Join(words, " ");
-}
-
 }  // namespace hignn

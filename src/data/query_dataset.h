@@ -94,7 +94,6 @@ class QueryDataset {
 
   /// \brief Human-readable rendering for the case-study output.
   std::string QueryText(int32_t query) const;
-  std::string ItemTitle(int32_t item) const;
 
  private:
   QueryDataset() = default;

@@ -131,23 +131,4 @@ int32_t TopicTree::SampleLeaf(Rng& rng) const {
   return leaves_[rng.UniformInt(leaves_.size())];
 }
 
-std::vector<std::string> TopicTree::WordPool(int32_t id) const {
-  std::vector<std::string> pool;
-  int32_t current = id;
-  while (current >= 0) {
-    const auto& words = node(current).words;
-    pool.insert(pool.end(), words.begin(), words.end());
-    current = node(current).parent;
-  }
-  return pool;
-}
-
-int32_t TopicTree::CountAtLevel(int32_t level) const {
-  int32_t count = 0;
-  for (const auto& n : nodes_) {
-    if (n.level == level) ++count;
-  }
-  return count;
-}
-
 }  // namespace hignn

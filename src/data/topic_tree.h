@@ -72,12 +72,6 @@ class TopicTree {
   /// \brief Uniformly random leaf.
   int32_t SampleLeaf(Rng& rng) const;
 
-  /// \brief Words of the node and all its ancestors (topic text pool).
-  std::vector<std::string> WordPool(int32_t id) const;
-
-  /// \brief Number of nodes at a given level.
-  int32_t CountAtLevel(int32_t level) const;
-
  private:
   std::vector<TopicNode> nodes_;
   std::vector<int32_t> leaves_;

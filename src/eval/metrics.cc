@@ -1,7 +1,6 @@
 #include "eval/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 namespace hignn {
@@ -47,115 +46,6 @@ Result<double> ComputeAuc(const std::vector<float>& scores,
                    static_cast<double>(positives) *
                        (static_cast<double>(positives) + 1.0) / 2.0;
   return u / (static_cast<double>(positives) * static_cast<double>(negatives));
-}
-
-Result<double> ComputeLogLoss(const std::vector<float>& probabilities,
-                              const std::vector<float>& labels) {
-  if (probabilities.size() != labels.size()) {
-    return Status::InvalidArgument("probabilities/labels size mismatch");
-  }
-  if (probabilities.empty()) return Status::InvalidArgument("empty input");
-  double total = 0.0;
-  for (size_t i = 0; i < probabilities.size(); ++i) {
-    const double p =
-        std::min(1.0 - 1e-7, std::max(1e-7, static_cast<double>(
-                                                probabilities[i])));
-    total += labels[i] > 0.5f ? -std::log(p) : -std::log(1.0 - p);
-  }
-  return total / static_cast<double>(probabilities.size());
-}
-
-Result<double> ComputeAccuracy(const std::vector<float>& scores,
-                               const std::vector<float>& labels,
-                               float threshold) {
-  if (scores.size() != labels.size()) {
-    return Status::InvalidArgument("scores/labels size mismatch");
-  }
-  if (scores.empty()) return Status::InvalidArgument("empty input");
-  int64_t correct = 0;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    const bool predicted = scores[i] >= threshold;
-    const bool actual = labels[i] > 0.5f;
-    if (predicted == actual) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(scores.size());
-}
-
-Result<double> PrecisionAtK(const std::vector<float>& scores,
-                            const std::vector<float>& labels, int32_t k) {
-  if (scores.size() != labels.size()) {
-    return Status::InvalidArgument("scores/labels size mismatch");
-  }
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  const size_t top = std::min<size_t>(static_cast<size_t>(k), scores.size());
-  if (top == 0) return Status::InvalidArgument("empty input");
-  std::vector<size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::partial_sort(order.begin(), order.begin() + static_cast<long>(top),
-                    order.end(), [&scores](size_t a, size_t b) {
-                      return scores[a] > scores[b];
-                    });
-  int64_t hits = 0;
-  for (size_t i = 0; i < top; ++i) {
-    if (labels[order[i]] > 0.5f) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(top);
-}
-
-Result<double> NdcgAtK(const std::vector<float>& scores,
-                       const std::vector<float>& labels, int32_t k) {
-  if (scores.size() != labels.size()) {
-    return Status::InvalidArgument("scores/labels size mismatch");
-  }
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (scores.empty()) return Status::InvalidArgument("empty input");
-  int64_t positives = 0;
-  for (float label : labels) {
-    if (label > 0.5f) ++positives;
-  }
-  if (positives == 0) {
-    return Status::FailedPrecondition("NDCG undefined without positives");
-  }
-
-  const size_t top = std::min<size_t>(static_cast<size_t>(k), scores.size());
-  std::vector<size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::partial_sort(order.begin(), order.begin() + static_cast<long>(top),
-                    order.end(), [&scores](size_t a, size_t b) {
-                      return scores[a] > scores[b];
-                    });
-  double dcg = 0.0;
-  for (size_t rank = 0; rank < top; ++rank) {
-    if (labels[order[rank]] > 0.5f) {
-      dcg += 1.0 / std::log2(static_cast<double>(rank) + 2.0);
-    }
-  }
-  double ideal = 0.0;
-  const size_t ideal_hits =
-      std::min<size_t>(top, static_cast<size_t>(positives));
-  for (size_t rank = 0; rank < ideal_hits; ++rank) {
-    ideal += 1.0 / std::log2(static_cast<double>(rank) + 2.0);
-  }
-  return dcg / ideal;
-}
-
-Result<double> ReciprocalRank(const std::vector<float>& scores,
-                              const std::vector<float>& labels) {
-  if (scores.size() != labels.size()) {
-    return Status::InvalidArgument("scores/labels size mismatch");
-  }
-  if (scores.empty()) return Status::InvalidArgument("empty input");
-  std::vector<size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&scores](size_t a, size_t b) {
-    return scores[a] > scores[b];
-  });
-  for (size_t rank = 0; rank < order.size(); ++rank) {
-    if (labels[order[rank]] > 0.5f) {
-      return 1.0 / static_cast<double>(rank + 1);
-    }
-  }
-  return Status::FailedPrecondition("no positive in the list");
 }
 
 }  // namespace hignn

@@ -1,7 +1,6 @@
 #ifndef HIGNN_EVAL_METRICS_H_
 #define HIGNN_EVAL_METRICS_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "util/status.h"
@@ -15,32 +14,6 @@ namespace hignn {
 /// metric for every CVR experiment (Table III, Fig. 3).
 Result<double> ComputeAuc(const std::vector<float>& scores,
                           const std::vector<float>& labels);
-
-/// \brief Log loss (binary cross entropy) of probability predictions,
-/// clamped away from {0,1} for stability.
-Result<double> ComputeLogLoss(const std::vector<float>& probabilities,
-                              const std::vector<float>& labels);
-
-/// \brief Classification accuracy at a fixed threshold.
-Result<double> ComputeAccuracy(const std::vector<float>& scores,
-                               const std::vector<float>& labels,
-                               float threshold = 0.5f);
-
-/// \brief Precision@k of a ranked list: fraction of the top-k scored
-/// entries whose label is positive.
-Result<double> PrecisionAtK(const std::vector<float>& scores,
-                            const std::vector<float>& labels, int32_t k);
-
-/// \brief NDCG@k with binary relevance: DCG of the score ranking divided
-/// by the ideal DCG (all positives first). 1.0 when every positive
-/// outranks every negative. Requires at least one positive.
-Result<double> NdcgAtK(const std::vector<float>& scores,
-                       const std::vector<float>& labels, int32_t k);
-
-/// \brief Mean reciprocal rank of the first positive under the score
-/// ranking (1-based rank). Requires at least one positive.
-Result<double> ReciprocalRank(const std::vector<float>& scores,
-                              const std::vector<float>& labels);
 
 }  // namespace hignn
 

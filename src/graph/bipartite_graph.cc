@@ -1,7 +1,6 @@
 #include "graph/bipartite_graph.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -50,18 +49,6 @@ int64_t BipartiteGraph::LeftEdgeBegin(int32_t u) const {
   HIGNN_CHECK_GE(u, 0);
   HIGNN_CHECK_LE(u, num_left_);
   return left_offsets_.empty() ? 0 : left_offsets_[static_cast<size_t>(u)];
-}
-
-std::vector<WeightedEdge> BipartiteGraph::Edges() const {
-  std::vector<WeightedEdge> out;
-  out.reserve(left_adj_.size());
-  for (int32_t u = 0; u < num_left_; ++u) {
-    const auto span = LeftNeighbors(u);
-    for (size_t k = 0; k < span.size; ++k) {
-      out.push_back(WeightedEdge{u, span.ids[k], span.weights[k]});
-    }
-  }
-  return out;
 }
 
 WeightedEdge BipartiteGraph::EdgeAt(int64_t index) const {
@@ -126,13 +113,6 @@ Status BipartiteGraph::Validate() const {
     if (!(w > 0.0f)) return Status::Internal("non-positive edge weight");
   }
   return Status::OK();
-}
-
-std::string BipartiteGraph::DebugString() const {
-  std::ostringstream ss;
-  ss << "BipartiteGraph(left=" << num_left_ << ", right=" << num_right_
-     << ", edges=" << num_edges() << ", density=" << Density() << ")";
-  return ss.str();
 }
 
 BipartiteGraphBuilder::BipartiteGraphBuilder(int32_t num_left,

@@ -2,7 +2,6 @@
 #define HIGNN_GRAPH_BIPARTITE_GRAPH_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/status.h"
@@ -58,9 +57,6 @@ class BipartiteGraph {
   /// own edges [LeftEdgeBegin(lo), LeftEdgeBegin(hi)).
   int64_t LeftEdgeBegin(int32_t u) const;
 
-  /// \brief All edges in left-major order (u ascending).
-  std::vector<WeightedEdge> Edges() const;
-
   /// \brief Random access to the k-th edge in left-major order
   /// (O(log |U|) binary search on the CSR offsets). Enables uniform edge
   /// sampling without materializing the edge list.
@@ -74,8 +70,6 @@ class BipartiteGraph {
   /// range, dual views agree on edge count). Used by tests and after
   /// coarsening.
   Status Validate() const;
-
-  std::string DebugString() const;
 
  private:
   friend class BipartiteGraphBuilder;

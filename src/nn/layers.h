@@ -18,7 +18,7 @@ namespace hignn {
 struct Parameter {
   std::string name;
   Matrix value;
-  Matrix grad;  ///< Same shape as value; zeroed by Optimizer::Step().
+  Matrix grad;  ///< Same shape as value; zeroed by Adam::Step().
 
   Parameter() = default;
   Parameter(std::string n, Matrix v)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "nn/simd.h"
@@ -108,12 +107,6 @@ void Matrix::SetRow(size_t r, const std::vector<float>& src) {
   for (size_t c = 0; c < cols_; ++c) dst[c] = src[c];
 }
 
-std::vector<float> Matrix::GetRow(size_t r) const {
-  HIGNN_CHECK_LT(r, rows_);
-  const float* src = row(r);
-  return std::vector<float>(src, src + cols_);
-}
-
 double Matrix::Sum() const {
   double total = 0.0;
   for (float x : data_) total += x;
@@ -124,30 +117,6 @@ double Matrix::SquaredNorm() const {
   double total = 0.0;
   for (float x : data_) total += static_cast<double>(x) * x;
   return total;
-}
-
-float Matrix::MaxAbs() const {
-  float best = 0.0f;
-  for (float x : data_) best = std::max(best, std::fabs(x));
-  return best;
-}
-
-std::string Matrix::ToString(size_t max_rows, size_t max_cols) const {
-  std::ostringstream ss;
-  ss << "Matrix(" << rows_ << "x" << cols_ << ")[";
-  for (size_t r = 0; r < std::min(rows_, max_rows); ++r) {
-    if (r > 0) ss << ", ";
-    ss << "[";
-    for (size_t c = 0; c < std::min(cols_, max_cols); ++c) {
-      if (c > 0) ss << ", ";
-      ss << (*this)(r, c);
-    }
-    if (cols_ > max_cols) ss << ", ...";
-    ss << "]";
-  }
-  if (rows_ > max_rows) ss << ", ...";
-  ss << "]";
-  return ss.str();
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -247,12 +216,6 @@ Matrix Transpose(const Matrix& a) {
       }
     }
   });
-  return out;
-}
-
-Matrix AddMatrices(const Matrix& a, const Matrix& b) {
-  Matrix out = a;
-  out.Add(b);
   return out;
 }
 

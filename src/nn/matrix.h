@@ -2,7 +2,6 @@
 #define HIGNN_NN_MATRIX_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "util/logging.h"
@@ -77,20 +76,11 @@ class Matrix {
   /// \brief Copies `src` into row r.
   void SetRow(size_t r, const std::vector<float>& src);
 
-  /// \brief Copies row r out.
-  std::vector<float> GetRow(size_t r) const;
-
   /// \brief Sum of all elements.
   double Sum() const;
 
   /// \brief Frobenius norm squared.
   double SquaredNorm() const;
-
-  /// \brief Largest |element|.
-  float MaxAbs() const;
-
-  /// \brief Debug rendering, e.g. "Matrix(2x3)[[1, 2, 3], [4, 5, 6]]".
-  std::string ToString(size_t max_rows = 8, size_t max_cols = 8) const;
 
  private:
   size_t rows_;
@@ -115,9 +105,6 @@ Matrix MatMulAT(const Matrix& a, const Matrix& b);
 
 /// \brief Transposed copy.
 Matrix Transpose(const Matrix& a);
-
-/// \brief Elementwise sum (same shape).
-Matrix AddMatrices(const Matrix& a, const Matrix& b);
 
 /// \brief Squared Euclidean distance between row `ra` of a and row `rb`
 /// of b (equal column counts required).

@@ -4,7 +4,7 @@
 
 namespace hignn {
 
-void Optimizer::Step(const std::vector<Parameter*>& params) {
+void Adam::Step(const std::vector<Parameter*>& params) {
   if (clip_norm_ > 0.0f) {
     double total = 0.0;
     for (const Parameter* p : params) total += p->grad.SquaredNorm();
@@ -19,54 +19,6 @@ void Optimizer::Step(const std::vector<Parameter*>& params) {
     ApplyUpdate(*p);
     p->grad.Fill(0.0f);
   }
-}
-
-OptimizerState Optimizer::ExportState(
-    const std::vector<Parameter*>& params) const {
-  OptimizerState state;
-  state.steps.assign(params.size(), 0);
-  return state;
-}
-
-Status Optimizer::ImportState(const std::vector<Parameter*>& params,
-                              const OptimizerState& state) {
-  if (!state.tensors.empty() || state.steps.size() != params.size()) {
-    return Status::InvalidArgument("optimizer state shape mismatch");
-  }
-  return Status::OK();
-}
-
-OptimizerState Sgd::ExportState(const std::vector<Parameter*>& params) const {
-  OptimizerState state;
-  state.steps.assign(params.size(), 0);
-  if (momentum_ == 0.0f) return state;
-  state.tensors.reserve(params.size());
-  for (const Parameter* p : params) {
-    auto it = velocity_.find(p);
-    state.tensors.push_back(it != velocity_.end()
-                                ? it->second
-                                : Matrix(p->value.rows(), p->value.cols()));
-  }
-  return state;
-}
-
-Status Sgd::ImportState(const std::vector<Parameter*>& params,
-                        const OptimizerState& state) {
-  const size_t per = momentum_ == 0.0f ? 0 : 1;
-  if (state.tensors.size() != per * params.size() ||
-      state.steps.size() != params.size()) {
-    return Status::InvalidArgument("sgd state count mismatch");
-  }
-  velocity_.clear();
-  for (size_t i = 0; i < params.size() && per == 1; ++i) {
-    const Matrix& vel = state.tensors[i];
-    if (vel.rows() != params[i]->value.rows() ||
-        vel.cols() != params[i]->value.cols()) {
-      return Status::InvalidArgument("sgd velocity shape mismatch");
-    }
-    velocity_[params[i]] = vel;
-  }
-  return Status::OK();
 }
 
 OptimizerState Adam::ExportState(const std::vector<Parameter*>& params) const {
@@ -109,20 +61,6 @@ Status Adam::ImportState(const std::vector<Parameter*>& params,
     slot.step = static_cast<long>(state.steps[i]);
   }
   return Status::OK();
-}
-
-void Sgd::ApplyUpdate(Parameter& param) {
-  if (momentum_ == 0.0f) {
-    param.value.Axpy(-lr_, param.grad);
-    return;
-  }
-  Matrix& vel = velocity_[&param];
-  if (vel.rows() != param.value.rows() || vel.cols() != param.value.cols()) {
-    vel = Matrix(param.value.rows(), param.value.cols());
-  }
-  vel.Scale(momentum_);
-  vel.Axpy(1.0f, param.grad);
-  param.value.Axpy(-lr_, vel);
 }
 
 void Adam::ApplyUpdate(Parameter& param) {

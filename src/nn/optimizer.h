@@ -10,24 +10,27 @@
 
 namespace hignn {
 
-/// \brief Serializable optimizer state: the per-parameter auxiliary
-/// tensors (momentum / Adam moments) and step counts, laid out in the
-/// order of the parameter vector handed to ExportState. Persisted by the
-/// training checkpointer so a resumed run continues the exact update
-/// trajectory of the interrupted one.
+/// \brief Serializable Adam state: the per-parameter first/second moment
+/// pair and step count, laid out in the order of the parameter vector
+/// handed to ExportState. Persisted by the training checkpointer so a
+/// resumed run continues the exact update trajectory of the interrupted
+/// one.
 struct OptimizerState {
-  std::vector<Matrix> tensors;  ///< `tensors_per_param()` entries per param
+  std::vector<Matrix> tensors;  ///< m, v per param, in param order
   std::vector<int64_t> steps;   ///< one entry per param (0 if unused)
 };
 
-/// \brief Base class for gradient-descent optimizers.
+/// \brief Adam (Kingma & Ba) with bias correction, optional global
+/// gradient-norm clipping and L2 weight decay.
 ///
-/// Usage per minibatch: zero grads happen inside Step() after applying, so
+/// Usage per minibatch: grads are zeroed inside Step() after applying, so
 /// the training loop is simply forward → Backward → AccumulateGrads →
 /// Step(params).
-class Optimizer {
+class Adam {
  public:
-  virtual ~Optimizer() = default;
+  explicit Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
+                float epsilon = 1e-8f)
+      : lr_(lr), beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {}
 
   /// \brief Applies one update using Parameter::grad, then zeroes grads.
   void Step(const std::vector<Parameter*>& params);
@@ -41,68 +44,15 @@ class Optimizer {
   float learning_rate() const { return lr_; }
   void set_learning_rate(float lr) { lr_ = lr; }
 
-  /// \brief Auxiliary tensors kept per parameter (0 for plain SGD, 1 for
-  /// SGD+momentum, 2 for Adam's m/v pair).
-  virtual int32_t tensors_per_param() const { return 0; }
-
-  /// \brief Snapshots the auxiliary state for `params` (in that order).
+  /// \brief Snapshots the moments for `params` (in that order).
   /// Parameters never stepped yet export zero tensors / step 0.
-  virtual OptimizerState ExportState(
-      const std::vector<Parameter*>& params) const;
+  OptimizerState ExportState(const std::vector<Parameter*>& params) const;
 
   /// \brief Restores state captured by ExportState for the same parameter
   /// vector (matched by order and shape). Returns InvalidArgument on any
   /// shape or count mismatch.
-  virtual Status ImportState(const std::vector<Parameter*>& params,
-                             const OptimizerState& state);
-
- protected:
-  explicit Optimizer(float lr) : lr_(lr) {}
-
-  virtual void ApplyUpdate(Parameter& param) = 0;
-
-  float lr_;
-  float clip_norm_ = 0.0f;
-  float weight_decay_ = 0.0f;
-};
-
-/// \brief Plain stochastic gradient descent with optional momentum.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float lr, float momentum = 0.0f)
-      : Optimizer(lr), momentum_(momentum) {}
-
-  int32_t tensors_per_param() const override {
-    return momentum_ == 0.0f ? 0 : 1;
-  }
-  OptimizerState ExportState(
-      const std::vector<Parameter*>& params) const override;
   Status ImportState(const std::vector<Parameter*>& params,
-                     const OptimizerState& state) override;
-
- protected:
-  void ApplyUpdate(Parameter& param) override;
-
- private:
-  float momentum_;
-  std::unordered_map<const Parameter*, Matrix> velocity_;
-};
-
-/// \brief Adam (Kingma & Ba) with bias correction.
-class Adam : public Optimizer {
- public:
-  explicit Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
-                float epsilon = 1e-8f)
-      : Optimizer(lr), beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {}
-
-  int32_t tensors_per_param() const override { return 2; }
-  OptimizerState ExportState(
-      const std::vector<Parameter*>& params) const override;
-  Status ImportState(const std::vector<Parameter*>& params,
-                     const OptimizerState& state) override;
-
- protected:
-  void ApplyUpdate(Parameter& param) override;
+                     const OptimizerState& state);
 
  private:
   struct Slot {
@@ -111,9 +61,14 @@ class Adam : public Optimizer {
     long step = 0;
   };
 
+  void ApplyUpdate(Parameter& param);
+
+  float lr_;
   float beta1_;
   float beta2_;
   float epsilon_;
+  float clip_norm_ = 0.0f;
+  float weight_decay_ = 0.0f;
   std::unordered_map<const Parameter*, Slot> slots_;
 };
 

@@ -169,29 +169,6 @@ VarId Tape::MatMul(VarId a, VarId b) {
   return id;
 }
 
-VarId Tape::Add(VarId a, VarId b) {
-  const Matrix& va = value(a);
-  const Matrix& vb = value(b);
-  HIGNN_CHECK_EQ(va.rows(), vb.rows());
-  HIGNN_CHECK_EQ(va.cols(), vb.cols());
-  Matrix out = va;
-  out.Add(vb);
-  const bool needs = nodes_[a].requires_grad || nodes_[b].requires_grad;
-  VarId id = Emit(std::move(out), needs, nullptr);
-  if (needs) {
-    nodes_[id].backward = [this, a, b, id] {
-      const Matrix& gout = nodes_[id].grad;
-      for (VarId src : {a, b}) {
-        if (nodes_[src].requires_grad) {
-          EnsureGrad(src);
-          MutableGrad(src).Add(gout);
-        }
-      }
-    };
-  }
-  return id;
-}
-
 VarId Tape::AddRowBroadcast(VarId a, VarId bias) {
   Matrix out = value(a);
   AddRowBroadcastInPlace(out, value(bias));
@@ -210,31 +187,6 @@ VarId Tape::AddRowBroadcast(VarId a, VarId bias) {
         for (size_t r = 0; r < gout.rows(); ++r) {
           simd::Accumulate(gb, gout.row(r), gout.cols());
         }
-      }
-    };
-  }
-  return id;
-}
-
-VarId Tape::Sub(VarId a, VarId b) {
-  const Matrix& va = value(a);
-  const Matrix& vb = value(b);
-  HIGNN_CHECK_EQ(va.rows(), vb.rows());
-  HIGNN_CHECK_EQ(va.cols(), vb.cols());
-  Matrix out = va;
-  out.Axpy(-1.0f, vb);
-  const bool needs = nodes_[a].requires_grad || nodes_[b].requires_grad;
-  VarId id = Emit(std::move(out), needs, nullptr);
-  if (needs) {
-    nodes_[id].backward = [this, a, b, id] {
-      const Matrix& gout = nodes_[id].grad;
-      if (nodes_[a].requires_grad) {
-        EnsureGrad(a);
-        MutableGrad(a).Add(gout);
-      }
-      if (nodes_[b].requires_grad) {
-        EnsureGrad(b);
-        MutableGrad(b).Axpy(-1.0f, gout);
       }
     };
   }
@@ -269,20 +221,6 @@ VarId Tape::Mul(VarId a, VarId b) {
           gb.data()[i] += gout.data()[i] * va2.data()[i];
         }
       }
-    };
-  }
-  return id;
-}
-
-VarId Tape::ScalarMul(VarId a, float alpha) {
-  Matrix out = value(a);
-  out.Scale(alpha);
-  const bool needs = nodes_[a].requires_grad;
-  VarId id = Emit(std::move(out), needs, nullptr);
-  if (needs) {
-    nodes_[id].backward = [this, a, alpha, id] {
-      EnsureGrad(a);
-      MutableGrad(a).Axpy(alpha, nodes_[id].grad);
     };
   }
   return id;
@@ -521,16 +459,16 @@ VarId Tape::LeakyRelu(VarId a, float negative_slope) {
   return id;
 }
 
-VarId Tape::SumAll(VarId a) {
+VarId Tape::SumAll(VarId a, float scale) {
   Matrix out(1, 1);
-  out(0, 0) = static_cast<float>(value(a).Sum());
+  out(0, 0) = static_cast<float>(value(a).Sum()) * scale;
   const bool needs = nodes_[a].requires_grad;
   VarId id = Emit(std::move(out), needs, nullptr);
   if (needs) {
-    nodes_[id].backward = [this, a, id] {
+    nodes_[id].backward = [this, a, scale, id] {
       EnsureGrad(a);
       Matrix& ga = MutableGrad(a);
-      const float g = nodes_[id].grad(0, 0);
+      const float g = scale * nodes_[id].grad(0, 0);
       for (size_t i = 0; i < ga.size(); ++i) ga.data()[i] += g;
     };
   }
@@ -540,8 +478,7 @@ VarId Tape::SumAll(VarId a) {
 VarId Tape::MeanAll(VarId a) {
   const size_t n = value(a).size();
   HIGNN_CHECK_GT(n, 0u);
-  VarId total = SumAll(a);
-  return ScalarMul(total, 1.0f / static_cast<float>(n));
+  return SumAll(a, 1.0f / static_cast<float>(n));
 }
 
 VarId Tape::BceWithLogits(VarId logits, std::vector<float> labels,

@@ -41,20 +41,11 @@ class Tape {
   /// \brief (m x k) * (k x n) -> (m x n).
   VarId MatMul(VarId a, VarId b);
 
-  /// \brief Elementwise a + b (same shape).
-  VarId Add(VarId a, VarId b);
-
   /// \brief Adds a (1 x n) bias row to every row of a (m x n) matrix.
   VarId AddRowBroadcast(VarId a, VarId bias);
 
-  /// \brief Elementwise a - b (same shape).
-  VarId Sub(VarId a, VarId b);
-
   /// \brief Elementwise (Hadamard) product.
   VarId Mul(VarId a, VarId b);
-
-  /// \brief alpha * a.
-  VarId ScalarMul(VarId a, float alpha);
 
   /// \brief Horizontal concatenation [a | b].
   VarId ConcatCols(VarId a, VarId b);
@@ -114,8 +105,9 @@ class Tape {
 
   // --- Reductions / losses --------------------------------------------------
 
-  /// \brief Sum of all elements -> (1 x 1).
-  VarId SumAll(VarId a);
+  /// \brief `scale` times the sum of all elements -> (1 x 1). The default
+  /// scale of 1 multiplies exactly, so it is the plain sum.
+  VarId SumAll(VarId a, float scale = 1.0f);
 
   /// \brief Mean of all elements -> (1 x 1).
   VarId MeanAll(VarId a);

@@ -286,39 +286,6 @@ std::string MetricsRegistry::DumpJson() const {
   return json;
 }
 
-std::string MetricsRegistry::DumpText() const {
-  std::unordered_map<std::string, std::string> lines;
-  {
-    MutexLock lock(mu_);
-    for (const auto& [name, counter] : counters_) {
-      lines[name] = StrFormat("%lld",
-                              static_cast<long long>(counter->value()));
-    }
-    for (const auto& [name, gauge] : gauges_) {
-      lines[name] = StrFormat("%.6g", gauge->value());
-    }
-    for (const auto& [name, histogram] : histograms_) {
-      lines[name] = StrFormat(
-          "count=%lld p50=%.1f p95=%.1f p99=%.1f",
-          static_cast<long long>(histogram->count()),
-          histogram->Percentile(0.50), histogram->Percentile(0.95),
-          histogram->Percentile(0.99));
-    }
-    for (const auto& [name, s] : series_) {
-      lines[name] = StrFormat(
-          "points=%lld", static_cast<long long>(s->Snapshot().size()));
-    }
-  }
-  std::string text;
-  for (const auto& [name, value] : SortedEntries(lines)) {
-    text += name;
-    text += '\t';
-    text += value;
-    text += '\n';
-  }
-  return text;
-}
-
 namespace {
 
 // Prometheus metric names admit [a-zA-Z0-9_:]; our dotted registry names

@@ -179,9 +179,6 @@ class MetricsRegistry {
   /// util/ordered.h — two dumps of the same state are byte-identical).
   std::string DumpJson() const;
 
-  /// \brief `name<TAB>value` lines, sorted by name — grep-friendly.
-  std::string DumpText() const;
-
   /// \brief Prometheus text exposition (version 0.0.4): every metric name
   /// prefixed `hignn_` with dots mapped to underscores, `# TYPE` comments,
   /// histograms as cumulative `_bucket{le="..."}` series plus `_sum` and

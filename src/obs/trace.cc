@@ -156,10 +156,6 @@ Status WriteTraceJson(const std::string& path) {
   return AtomicWriteTextFile(path, TraceJson());
 }
 
-int64_t TraceDropped() {
-  return GlobalCollector().dropped.load(std::memory_order_relaxed);
-}
-
 void ResetTrace() {
   Collector& collector = GlobalCollector();
   MutexLock lock(collector.mu);

@@ -78,9 +78,6 @@ std::string TraceJson(bool zero_timestamps = false);
 /// \brief Atomically writes TraceJson() to `path`.
 Status WriteTraceJson(const std::string& path);
 
-/// \brief Number of spans dropped because a thread buffer hit its cap.
-int64_t TraceDropped();
-
 /// \brief Clears all recorded spans (buffers stay registered). Tests only.
 void ResetTrace();
 

@@ -8,33 +8,8 @@
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace hignn {
-
-namespace {
-
-// Gather feature rows for a vertex id list into a dense batch matrix.
-// Row-parallel: each destination row is written by exactly one thread.
-Matrix GatherFeatureRows(const Matrix& features,
-                         const std::vector<int32_t>& ids) {
-  Matrix out(ids.size(), features.cols());
-  const size_t cols = features.cols();
-  // Work estimate = one element move per float; ParallelForWork keeps the
-  // common small gathers inline and only fans out the big inference-batch
-  // ones.
-  GlobalThreadPool().ParallelForWork(
-      0, ids.size(), ids.size() * cols, [&](size_t lo, size_t hi) {
-        for (size_t r = lo; r < hi; ++r) {
-          const float* src = features.row(static_cast<size_t>(ids[r]));
-          float* dst = out.row(r);
-          std::copy(src, src + cols, dst);
-        }
-      });
-  return out;
-}
-
-}  // namespace
 
 Result<BipartiteSage> BipartiteSage::Create(const BipartiteSageConfig& config,
                                             int32_t left_feat_dim,
@@ -175,14 +150,11 @@ BipartiteSage::BatchEmbedding BipartiteSage::ForwardBatch(
   // group k of nbrs[p] is the sampled neighborhood used to compute
   // embedding p of need[p].ids[k] (sampled once, reused in the forward
   // pass).
-  // With the fused level-0 path the first SAGE step reads the feature
-  // tables directly by global vertex id, so the level-0 frontiers are never
-  // interned or materialized; the sampling calls (and hence the rng stream)
-  // are identical either way.
-  const bool fused = config_.fused_level0;
+  // The first SAGE step reads the feature tables directly by global vertex
+  // id, so the level-0 frontiers (index 0) are never interned.
   left_frontiers_.resize(steps + 1);
   right_frontiers_.resize(steps + 1);
-  for (size_t p = fused ? 1 : 0; p <= steps; ++p) {
+  for (size_t p = 1; p <= steps; ++p) {
     left_frontiers_[p].Reset(graph.num_left());
     right_frontiers_[p].Reset(graph.num_right());
   }
@@ -208,16 +180,15 @@ BipartiteSage::BatchEmbedding BipartiteSage::ForwardBatch(
   const NeighborSampler sampler(graph);
   for (size_t p = steps; p >= 1; --p) {
     const int32_t fanout = config_.fanouts[steps - p];
-    const bool interned = !fused || p > 1;
     left_nbrs[p] =
         sampler.SampleBatch(Side::kLeft, need_left[p].ids, fanout, rng);
-    if (interned) {
+    if (p > 1) {
       intern_prev(need_left[p], left_nbrs[p], need_left[p - 1],
                   need_right[p - 1]);
     }
     right_nbrs[p] =
         sampler.SampleBatch(Side::kRight, need_right[p].ids, fanout, rng);
-    if (interned) {
+    if (p > 1) {
       intern_prev(need_right[p], right_nbrs[p], need_right[p - 1],
                   need_left[p - 1]);
     }
@@ -226,11 +197,6 @@ BipartiteSage::BatchEmbedding BipartiteSage::ForwardBatch(
   // --- Forward pass (bottom-up) ----------------------------------------------
   VarId h_left = kInvalidVar;
   VarId h_right = kInvalidVar;
-  if (!fused) {
-    h_left = tape.Input(GatherFeatureRows(left_features, need_left[0].ids));
-    h_right = tape.Input(GatherFeatureRows(right_features,
-                                           need_right[0].ids));
-  }
 
   for (size_t p = 1; p <= steps; ++p) {
     Dense& m_ui = left_transform_[p - 1];
@@ -240,19 +206,18 @@ BipartiteSage::BatchEmbedding BipartiteSage::ForwardBatch(
     Dense& w_i = config_.shared_weights ? left_update_[p - 1]
                                         : right_update_[p - 1];
 
-    // At the fused first step the frontier indices ARE the global vertex
-    // ids and the aggregation streams straight from the feature tables
-    // (opp_feats/self_feats non-null); above it the usual tape-node path
-    // applies. Both branches aggregate the same rows in the same order, so
-    // the tape values are bitwise identical.
-    const bool fuse_step = fused && p == 1;
+    // At the first step the group ids ARE the global vertex ids and the
+    // aggregation streams straight from the feature tables (opp_feats /
+    // self_feats non-null); above it, rows are the previous step's tape
+    // nodes, addressed by frontier index.
+    const bool fuse_step = p == 1;
     auto build_side =
         [&](const Frontier& need, RowGroups& groups,
             const Frontier& opposite_prev, const Frontier& self_prev,
             VarId h_opposite_prev, VarId h_self_prev, Dense& transform,
             Dense& update, const Matrix* opp_feats,
             const Matrix* self_feats) -> VarId {
-      // Above the fused step, rows are frontier indices, not vertex ids.
+      // Above the first step, rows are frontier indices, not vertex ids.
       if (!fuse_step) {
         for (int32_t& id : groups.ids) id = opposite_prev.IndexOf(id);
       }
@@ -359,7 +324,7 @@ VarId BipartiteSage::ScoreEdges(Tape& tape, VarId left_rows, VarId right_rows,
 Result<double> BipartiteSage::TrainStep(const BipartiteGraph& graph,
                                         const Matrix& left_features,
                                         const Matrix& right_features,
-                                        Optimizer& optimizer, Rng& rng,
+                                        Adam& optimizer, Rng& rng,
                                         TrainingMonitor* monitor) {
   if (graph.num_edges() == 0) {
     return Status::FailedPrecondition("graph has no edges to train on");

@@ -63,13 +63,6 @@ struct BipartiteSageConfig {
   /// operates on the raw embeddings as the paper's Sec. III-C describes.
   bool normalize_output = false;
 
-  /// Fuse the level-0 gather+aggregate: the first SAGE step streams
-  /// neighbor rows straight out of the immutable feature tables instead of
-  /// materializing a deduplicated copy on the tape. Bitwise-identical
-  /// embeddings and gradients (features never require gradients); exposed
-  /// as a switch so tests can pin fused == unfused.
-  bool fused_level0 = true;
-
   // ---- Unsupervised objective (Eq. 5 / Eq. 12) ----
   int32_t negatives_per_edge_user = 2;  ///< Qu
   int32_t negatives_per_edge_item = 2;  ///< Qi
@@ -123,7 +116,7 @@ class BipartiteSage {
   /// skipped steps.
   Result<double> TrainStep(const BipartiteGraph& graph,
                            const Matrix& left_features,
-                           const Matrix& right_features, Optimizer& optimizer,
+                           const Matrix& right_features, Adam& optimizer,
                            Rng& rng, TrainingMonitor* monitor = nullptr);
 
   /// \brief Full training loop; returns the mean loss of the final 10% of
@@ -200,7 +193,8 @@ class BipartiteSage {
   std::vector<Dense> right_update_;     // W_i per step
   Mlp scorer_;                          // f
 
-  // ForwardBatch's frontiers, one per step 0..P and side.
+  // ForwardBatch's frontiers, one per step 1..P and side (index 0 is
+  // unused: step 1 reads the feature tables by vertex id).
   std::vector<Frontier> left_frontiers_;
   std::vector<Frontier> right_frontiers_;
 };

@@ -167,22 +167,6 @@ ScoringClient::ScoringClient(ScoringClient&& other) noexcept
   other.fd_ = -1;
 }
 
-ScoringClient& ScoringClient::operator=(ScoringClient&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = other.fd_;
-    host_ = std::move(other.host_);
-    port_ = other.port_;
-    config_ = other.config_;
-    jitter_ = other.jitter_;
-    next_request_n_ = other.next_request_n_;
-    last_trace_ = other.last_trace_;
-    retries_attempted_ = other.retries_attempted_;
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
 ScoringClient::~ScoringClient() {
   if (fd_ >= 0) ::close(fd_);
 }

@@ -92,7 +92,7 @@ class ScoringClient {
       const ClientConfig& config = ClientConfig());
 
   ScoringClient(ScoringClient&& other) noexcept;
-  ScoringClient& operator=(ScoringClient&& other) noexcept;
+  ScoringClient& operator=(ScoringClient&& other) = delete;
   ScoringClient(const ScoringClient&) = delete;
   ScoringClient& operator=(const ScoringClient&) = delete;
   ~ScoringClient();

@@ -270,8 +270,9 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
       reader->BorrowFloats(items *
                            static_cast<size_t>(store->item_tail_dim_)));
   HIGNN_RETURN_IF_ERROR(reader->AlignTo(kRowAlignment));
-  HIGNN_ASSIGN_OR_RETURN(store->left_chain_,
-                         reader->BorrowI32s(levels * users));
+  // The user cluster chains: part of the layout and bounds-checked, but
+  // nothing reads them at serving time.
+  HIGNN_RETURN_IF_ERROR(reader->BorrowI32s(levels * users).status());
   HIGNN_RETURN_IF_ERROR(reader->AlignTo(kRowAlignment));
   HIGNN_ASSIGN_OR_RETURN(store->right_chain_,
                          reader->BorrowI32s(levels * items));
@@ -338,26 +339,6 @@ const float* EmbeddingStore::ItemTail(int32_t item) const {
   HIGNN_CHECK_LT(item, num_items_);
   return item_tail_ +
          static_cast<size_t>(item) * static_cast<size_t>(item_tail_dim_);
-}
-
-int32_t EmbeddingStore::LeftClusterAt(int32_t user, int32_t level) const {
-  HIGNN_CHECK_GE(user, 0);
-  HIGNN_CHECK_LT(user, num_users_);
-  HIGNN_CHECK_GE(level, 1);
-  HIGNN_CHECK_LE(level, chain_levels_);
-  return left_chain_[static_cast<size_t>(level - 1) *
-                         static_cast<size_t>(num_users_) +
-                     static_cast<size_t>(user)];
-}
-
-int32_t EmbeddingStore::RightClusterAt(int32_t item, int32_t level) const {
-  HIGNN_CHECK_GE(item, 0);
-  HIGNN_CHECK_LT(item, num_items_);
-  HIGNN_CHECK_GE(level, 1);
-  HIGNN_CHECK_LE(level, chain_levels_);
-  return right_chain_[static_cast<size_t>(level - 1) *
-                          static_cast<size_t>(num_items_) +
-                      static_cast<size_t>(item)];
 }
 
 Status EmbeddingStore::FillFeatureRow(int32_t user, int32_t item,

@@ -69,13 +69,6 @@ class EmbeddingStore {
   int32_t user_tail_dim() const { return user_tail_dim_; }
   int32_t item_tail_dim() const { return item_tail_dim_; }
 
-  /// \brief O(1) cluster-chain lookup: the super-vertex of G^level that
-  /// contains the original vertex; `level` in [1, chain_levels()].
-  /// Matches HignnModel::LeftClusterAt / RightClusterAt on the exporting
-  /// model.
-  int32_t LeftClusterAt(int32_t user, int32_t level) const;
-  int32_t RightClusterAt(int32_t item, int32_t level) const;
-
   /// \brief Assembles the serving feature row for (user, item) into
   /// `row` (feature_dim() floats) — block order and arithmetic mirror
   /// CvrFeatureBuilder::FillRow exactly, so the bytes are identical to
@@ -117,7 +110,6 @@ class EmbeddingStore {
   const float* item_block_ = nullptr;
   const float* user_tail_ = nullptr;
   const float* item_tail_ = nullptr;
-  const int32_t* left_chain_ = nullptr;   // chain_levels x num_users
   const int32_t* right_chain_ = nullptr;  // chain_levels x num_items
 };
 

@@ -47,18 +47,6 @@ std::vector<std::vector<int32_t>> Taxonomy::TopicItems(int32_t level) const {
   return out;
 }
 
-std::vector<std::vector<int32_t>> Taxonomy::TopicQueries(int32_t level) const {
-  HIGNN_CHECK_GE(level, 0);
-  HIGNN_CHECK_LT(level, num_levels());
-  const TaxonomyLevel& l = levels[static_cast<size_t>(level)];
-  std::vector<std::vector<int32_t>> out(static_cast<size_t>(l.num_topics));
-  for (size_t q = 0; q < l.query_assignment.size(); ++q) {
-    const int32_t t = l.query_assignment[q];
-    if (t >= 0) out[static_cast<size_t>(t)].push_back(static_cast<int32_t>(q));
-  }
-  return out;
-}
-
 Result<Taxonomy> BuildTaxonomyFromHignn(const HignnModel& model) {
   if (model.num_levels() < 1) {
     return Status::InvalidArgument("model has no levels");

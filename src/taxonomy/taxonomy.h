@@ -37,9 +37,6 @@ struct Taxonomy {
 
   /// \brief Items belonging to each topic of a level.
   std::vector<std::vector<int32_t>> TopicItems(int32_t level) const;
-
-  /// \brief Queries attached to each topic of a level.
-  std::vector<std::vector<int32_t>> TopicQueries(int32_t level) const;
 };
 
 /// \brief Reads HiGNN's cluster hierarchy on a query-item graph as a

@@ -1,7 +1,5 @@
 #include "text/vocab.h"
 
-#include <cctype>
-
 #include "util/logging.h"
 
 namespace hignn {
@@ -22,11 +20,6 @@ int32_t Vocabulary::GetOrAdd(const std::string& token) {
   return id;
 }
 
-int32_t Vocabulary::Lookup(const std::string& token) const {
-  auto it = index_.find(token);
-  return it == index_.end() ? 0 : it->second;
-}
-
 const std::string& Vocabulary::TokenOf(int32_t id) const {
   HIGNN_CHECK_GE(id, 0);
   HIGNN_CHECK_LT(static_cast<size_t>(id), tokens_.size());
@@ -44,22 +37,6 @@ int64_t Vocabulary::Frequency(int32_t id) const {
   HIGNN_CHECK_GE(id, 0);
   HIGNN_CHECK_LT(static_cast<size_t>(id), counts_.size());
   return counts_[static_cast<size_t>(id)];
-}
-
-std::vector<std::string> Tokenize(const std::string& text) {
-  std::vector<std::string> out;
-  std::string current;
-  for (char raw : text) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    if (std::isalnum(c) || raw == '_') {
-      current.push_back(static_cast<char>(std::tolower(c)));
-    } else if (!current.empty()) {
-      out.push_back(std::move(current));
-      current.clear();
-    }
-  }
-  if (!current.empty()) out.push_back(std::move(current));
-  return out;
 }
 
 }  // namespace hignn

@@ -21,9 +21,6 @@ class Vocabulary {
   /// \brief Returns the id for `token`, inserting it if new.
   int32_t GetOrAdd(const std::string& token);
 
-  /// \brief Returns the id, or 0 (<unk>) when absent.
-  int32_t Lookup(const std::string& token) const;
-
   /// \brief Inverse mapping; dies on out-of-range ids.
   const std::string& TokenOf(int32_t id) const;
 
@@ -43,10 +40,6 @@ class Vocabulary {
   std::vector<int64_t> counts_;
   int64_t total_count_ = 0;
 };
-
-/// \brief Lower-cases and splits `text` into word tokens
-/// (alphanumeric runs; everything else is a separator).
-std::vector<std::string> Tokenize(const std::string& text);
 
 }  // namespace hignn
 

@@ -121,40 +121,4 @@ std::vector<float> Word2Vec::EmbedBag(
   return out;
 }
 
-double Word2Vec::Similarity(int32_t a, int32_t b) const {
-  const double dot = RowDot(input_embeddings_, static_cast<size_t>(a),
-                            input_embeddings_, static_cast<size_t>(b));
-  double na = 0.0;
-  double nb = 0.0;
-  const float* ra = input_embeddings_.row(static_cast<size_t>(a));
-  const float* rb = input_embeddings_.row(static_cast<size_t>(b));
-  for (size_t c = 0; c < input_embeddings_.cols(); ++c) {
-    na += static_cast<double>(ra[c]) * ra[c];
-    nb += static_cast<double>(rb[c]) * rb[c];
-  }
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return dot / std::sqrt(na * nb);
-}
-
-std::vector<std::pair<int32_t, double>> Word2Vec::NearestTokens(
-    int32_t token, int32_t k) const {
-  HIGNN_CHECK_GE(token, 0);
-  HIGNN_CHECK_LT(static_cast<size_t>(token), input_embeddings_.rows());
-  std::vector<std::pair<int32_t, double>> scored;
-  scored.reserve(input_embeddings_.rows());
-  for (size_t other = 1; other < input_embeddings_.rows(); ++other) {
-    if (static_cast<int32_t>(other) == token) continue;
-    scored.emplace_back(static_cast<int32_t>(other),
-                        Similarity(token, static_cast<int32_t>(other)));
-  }
-  const size_t top =
-      std::min<size_t>(static_cast<size_t>(std::max(k, 0)), scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + static_cast<long>(top),
-                    scored.end(), [](const auto& a, const auto& b) {
-                      return a.second > b.second;
-                    });
-  scored.resize(top);
-  return scored;
-}
-
 }  // namespace hignn

@@ -44,14 +44,6 @@ class Word2Vec {
   /// token list. This is how query and title features are produced.
   std::vector<float> EmbedBag(const std::vector<int32_t>& token_ids) const;
 
-  /// \brief Cosine similarity of two token ids (for tests / diagnostics).
-  double Similarity(int32_t a, int32_t b) const;
-
-  /// \brief The k most cosine-similar tokens to `token` (excluding
-  /// itself and <unk>), for taxonomy debugging and demos.
-  std::vector<std::pair<int32_t, double>> NearestTokens(int32_t token,
-                                                        int32_t k) const;
-
  private:
   explicit Word2Vec(Matrix input) : input_embeddings_(std::move(input)) {}
 

@@ -37,10 +37,6 @@ Result<CommandLine> CommandLine::Parse(int argc, const char* const* argv) {
   return cl;
 }
 
-bool CommandLine::HasFlag(const std::string& name) const {
-  return flags_.count(name) > 0;
-}
-
 std::string CommandLine::GetString(const std::string& name,
                                    const std::string& default_value) const {
   auto it = flags_.find(name);
@@ -82,16 +78,6 @@ bool CommandLine::GetBool(const std::string& name, bool default_value) const {
     return true;
   }
   return false;
-}
-
-std::vector<std::string> CommandLine::FlagNames() const {
-  std::vector<std::string> names;
-  names.reserve(flags_.size());
-  for (const auto& [name, value] : flags_) {
-    (void)value;
-    names.push_back(name);
-  }
-  return names;
 }
 
 }  // namespace hignn

@@ -27,8 +27,6 @@ class CommandLine {
   /// \brief Positional arguments after the command.
   const std::vector<std::string>& args() const { return args_; }
 
-  bool HasFlag(const std::string& name) const;
-
   /// \brief String flag with default.
   std::string GetString(const std::string& name,
                         const std::string& default_value = "") const;
@@ -43,9 +41,6 @@ class CommandLine {
 
   /// \brief Boolean switch: `--x` or `--x=true/false`.
   bool GetBool(const std::string& name, bool default_value = false) const;
-
-  /// \brief Names of all flags seen (for unknown-flag validation).
-  std::vector<std::string> FlagNames() const;
 
  private:
   std::string command_;

@@ -99,11 +99,6 @@ void BinaryWriter::WriteF32(float value) { Append(&value, sizeof(value)); }
 
 void BinaryWriter::WriteF64(double value) { Append(&value, sizeof(value)); }
 
-void BinaryWriter::WriteString(const std::string& value) {
-  WriteU64(value.size());
-  Append(value.data(), value.size());
-}
-
 void BinaryWriter::WriteFloats(const float* data, size_t count) {
   WriteU64(count);
   Append(data, count * sizeof(float));
@@ -346,14 +341,6 @@ HIGNN_DEFINE_READ(ReadF64, double)
 
 #undef HIGNN_DEFINE_READ
 
-Result<std::string> BinaryReader::ReadString() {
-  HIGNN_ASSIGN_OR_RETURN(uint64_t size, ReadU64());
-  if (size > (1ULL << 32)) return Status::IOError("unreasonable string size");
-  std::string value(size, '\0');
-  HIGNN_RETURN_IF_ERROR(Pull(value.data(), size));
-  return value;
-}
-
 Status BinaryReader::ReadFloats(float* data, size_t count) {
   HIGNN_ASSIGN_OR_RETURN(uint64_t stored, ReadU64());
   if (stored != count) return Status::IOError("float array size mismatch");
@@ -380,8 +367,10 @@ namespace {
 template <typename T>
 Result<const T*> BorrowImpl(const std::vector<char>& buffer, size_t payload,
                             size_t& pos, size_t count) {
+  if (count > (payload - pos) / sizeof(T)) {
+    return Status::IOError("truncated input");
+  }
   const size_t bytes = count * sizeof(T);
-  if (bytes > payload - pos) return Status::IOError("truncated input");
   const char* at = buffer.data() + pos;
   if (reinterpret_cast<uintptr_t>(at) % alignof(T) != 0) {
     return Status::IOError("misaligned array (writer skipped AlignTo)");

@@ -11,9 +11,9 @@
 namespace hignn {
 
 /// \brief Little-endian binary serialization helpers with a tagged,
-/// versioned, checksummed container format. Used by the model/graph/
-/// checkpoint Save/Load methods so trained artifacts can be cached
-/// between runs and survive crashes.
+/// versioned, checksummed container format. Used by the model,
+/// checkpoint and embedding-store Save/Load methods so trained artifacts
+/// can be cached between runs and survive crashes.
 ///
 /// Container layout (format version 2):
 ///
@@ -56,7 +56,6 @@ class BinaryWriter {
   void WriteI64(int64_t value);
   void WriteF32(float value);
   void WriteF64(double value);
-  void WriteString(const std::string& value);
   void WriteFloats(const float* data, size_t count);
   void WriteI32s(const int32_t* data, size_t count);
 
@@ -118,12 +117,15 @@ class BinaryReader {
   Result<int64_t> ReadI64();
   Result<float> ReadF32();
   Result<double> ReadF64();
-  Result<std::string> ReadString();
   Status ReadFloats(float* data, size_t count);
   Status ReadI32s(int32_t* data, size_t count);
 
   /// \brief Current read offset into the verified payload.
   size_t position() const { return pos_; }
+
+  /// \brief Verified payload bytes not read yet. Payload readers bound
+  /// every count a header declares by it before they allocate.
+  size_t remaining() const { return payload_size_ - pos_; }
 
   /// \brief Skips the zero padding a writer-side AlignTo(alignment)
   /// emitted; fails on truncation like any other read.
@@ -158,9 +160,11 @@ class BinaryReader {
 Status AtomicWriteTextFile(const std::string& path,
                            const std::string& contents);
 
-/// Payload tags for the container header.
+/// Payload tags for the container header. Tag 1 holds one matrix; only
+/// the IO test suites write it. Tag 2 is retired (it was the binary
+/// bipartite-graph container, which nothing writes any more; graph input
+/// is TSV) and must never be reused.
 inline constexpr uint32_t kTagMatrix = 1;
-inline constexpr uint32_t kTagBipartiteGraph = 2;
 inline constexpr uint32_t kTagHignnModel = 3;
 inline constexpr uint32_t kTagCheckpoint = 4;
 inline constexpr uint32_t kTagManifest = 5;

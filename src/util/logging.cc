@@ -1,6 +1,5 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,12 +7,8 @@ namespace hignn {
 
 namespace {
 
-std::atomic<LogLevel> g_log_level{LogLevel::kInfo};
-
 const char* LevelName(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
     case LogLevel::kInfo:
       return "INFO";
     case LogLevel::kWarning:
@@ -27,9 +22,6 @@ const char* LevelName(LogLevel level) {
 }
 
 }  // namespace
-
-void SetLogLevel(LogLevel level) { g_log_level.store(level); }
-LogLevel GetLogLevel() { return g_log_level.load(); }
 
 namespace internal_logging {
 

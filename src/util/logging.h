@@ -7,11 +7,8 @@
 namespace hignn {
 
 /// \brief Severity levels for the library logger, ordered by importance.
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
-
-/// \brief Process-wide minimum severity; messages below it are dropped.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+/// The floor is fixed at kInfo, the lowest level, so every message prints.
+enum class LogLevel { kInfo, kWarning, kError, kFatal };
 
 namespace internal_logging {
 
@@ -32,29 +29,14 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
-/// Swallows the streamed expression when the message is disabled.
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) {
-    return *this;
-  }
-};
-
 }  // namespace internal_logging
 }  // namespace hignn
 
-#define HIGNN_LOG_ENABLED(level) \
-  (::hignn::LogLevel::level >= ::hignn::GetLogLevel())
-
 /// Usage: HIGNN_LOG(kInfo) << "trained " << n << " batches";
-#define HIGNN_LOG(level)        \
-  if (!HIGNN_LOG_ENABLED(level)) \
-    ;                           \
-  else                          \
-    ::hignn::internal_logging::LogMessage(::hignn::LogLevel::level, __FILE__, \
-                                          __LINE__)                           \
-        .stream()
+#define HIGNN_LOG(level)                                                    \
+  ::hignn::internal_logging::LogMessage(::hignn::LogLevel::level, __FILE__, \
+                                        __LINE__)                           \
+      .stream()
 
 /// Invariant check: logs the failed condition and aborts when false.
 /// Active in all build modes; use for programmer errors, not user input.

@@ -85,21 +85,6 @@ int Rng::Poisson(double lambda) {
   return count;
 }
 
-size_t Rng::Discrete(const std::vector<double>& weights) {
-  HIGNN_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) total += w;
-  HIGNN_CHECK_GT(total, 0.0);
-  double target = Uniform() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target <= 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
-Rng Rng::Fork() { return Rng(Next()); }
-
 RngState Rng::SaveState() const {
   RngState state;
   for (int i = 0; i < 4; ++i) state.s[i] = state_[i];

@@ -50,10 +50,6 @@ class Rng {
   /// \brief Poisson draw (Knuth's method; suitable for small lambda).
   int Poisson(double lambda);
 
-  /// \brief Samples an index proportionally to the given non-negative
-  /// weights via linear scan. O(n); use AliasSampler for repeated draws.
-  size_t Discrete(const std::vector<double>& weights);
-
   /// \brief Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& v) {
@@ -62,9 +58,6 @@ class Rng {
       std::swap(v[i - 1], v[j]);
     }
   }
-
-  /// \brief Forks an independent generator (for per-thread streams).
-  Rng Fork();
 
   /// \brief Captures the complete generator state (stream position plus
   /// the Box-Muller cache) for checkpointing.

@@ -54,12 +54,6 @@ std::string Trim(std::string_view text) {
   return std::string(text.substr(begin, end - begin));
 }
 
-std::string ToLower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;

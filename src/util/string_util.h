@@ -19,9 +19,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// \brief Strips leading/trailing ASCII whitespace.
 std::string Trim(std::string_view text);
 
-/// \brief ASCII lower-casing.
-std::string ToLower(std::string_view text);
-
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
 

@@ -11,9 +11,9 @@ namespace hignn {
 
 namespace {
 
-// Worker threads mark which pool they belong to so nested ParallelFor /
-// Wait calls from inside a task can detect reentrancy and run inline
-// instead of blocking on their own completion.
+// Worker threads mark which pool they belong to so nested ParallelFor
+// calls from inside a task can detect reentrancy and run inline instead
+// of blocking on their own completion.
 thread_local const ThreadPool* current_worker_pool = nullptr;
 
 // Number of non-empty `chunk_size` chunks covering n items.
@@ -48,59 +48,14 @@ bool ThreadPool::OnWorkerThread() const {
 }
 
 void ThreadPool::RunTask(Task task) {
-  std::exception_ptr error;
-  try {
-    task.fn();
-  } catch (...) {
-    error = std::current_exception();
-  }
+  task.fn();  // a claimer records its chunks' exceptions itself
   task.fn = nullptr;  // drop the closure before its group can retire
   MutexLock lock(mu_);
   TaskGroup& group = *task.group;
-  if (error && !group.first_error) group.first_error = error;
   HIGNN_CHECK_GT(group.pending, 0u);
   // Notified under the lock: a ParallelFor group lives on its caller's
   // stack and is gone as soon as the caller sees pending == 0.
   if (--group.pending == 0) group.done.NotifyAll();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  if (threads_.empty()) {
-    task();  // Inline mode: exceptions propagate to the caller directly.
-    return;
-  }
-  {
-    MutexLock lock(mu_);
-    tasks_.push_back(Task{std::move(task), &submitted_});
-    ++submitted_.pending;
-  }
-  task_ready_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  if (threads_.empty()) return;
-  if (OnWorkerThread()) {
-    // Called from inside a task: the caller itself is in flight, so
-    // blocking until its group drains would never return. Help instead:
-    // drain the queue inline until it is empty.
-    for (;;) {
-      Task task;
-      {
-        MutexLock lock(mu_);
-        if (tasks_.empty()) return;
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-      }
-      RunTask(std::move(task));
-    }
-  }
-  std::exception_ptr error;
-  {
-    MutexLock lock(mu_);
-    while (submitted_.pending != 0) submitted_.done.Wait(lock);
-    error = std::exchange(submitted_.first_error, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::RunChunks(size_t num_chunks,

@@ -21,9 +21,9 @@ namespace hignn {
 /// gracefully to inline execution (num_threads == 1 runs tasks on the
 /// calling thread).
 ///
-/// Reentrancy: ParallelFor / ParallelForChunks called from inside a pool
-/// task run their body inline on the calling worker instead of blocking in
-/// Wait(), so nested parallel kernels cannot deadlock.
+/// Reentrancy: ParallelFor / ParallelForWork / ParallelForChunks called
+/// from inside a pool task run their body inline on the calling worker
+/// instead of blocking, so nested parallel kernels cannot deadlock.
 ///
 /// Completion is per call: every ParallelFor / ParallelForWork /
 /// ParallelForChunks call tracks its own chunks and returns as soon as
@@ -32,10 +32,8 @@ namespace hignn {
 /// calling thread runs chunks too: it and the workers claim chunk indices
 /// from one counter, so a call completes even while every worker is busy.
 ///
-/// Exceptions: a task that throws does not kill the worker. A chunk's
-/// exception is rethrown from the ParallelFor call that submitted it, and
-/// only from that one; a bare Submit() task's exception is rethrown from
-/// the next Wait().
+/// Exceptions: a chunk that throws does not kill the worker. Its exception
+/// is rethrown from the call that submitted it, and only from that one.
 class ThreadPool {
  public:
   /// \brief Creates a pool with `num_threads` workers (0 means
@@ -47,16 +45,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   size_t num_threads() const { return threads_.empty() ? 1 : threads_.size(); }
-
-  /// \brief Enqueues a task for asynchronous execution.
-  void Submit(std::function<void()> task);
-
-  /// \brief Blocks until every Submit()ted task has finished, then
-  /// rethrows the first exception one of them raised (if one did). Chunks
-  /// of concurrent ParallelFor calls are not waited for. Called from
-  /// inside a pool task it drains the queue inline instead of blocking, so
-  /// nested waits cannot deadlock.
-  void Wait();
 
   /// \brief Splits [begin, end) into contiguous chunks and runs
   /// `body(chunk_begin, chunk_end)` across the pool; returns when all
@@ -103,9 +91,8 @@ class ThreadPool {
       const std::function<void(size_t, size_t, size_t)>& body);
 
  private:
-  // Completion state of one set of tasks: each ParallelFor call owns one
-  // on its stack, and bare Submit() tasks share `submitted_`. Its fields
-  // are guarded by the pool's mu_.
+  // Completion state of one call's claimer tasks, owned on the caller's
+  // stack. Its fields are guarded by the pool's mu_.
   struct TaskGroup {
     size_t pending = 0;
     std::exception_ptr first_error;
@@ -119,7 +106,7 @@ class ThreadPool {
 
   void WorkerLoop();
   bool OnWorkerThread() const;
-  // Runs `task` and retires it from its group, recording its exception.
+  // Runs `task` and retires it from its group.
   void RunTask(Task task);
   // Runs `chunk(c)` for every c in [0, num_chunks) and returns when all
   // are done, rethrowing the first exception one of them raised. The
@@ -133,7 +120,6 @@ class ThreadPool {
   Mutex mu_;
   CondVar task_ready_;
   std::deque<Task> tasks_ HIGNN_GUARDED_BY(mu_);
-  TaskGroup submitted_ HIGNN_GUARDED_BY(mu_);
   bool shutdown_ HIGNN_GUARDED_BY(mu_) = false;
 };
 

@@ -11,7 +11,9 @@
 
 #include "core/checkpoint.h"
 #include "core/serialization.h"
+#include "matrix_io_testing.h"
 #include "util/fault_injection.h"
+#include "util/io.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -74,6 +76,26 @@ HignnLevel MakeLevel(uint64_t seed) {
   return level;
 }
 
+// The level above MakeLevel: its 2 x 2 cluster graph, one cluster a side.
+HignnLevel MakeTopLevel(uint64_t seed) {
+  Rng rng(seed);
+  HignnLevel level;
+  BipartiteGraphBuilder builder(2, 2);
+  EXPECT_TRUE(builder.AddEdge(0, 1, 1.0f).ok());
+  EXPECT_TRUE(builder.AddEdge(1, 0, 2.5f).ok());
+  level.graph = builder.Build();
+  level.left_embeddings = Matrix(2, 4);
+  level.left_embeddings.FillNormal(rng);
+  level.right_embeddings = Matrix(2, 4);
+  level.right_embeddings.FillNormal(rng);
+  level.left_assignment = {0, 0};
+  level.right_assignment = {0, 0};
+  level.num_left_clusters = 1;
+  level.num_right_clusters = 1;
+  level.train_loss = 0.5;
+  return level;
+}
+
 TrainingCheckpoint MakeCheckpoint(uint64_t fingerprint, int64_t sequence) {
   TrainingCheckpoint ckpt;
   ckpt.fingerprint = fingerprint;
@@ -117,25 +139,11 @@ std::vector<Artifact> BuildArtifacts() {
   }
   {
     Artifact a;
-    a.name = "graph";
-    a.path = TempPath("corrupt_src_graph.bin");
-    BipartiteGraphBuilder builder(6, 5);
-    EXPECT_TRUE(builder.AddEdge(0, 4, 1.0f).ok());
-    EXPECT_TRUE(builder.AddEdge(5, 0, 2.0f).ok());
-    EXPECT_TRUE(builder.AddEdge(3, 3, 0.5f).ok());
-    EXPECT_TRUE(SaveBipartiteGraph(builder.Build(), a.path).ok());
-    a.load = [](const std::string& p) {
-      return LoadBipartiteGraph(p).status();
-    };
-    artifacts.push_back(std::move(a));
-  }
-  {
-    Artifact a;
     a.name = "model";
     a.path = TempPath("corrupt_src_model.hgnn");
     std::vector<HignnLevel> levels;
     levels.push_back(MakeLevel(31));
-    levels.push_back(MakeLevel(32));
+    levels.push_back(MakeTopLevel(32));
     EXPECT_TRUE(
         SaveHignnModel(HignnModel::FromLevels(std::move(levels)), a.path)
             .ok());
@@ -294,6 +302,127 @@ TEST(CorruptionTest, TornManifestStillFindsNewestCheckpoint) {
   auto latest = LoadLatestCheckpoint(options, 88);
   ASSERT_TRUE(latest.ok()) << latest.status().ToString();
   EXPECT_EQ(latest.value().sequence, 2);
+}
+
+// ---- Past the checksum: files whose CRCs hold but whose structure lies.
+
+// Every model below is written by SaveHignnModel, so its checksums are
+// valid and only the structural checks behind them can reject it.
+TEST(CorruptionTest, ModelsThatBreakTheHierarchyAreRejected) {
+  const std::string path = TempPath("broken_model.hgnn");
+  const auto save_and_load = [&path](std::vector<HignnLevel> levels) {
+    EXPECT_TRUE(
+        SaveHignnModel(HignnModel::FromLevels(std::move(levels)), path).ok());
+    return LoadHignnModel(path).status();
+  };
+  const auto fixture = [] {
+    std::vector<HignnLevel> levels;
+    levels.push_back(MakeLevel(61));
+    levels.push_back(MakeTopLevel(62));
+    return levels;
+  };
+  ASSERT_TRUE(save_and_load(fixture()).ok());
+
+  struct Case {
+    const char* rule;
+    std::function<void(std::vector<HignnLevel>&)> mutate;
+  };
+  const Case cases[] = {
+      {"no levels", [](std::vector<HignnLevel>& levels) { levels.clear(); }},
+      {"embedding rows differ from the vertex count",
+       [](std::vector<HignnLevel>& levels) {
+         levels[0].left_embeddings = Matrix(3, 4);
+       }},
+      {"left and right embedding widths differ",
+       [](std::vector<HignnLevel>& levels) {
+         levels[0].right_embeddings = Matrix(3, 5);
+       }},
+      {"embedding width differs from the level below",
+       [](std::vector<HignnLevel>& levels) {
+         levels[1].left_embeddings = Matrix(2, 3);
+         levels[1].right_embeddings = Matrix(2, 3);
+       }},
+      // The level-1 chain would index level 2's 2 rows at 100000.
+      {"assignment beyond the cluster count",
+       [](std::vector<HignnLevel>& levels) {
+         levels[0].left_assignment[2] = 100000;
+       }},
+      {"negative assignment",
+       [](std::vector<HignnLevel>& levels) {
+         levels[1].right_assignment[1] = -1;
+       }},
+      // Valid assignments into 3 right clusters, under a 2-vertex level.
+      {"vertex counts differ from the cluster counts below",
+       [](std::vector<HignnLevel>& levels) {
+         levels[0].right_assignment = {0, 1, 2};
+         levels[0].num_right_clusters = 3;
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.rule);
+    std::vector<HignnLevel> levels = fixture();
+    c.mutate(levels);
+    const Status status = save_and_load(std::move(levels));
+    EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+  }
+}
+
+// Checkpoint load shares the level reader and chains the in-progress
+// graph onto the last finished level.
+TEST(CorruptionTest, CheckpointsThatBreakTheHierarchyAreRejected) {
+  const std::string dir = FreshDir("broken_ckpt");
+  CheckpointOptions options;
+  options.dir = dir;
+  options.keep_last = 8;
+
+  TrainingCheckpoint graph_off_chain = MakeCheckpoint(91, 1);
+  BipartiteGraphBuilder builder(3, 2);
+  ASSERT_TRUE(builder.AddEdge(2, 1, 1.0f).ok());
+  graph_off_chain.graph = builder.Build();
+  graph_off_chain.left_features = RandomMatrix(3, 3, 92);
+  ASSERT_TRUE(SaveCheckpoint(graph_off_chain, options).ok());
+
+  // A second 4 x 3 level cannot sit on the first one's 2 x 2 clusters.
+  TrainingCheckpoint levels_off_chain = MakeCheckpoint(91, 2);
+  levels_off_chain.completed_levels.push_back(MakeLevel(93));
+  ASSERT_TRUE(SaveCheckpoint(levels_off_chain, options).ok());
+
+  for (int64_t sequence : {1, 2}) {
+    SCOPED_TRACE(sequence);
+    const Status status =
+        LoadCheckpointFile(CheckpointPath(dir, sequence)).status();
+    EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+  }
+}
+
+// A count that the verified bytes cannot hold is rejected before it is
+// allocated: neither file may abort with length_error or bad_alloc.
+TEST(CorruptionTest, CountsBeyondTheRemainingBytesAreRejected) {
+  const auto write_model = [](const std::string& path, int32_t num_left,
+                              int32_t num_right, bool with_matrix_header) {
+    BinaryWriter writer(path);
+    ASSERT_TRUE(writer.ok());
+    writer.WriteHeader(kTagHignnModel);
+    writer.WriteI32(1);  // one level
+    writer.NextSection();
+    writer.WriteI32(num_left);
+    writer.WriteI32(num_right);
+    writer.WriteI64(0);  // no edges
+    if (with_matrix_header) {
+      writer.WriteU64(uint64_t{1} << 31);  // left embeddings: rows
+      writer.WriteU64(uint64_t{1} << 30);  // cols
+    }
+    ASSERT_TRUE(writer.Close().ok());
+  };
+  const std::string huge_matrix = TempPath("huge_matrix.hgnn");
+  write_model(huge_matrix, 0, 0, /*with_matrix_header=*/true);
+  const std::string huge_graph = TempPath("huge_graph.hgnn");
+  write_model(huge_graph, 1 << 28, 1 << 28, /*with_matrix_header=*/false);
+  for (const std::string& path : {huge_matrix, huge_graph}) {
+    SCOPED_TRACE(path);
+    const Status status = LoadHignnModel(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+  }
 }
 
 }  // namespace

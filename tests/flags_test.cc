@@ -33,7 +33,6 @@ TEST(FlagsTest, ValuelessSwitches) {
   EXPECT_TRUE(cl.GetBool("verbose"));
   EXPECT_TRUE(cl.GetBool("ch"));
   EXPECT_FALSE(cl.GetBool("missing"));
-  EXPECT_TRUE(cl.HasFlag("alpha"));
   EXPECT_DOUBLE_EQ(cl.GetDouble("alpha", 0).ValueOrDie(), 5.0);
 }
 
@@ -67,12 +66,6 @@ TEST(FlagsTest, RejectsMalformedFlags) {
   std::vector<const char*> args = {"hignn", "fit", "--"};
   EXPECT_FALSE(
       CommandLine::Parse(static_cast<int>(args.size()), args.data()).ok());
-}
-
-TEST(FlagsTest, FlagNamesEnumerates) {
-  const CommandLine cl = Parse({"fit", "--a=1", "--b"});
-  const auto names = cl.FlagNames();
-  EXPECT_EQ(names.size(), 2u);
 }
 
 }  // namespace

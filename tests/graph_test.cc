@@ -78,25 +78,35 @@ TEST(BipartiteGraphTest, BuilderRejectsBadInput) {
 
 TEST(BipartiteGraphTest, EdgesRoundTrip) {
   BipartiteGraph g = SmallGraph();
-  const auto edges = g.Edges();
-  ASSERT_EQ(edges.size(), 5u);
-  // Left-major order.
-  EXPECT_EQ(edges[0].u, 0);
-  EXPECT_EQ(edges[4].u, 2);
+  // SmallGraph's edges, in the left-major order EdgeAt enumerates.
+  const std::vector<WeightedEdge> added = {
+      {0, 0, 1.0f}, {0, 1, 2.0f}, {1, 1, 1.0f}, {1, 2, 4.0f}, {2, 3, 0.5f}};
+  ASSERT_EQ(g.num_edges(), static_cast<int64_t>(added.size()));
   double total = 0;
-  for (const auto& e : edges) total += e.weight;
+  for (int64_t k = 0; k < g.num_edges(); ++k) {
+    const WeightedEdge e = g.EdgeAt(k);
+    EXPECT_EQ(e.u, added[static_cast<size_t>(k)].u);
+    EXPECT_EQ(e.i, added[static_cast<size_t>(k)].i);
+    EXPECT_FLOAT_EQ(e.weight, added[static_cast<size_t>(k)].weight);
+    total += e.weight;
+  }
   EXPECT_DOUBLE_EQ(total, 8.5);
 }
 
 TEST(BipartiteGraphTest, EdgeAtMatchesEdges) {
   BipartiteGraph g = SmallGraph();
-  const auto edges = g.Edges();
-  for (int64_t k = 0; k < g.num_edges(); ++k) {
-    const WeightedEdge e = g.EdgeAt(k);
-    EXPECT_EQ(e.u, edges[static_cast<size_t>(k)].u);
-    EXPECT_EQ(e.i, edges[static_cast<size_t>(k)].i);
-    EXPECT_FLOAT_EQ(e.weight, edges[static_cast<size_t>(k)].weight);
+  // EdgeAt(k) is the k-th entry of the left CSR, u ascending.
+  int64_t k = 0;
+  for (int32_t u = 0; u < g.num_left(); ++u) {
+    const auto span = g.LeftNeighbors(u);
+    for (size_t j = 0; j < span.size; ++j, ++k) {
+      const WeightedEdge e = g.EdgeAt(k);
+      EXPECT_EQ(e.u, u);
+      EXPECT_EQ(e.i, span.ids[j]);
+      EXPECT_FLOAT_EQ(e.weight, span.weights[j]);
+    }
   }
+  EXPECT_EQ(k, g.num_edges());
 }
 
 TEST(BipartiteGraphTest, EdgeAtWithIsolatedVertices) {
@@ -277,7 +287,7 @@ TEST(NegativeSamplerTest, HasEdgeMatchesLinearScan) {
       for (int32_t i = 0; i < g.num_right(); ++i) {
         EXPECT_EQ(sampler.HasEdge(u, i),
                   std::find(span.begin(), span.end(), i) != span.end())
-            << "(" << u << ", " << i << ") in " << g.DebugString();
+            << "(" << u << ", " << i << ")";
       }
     }
   }

@@ -107,31 +107,45 @@ TEST_F(HignnFixture, ClusterChainsAreConsistent) {
 }
 
 TEST_F(HignnFixture, HierarchicalEmbeddingConcatenatesLevels) {
-  const auto hier = model_->HierarchicalLeft(5);
-  ASSERT_EQ(hier.size(), 24u);
-  // First block equals the level-1 embedding of the vertex itself.
-  const auto& level1 = model_->levels().front().left_embeddings;
-  for (size_t c = 0; c < 8; ++c) EXPECT_FLOAT_EQ(hier[c], level1(5, c));
-  // Second block equals the level-2 embedding of the level-1 cluster.
-  const int32_t cluster = model_->LeftClusterAt(5, 1);
-  const auto& level2 = model_->levels()[1].left_embeddings;
-  for (size_t c = 0; c < 8; ++c) {
-    EXPECT_FLOAT_EQ(hier[8 + c], level2(static_cast<size_t>(cluster), c));
+  const Matrix all = model_->AllHierarchicalLeft();
+  ASSERT_EQ(all.rows(), static_cast<size_t>(dataset_->num_users()));
+  ASSERT_EQ(all.cols(), 24u);
+  // Block l of z^H_u is level l's embedding of u's chain: the vertex
+  // itself at level 1, then its level-(l-1) cluster.
+  for (int32_t u = 0; u < dataset_->num_users(); u += 29) {
+    for (int32_t l = 1; l <= model_->num_levels(); ++l) {
+      const int32_t vertex = l == 1 ? u : model_->LeftClusterAt(u, l - 1);
+      const Matrix& level =
+          model_->levels()[static_cast<size_t>(l - 1)].left_embeddings;
+      for (size_t c = 0; c < 8; ++c) {
+        EXPECT_FLOAT_EQ(all(static_cast<size_t>(u),
+                            static_cast<size_t>(l - 1) * 8 + c),
+                        level(static_cast<size_t>(vertex), c))
+            << "user " << u << " level " << l;
+      }
+    }
   }
 }
 
 TEST_F(HignnFixture, AllHierarchicalMatricesMatchPerVertexQueries) {
   const Matrix all = model_->AllHierarchicalLeft();
-  ASSERT_EQ(all.rows(), static_cast<size_t>(dataset_->num_users()));
-  ASSERT_EQ(all.cols(), 24u);
-  for (int32_t u = 0; u < dataset_->num_users(); u += 29) {
-    const auto expected = model_->HierarchicalLeft(u);
-    for (size_t c = 0; c < expected.size(); ++c) {
-      EXPECT_FLOAT_EQ(all(static_cast<size_t>(u), c), expected[c]);
+  const Matrix right = model_->AllHierarchicalRight();
+  ASSERT_EQ(right.rows(), static_cast<size_t>(dataset_->num_items()));
+  ASSERT_EQ(right.cols(), 24u);
+  // Item rows follow RightClusterAt's chain the same way.
+  for (int32_t i = 0; i < dataset_->num_items(); i += 13) {
+    for (int32_t l = 1; l <= model_->num_levels(); ++l) {
+      const int32_t vertex = l == 1 ? i : model_->RightClusterAt(i, l - 1);
+      const Matrix& level =
+          model_->levels()[static_cast<size_t>(l - 1)].right_embeddings;
+      for (size_t c = 0; c < 8; ++c) {
+        EXPECT_FLOAT_EQ(right(static_cast<size_t>(i),
+                              static_cast<size_t>(l - 1) * 8 + c),
+                        level(static_cast<size_t>(vertex), c))
+            << "item " << i << " level " << l;
+      }
     }
   }
-  const Matrix right = model_->AllHierarchicalRight();
-  EXPECT_EQ(right.rows(), static_cast<size_t>(dataset_->num_items()));
 
   // Truncated variant keeps the leading blocks.
   const Matrix truncated = model_->AllHierarchicalLeft(2);

@@ -4,8 +4,8 @@
 //  - every GEMM variant is bitwise identical across ISA paths and thread
 //    counts;
 //  - the fused constant-source tape ops (GatherRowsFrom / GroupMeanRowsFrom
-//    / GroupWeightedSumRowsFrom) reproduce Input(copy) + op bit for bit,
-//    all the way up to a full Fit with fused_level0 on vs off;
+//    / GroupWeightedSumRowsFrom) that SAGE's first step streams from the
+//    feature tables reproduce Input(copy) + op bit for bit;
 //  - the flat-CSR neighbor sampling and grouped aggregation reproduce the
 //    per-vertex and nested forms they replaced;
 //  - simd::Tanh reproduces glibc 2.36's tanhf bits on both paths;
@@ -508,7 +508,7 @@ TEST(FusedAggregateTest, GroupWeightedSumRowsFromMatchesUnfused) {
   EXPECT_TRUE(BitwiseEqual(unfused.value(sum), fused.value(direct)));
 }
 
-HignnModel FitWithFusion(bool fused, int threads) {
+HignnModel FitWithThreads(int threads) {
   SyntheticConfig data_config = SyntheticConfig::Tiny();
   auto dataset = SyntheticDataset::Generate(data_config);
   EXPECT_TRUE(dataset.ok());
@@ -520,7 +520,6 @@ HignnModel FitWithFusion(bool fused, int threads) {
   config.sage.fanouts = {5, 3};
   config.sage.train_steps = 8;
   config.sage.batch_size = 64;
-  config.sage.fused_level0 = fused;
   config.num_threads = threads;
   auto model = Hignn::Fit(graph, dataset.value().user_features(),
                           dataset.value().item_features(), config);
@@ -544,24 +543,18 @@ void ExpectModelsIdentical(const HignnModel& a, const HignnModel& b) {
   }
 }
 
-TEST(FusedAggregateTest, FitFusedVsUnfusedBitwiseIdentical) {
-  const HignnModel fused = FitWithFusion(true, 1);
-  const HignnModel unfused = FitWithFusion(false, 1);
-  ExpectModelsIdentical(fused, unfused);
-}
-
 TEST(FusedAggregateTest, FitFusedOneVsFourThreadsBitwiseIdentical) {
-  const HignnModel one = FitWithFusion(true, 1);
-  const HignnModel four = FitWithFusion(true, 4);
+  const HignnModel one = FitWithThreads(1);
+  const HignnModel four = FitWithThreads(4);
   ExpectModelsIdentical(one, four);
 }
 
 TEST(FusedAggregateTest, FitScalarVsBestPathBitwiseIdentical) {
   PathGuard guard;
   simd::ForcePathForTesting(simd::IsaPath::kScalar);
-  const HignnModel scalar = FitWithFusion(true, 1);
+  const HignnModel scalar = FitWithThreads(1);
   simd::ForcePathForTesting(simd::Best());
-  const HignnModel best = FitWithFusion(true, 1);
+  const HignnModel best = FitWithThreads(1);
   ExpectModelsIdentical(scalar, best);
 }
 
@@ -595,8 +588,8 @@ uint64_t FitDigest(const HignnModel& model) {
 
 // hignn_bench's fit configuration (3 levels, fanouts {10, 5}, tanh
 // updates, 10 fixed Lloyd iterations) at a size a unit test can afford.
-// `ablations` also turns on the edge-weighted aggregator, the unfused
-// level 0, output normalization and the concat scorer.
+// `ablations` also turns on the edge-weighted aggregator, output
+// normalization and the concat scorer.
 HignnModel GoldenFit(int threads, bool ablations) {
   SyntheticConfig data_config = SyntheticConfig::Tiny();
   data_config.num_users = 300;
@@ -615,7 +608,6 @@ HignnModel GoldenFit(int threads, bool ablations) {
   config.num_threads = threads;
   if (ablations) {
     config.sage.weighted_aggregator = true;
-    config.sage.fused_level0 = false;
     config.sage.normalize_output = true;
     config.sage.scorer = EdgeScorer::kConcatMlp;
   }
@@ -629,6 +621,8 @@ HignnModel GoldenFit(int threads, bool ablations) {
 TEST(FitGoldenTest, DigestMatchesPinnedOnEveryPathAndThreadCount) {
   // Recorded with std::tanh on glibc 2.36 before simd::Tanh, the flat-CSR
   // sampler and the 4x16 GEMM tile: those changes must not move a bit.
+  // kPinnedAblations was recorded on the unfused level-0 path, which was
+  // later deleted; the fused first step must hold it too.
   constexpr uint64_t kPinned = 0x01db2096b16fa512ULL;
   constexpr uint64_t kPinnedAblations = 0x88359fb28c5c718eULL;
   PathGuard guard;

@@ -44,15 +44,14 @@ TEST(MatrixTest, RowAccessors) {
   Matrix m(2, 2, {1, 2, 3, 4});
   m.SetRow(0, {9, 8});
   EXPECT_FLOAT_EQ(m(0, 1), 8);
-  const auto row = m.GetRow(1);
-  ASSERT_EQ(row.size(), 2u);
+  const float* row = m.row(1);
   EXPECT_FLOAT_EQ(row[0], 3);
+  EXPECT_FLOAT_EQ(row[1], 4);
 }
 
-TEST(MatrixTest, NormsAndMaxAbs) {
+TEST(MatrixTest, SquaredNorm) {
   Matrix m(1, 3, {3, -4, 0});
   EXPECT_DOUBLE_EQ(m.SquaredNorm(), 25.0);
-  EXPECT_FLOAT_EQ(m.MaxAbs(), 4.0f);
 }
 
 TEST(MatrixTest, FillNormalStatistics) {
@@ -67,7 +66,10 @@ TEST(MatrixTest, FillUniformRange) {
   Rng rng(5);
   Matrix m(50, 50);
   m.FillUniform(rng, -1.0f, 1.0f);
-  EXPECT_LE(m.MaxAbs(), 1.0f);
+  for (size_t i = 0; i < m.size(); ++i) {
+    EXPECT_GE(m.data()[i], -1.0f);
+    EXPECT_LE(m.data()[i], 1.0f);
+  }
   EXPECT_NEAR(m.Sum() / m.size(), 0.0, 0.05);
 }
 
@@ -123,13 +125,6 @@ TEST(AllCloseTest, DetectsShapeAndValueDiffs) {
   EXPECT_FALSE(AllClose(a, b));
   EXPECT_FALSE(AllClose(a, c, 0.05f));
   EXPECT_TRUE(AllClose(a, c, 0.2f));
-}
-
-TEST(MatrixTest, ToStringTruncates) {
-  Matrix m(10, 10);
-  const std::string s = m.ToString(2, 2);
-  EXPECT_NE(s.find("Matrix(10x10)"), std::string::npos);
-  EXPECT_NE(s.find("..."), std::string::npos);
 }
 
 }  // namespace

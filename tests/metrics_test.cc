@@ -57,85 +57,5 @@ TEST(AucTest, InvariantToMonotoneTransform) {
   EXPECT_DOUBLE_EQ(ComputeAuc(transformed, labels).ValueOrDie(), base);
 }
 
-TEST(LogLossTest, PerfectAndWorst) {
-  auto good = ComputeLogLoss({1.0f, 0.0f}, {1, 0});
-  ASSERT_TRUE(good.ok());
-  EXPECT_NEAR(good.value(), 0.0, 1e-5);
-  auto bad = ComputeLogLoss({0.0f, 1.0f}, {1, 0});
-  ASSERT_TRUE(bad.ok());
-  EXPECT_GT(bad.value(), 10.0);  // Clamped, finite.
-  EXPECT_TRUE(std::isfinite(bad.value()));
-}
-
-TEST(LogLossTest, UninformativeIsLn2) {
-  auto loss = ComputeLogLoss({0.5f, 0.5f}, {1, 0});
-  ASSERT_TRUE(loss.ok());
-  EXPECT_NEAR(loss.value(), std::log(2.0), 1e-6);
-}
-
-TEST(AccuracyTest, ThresholdBehavior) {
-  auto acc = ComputeAccuracy({0.9f, 0.4f, 0.6f, 0.1f}, {1, 0, 0, 1}, 0.5f);
-  ASSERT_TRUE(acc.ok());
-  EXPECT_DOUBLE_EQ(acc.value(), 0.5);  // hits: first and second
-}
-
-TEST(PrecisionAtKTest, TopHeavyList) {
-  auto p = PrecisionAtK({0.9f, 0.8f, 0.7f, 0.1f}, {1, 0, 1, 1}, 2);
-  ASSERT_TRUE(p.ok());
-  EXPECT_DOUBLE_EQ(p.value(), 0.5);
-  auto p3 = PrecisionAtK({0.9f, 0.8f, 0.7f, 0.1f}, {1, 0, 1, 1}, 3);
-  EXPECT_DOUBLE_EQ(p3.ValueOrDie(), 2.0 / 3.0);
-}
-
-TEST(PrecisionAtKTest, KBeyondSizeUsesAll) {
-  auto p = PrecisionAtK({0.9f, 0.1f}, {1, 0}, 10);
-  ASSERT_TRUE(p.ok());
-  EXPECT_DOUBLE_EQ(p.value(), 0.5);
-}
-
-TEST(PrecisionAtKTest, RejectsBadK) {
-  EXPECT_FALSE(PrecisionAtK({0.5f}, {1}, 0).ok());
-}
-
-TEST(NdcgTest, PerfectRankingIsOne) {
-  EXPECT_DOUBLE_EQ(NdcgAtK({0.9f, 0.8f, 0.1f}, {1, 1, 0}, 3).ValueOrDie(),
-                   1.0);
-}
-
-TEST(NdcgTest, KnownPartialValue) {
-  // Ranking: pos at ranks 1 and 3 (0-based 0, 2); ideal: ranks 1 and 2.
-  const double dcg = 1.0 / std::log2(2.0) + 1.0 / std::log2(4.0);
-  const double ideal = 1.0 / std::log2(2.0) + 1.0 / std::log2(3.0);
-  EXPECT_NEAR(NdcgAtK({0.9f, 0.6f, 0.5f}, {1, 0, 1}, 3).ValueOrDie(),
-              dcg / ideal, 1e-12);
-}
-
-TEST(NdcgTest, CutoffDropsDeepPositives) {
-  // Positive at rank 3 only; with k = 2 the DCG is 0.
-  EXPECT_DOUBLE_EQ(NdcgAtK({0.9f, 0.8f, 0.1f}, {0, 0, 1}, 2).ValueOrDie(),
-                   0.0);
-}
-
-TEST(NdcgTest, RejectsDegenerateInput) {
-  EXPECT_FALSE(NdcgAtK({0.5f}, {0}, 3).ok());     // no positives
-  EXPECT_FALSE(NdcgAtK({0.5f}, {1}, 0).ok());     // bad k
-  EXPECT_FALSE(NdcgAtK({}, {}, 3).ok());          // empty
-  EXPECT_FALSE(NdcgAtK({0.5f}, {1, 0}, 3).ok());  // size mismatch
-}
-
-TEST(ReciprocalRankTest, FirstPositionGivesOne) {
-  EXPECT_DOUBLE_EQ(ReciprocalRank({0.9f, 0.1f}, {1, 0}).ValueOrDie(), 1.0);
-}
-
-TEST(ReciprocalRankTest, ThirdPositionGivesThird) {
-  EXPECT_DOUBLE_EQ(
-      ReciprocalRank({0.9f, 0.8f, 0.7f, 0.6f}, {0, 0, 1, 1}).ValueOrDie(),
-      1.0 / 3.0);
-}
-
-TEST(ReciprocalRankTest, RejectsAllNegative) {
-  EXPECT_FALSE(ReciprocalRank({0.5f, 0.4f}, {0, 0}).ok());
-}
-
 }  // namespace
 }  // namespace hignn

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "matrix_io_testing.h"
 #include "util/rng.h"
 
 namespace hignn {
@@ -42,15 +43,34 @@ TEST(SerializationTest, GraphRoundTrip) {
   ASSERT_TRUE(builder.AddEdge(1, 0, 0.5f).ok());
   const BipartiteGraph original = builder.Build();
 
-  const std::string path = TempPath("graph.bin");
-  ASSERT_TRUE(SaveBipartiteGraph(original, path).ok());
-  auto loaded = LoadBipartiteGraph(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().num_left(), 4);
-  EXPECT_EQ(loaded.value().num_right(), 5);
-  EXPECT_EQ(loaded.value().num_edges(), 3);
-  EXPECT_DOUBLE_EQ(loaded.value().TotalWeight(), original.TotalWeight());
-  EXPECT_TRUE(loaded.value().Validate().ok());
+  // Graphs are stored inside model levels (and checkpoints): save a
+  // one-level model over `original` and read its graph back.
+  HignnLevel level;
+  level.graph = original;
+  level.left_embeddings = Matrix(4, 2);
+  level.right_embeddings = Matrix(5, 2);
+  level.left_assignment = {0, 0, 0, 0};
+  level.right_assignment = {0, 0, 0, 0, 0};
+  level.num_left_clusters = 1;
+  level.num_right_clusters = 1;
+  std::vector<HignnLevel> levels;
+  levels.push_back(std::move(level));
+  const std::string path = TempPath("graph_model.hgnn");
+  ASSERT_TRUE(
+      SaveHignnModel(HignnModel::FromLevels(std::move(levels)), path).ok());
+  auto model = LoadHignnModel(path);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const BipartiteGraph& loaded = model.value().levels().front().graph;
+  EXPECT_EQ(loaded.num_left(), 4);
+  EXPECT_EQ(loaded.num_right(), 5);
+  ASSERT_EQ(loaded.num_edges(), 3);
+  for (int64_t k = 0; k < loaded.num_edges(); ++k) {
+    EXPECT_EQ(loaded.EdgeAt(k).u, original.EdgeAt(k).u);
+    EXPECT_EQ(loaded.EdgeAt(k).i, original.EdgeAt(k).i);
+    EXPECT_EQ(loaded.EdgeAt(k).weight, original.EdgeAt(k).weight);
+  }
+  EXPECT_DOUBLE_EQ(loaded.TotalWeight(), original.TotalWeight());
+  EXPECT_TRUE(loaded.Validate().ok());
 }
 
 TEST(SerializationTest, HignnModelRoundTrip) {
@@ -89,8 +109,7 @@ TEST(SerializationTest, RejectsWrongTag) {
   m.FillNormal(rng);
   const std::string path = TempPath("tagged.bin");
   ASSERT_TRUE(SaveMatrix(m, path).ok());
-  EXPECT_FALSE(LoadBipartiteGraph(path).ok());  // matrix tag != graph tag
-  EXPECT_FALSE(LoadHignnModel(path).ok());
+  EXPECT_FALSE(LoadHignnModel(path).ok());  // matrix tag != model tag
 }
 
 TEST(SerializationTest, RejectsGarbageAndMissingFiles) {

@@ -163,14 +163,14 @@ TEST_F(ServeFixture, StoreRoundTripsMetadataAndChains) {
   EXPECT_EQ(store->spec().user_levels, spec_.user_levels);
   EXPECT_EQ(store->spec().item_levels, spec_.item_levels);
 
-  for (int32_t level = 1; level <= store->chain_levels(); ++level) {
-    for (int32_t user = 0; user < store->num_users(); ++user) {
-      ASSERT_EQ(store->LeftClusterAt(user, level),
-                model_->LeftClusterAt(user, level))
-          << "user " << user << " level " << level;
-    }
+  // The item chains, as the retrieval index reads them.
+  const ClusterTreeIndex::Source source = store->IndexSource();
+  ASSERT_EQ(source.chain_levels, model_->num_levels());
+  const size_t items = static_cast<size_t>(store->num_items());
+  for (int32_t level = 1; level <= source.chain_levels; ++level) {
     for (int32_t item = 0; item < store->num_items(); ++item) {
-      ASSERT_EQ(store->RightClusterAt(item, level),
+      ASSERT_EQ(source.right_chain[static_cast<size_t>(level - 1) * items +
+                                   static_cast<size_t>(item)],
                 model_->RightClusterAt(item, level))
           << "item " << item << " level " << level;
     }

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/grad_check.h"
+#include "grad_check_testing.h"
 #include "nn/matrix.h"
 #include "row_groups_testing.h"
 #include "util/rng.h"
@@ -75,20 +75,6 @@ TEST(TapeTest, MatMulGradientRight) {
   });
 }
 
-TEST(TapeTest, AddGradient) {
-  const Matrix b = RandomMatrix(3, 3, 17);
-  CheckOpGradient(RandomMatrix(3, 3, 13), [&](Tape& tape, VarId x) {
-    return tape.MeanAll(tape.Add(x, tape.Input(b)));
-  });
-}
-
-TEST(TapeTest, SubGradient) {
-  const Matrix b = RandomMatrix(3, 3, 19);
-  CheckOpGradient(RandomMatrix(3, 3, 23), [&](Tape& tape, VarId x) {
-    return tape.MeanAll(tape.Sub(x, tape.Input(b)));
-  });
-}
-
 TEST(TapeTest, MulGradient) {
   const Matrix b = RandomMatrix(3, 3, 29);
   CheckOpGradient(RandomMatrix(3, 3, 31), [&](Tape& tape, VarId x) {
@@ -100,12 +86,6 @@ TEST(TapeTest, AddRowBroadcastGradientOnBias) {
   const Matrix a = RandomMatrix(4, 3, 37);
   CheckOpGradient(RandomMatrix(1, 3, 41), [&](Tape& tape, VarId bias) {
     return tape.MeanAll(tape.AddRowBroadcast(tape.Input(a), bias));
-  });
-}
-
-TEST(TapeTest, ScalarMulGradient) {
-  CheckOpGradient(RandomMatrix(2, 5, 43), [&](Tape& tape, VarId x) {
-    return tape.MeanAll(tape.ScalarMul(x, -2.5f));
   });
 }
 

@@ -166,8 +166,6 @@ TEST(ThreadPoolConcurrencyTest, ExceptionStaysWithItsOwnCaller) {
       ASSERT_EQ(hits[i], 1) << "round " << round << " index " << i;
     }
   }
-  // Nothing leaked into the bare Submit()/Wait() channel either.
-  pool.Wait();
 }
 
 // Chunk claiming: the workers and each calling thread take chunk indices
@@ -200,27 +198,32 @@ TEST(ThreadPoolConcurrencyTest, EveryChunkRunsExactlyOnce) {
   EXPECT_EQ(bad_calls.load(), 0);
 }
 
-// A call never waits for a free worker: with every worker parked on a
-// Submit()ted task, ParallelForChunks from another thread still completes
-// because its caller drains its own chunks.
+// A call never waits for a free worker: with every worker parked in the
+// chunks of a blocking ParallelForChunks on a second thread,
+// ParallelForChunks from this thread still completes because its caller
+// drains its own chunks.
 TEST(ThreadPoolConcurrencyTest, CallerDrainsItsOwnChunks) {
   ThreadPool pool(4);
+  const size_t workers = pool.num_threads();
   std::atomic<size_t> parked{0};
   std::atomic<bool> release{false};
-  for (size_t w = 0; w < pool.num_threads(); ++w) {
-    pool.Submit([&] {
-      parked += 1;
-      while (!release.load()) std::this_thread::yield();
-    });
-  }
-  while (parked.load() < pool.num_threads()) std::this_thread::yield();
+  // One chunk per worker plus one for the blocking call's own thread: each
+  // claimer that takes a chunk holds it until released.
+  std::thread blocker([&] {
+    pool.ParallelForChunks(0, workers + 1, workers + 1,
+                           [&](size_t, size_t, size_t) {
+                             parked += 1;
+                             while (!release.load()) std::this_thread::yield();
+                           });
+  });
+  while (parked.load() < workers + 1) std::this_thread::yield();
   std::vector<int> hits(100, 0);
   pool.ParallelForChunks(0, hits.size(), 16,
                          [&](size_t, size_t lo, size_t hi) {
                            for (size_t i = lo; i < hi; ++i) hits[i] += 1;
                          });
   release.store(true);
-  pool.Wait();
+  blocker.join();
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/csv_writer.h"
 #include "util/io.h"
 #include "util/ordered.h"
 #include "util/rng.h"
@@ -154,15 +153,6 @@ TEST(RngTest, PoissonMean) {
   EXPECT_NEAR(total / 20000.0, 2.5, 0.1);
 }
 
-TEST(RngTest, DiscreteRespectsWeights) {
-  Rng rng(23);
-  std::vector<double> weights = {1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 40000; ++i) ++counts[rng.Discrete(weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.25);
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(29);
   std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -212,9 +202,8 @@ TEST(StringUtilTest, JoinRoundTrip) {
   EXPECT_EQ(Join({}, "-"), "");
 }
 
-TEST(StringUtilTest, TrimAndLower) {
+TEST(StringUtilTest, TrimStripsOuterWhitespace) {
   EXPECT_EQ(Trim("  MiXeD \t"), "MiXeD");
-  EXPECT_EQ(ToLower("MiXeD"), "mixed");
 }
 
 TEST(StringUtilTest, StartsEndsWith) {
@@ -262,10 +251,13 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
 TEST(ThreadPoolTest, InlineModeWorks) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1u);
-  int counter = 0;
-  pool.Submit([&] { ++counter; });
-  pool.Wait();
-  EXPECT_EQ(counter, 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  size_t covered = 0;
+  pool.ParallelFor(0, 10, [&](size_t lo, size_t hi) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    covered += hi - lo;
+  });
+  EXPECT_EQ(covered, 10u);
 }
 
 TEST(ThreadPoolTest, EmptyRangeIsNoOp) {
@@ -278,13 +270,17 @@ TEST(ThreadPoolTest, EmptyRangeIsNoOp) {
 TEST(ThreadPoolTest, ManySubmissions) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 500; ++i) pool.Submit([&] { ++counter; });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 500);
+  for (int i = 0; i < 500; ++i) {
+    pool.ParallelForChunks(0, 4, 4, [&](size_t, size_t, size_t) {
+      ++counter;
+    });
+  }
+  EXPECT_EQ(counter.load(), 2000);
 }
 
 TEST(ThreadPoolTest, EmptyRangeAfterRealWorkStillNoOp) {
-  // begin == end must not leave the pool in a state that deadlocks Wait().
+  // begin == end must not leave the pool in a state that deadlocks the
+  // next call.
   ThreadPool pool(4);
   std::atomic<int> covered{0};
   pool.ParallelFor(0, 64, [&](size_t lo, size_t hi) {
@@ -292,9 +288,11 @@ TEST(ThreadPoolTest, EmptyRangeAfterRealWorkStillNoOp) {
   });
   bool called = false;
   pool.ParallelFor(7, 7, [&](size_t, size_t) { called = true; });
-  pool.Wait();
+  pool.ParallelFor(0, 64, [&](size_t lo, size_t hi) {
+    covered += static_cast<int>(hi - lo);
+  });
   EXPECT_FALSE(called);
-  EXPECT_EQ(covered.load(), 64);
+  EXPECT_EQ(covered.load(), 128);
 }
 
 TEST(ThreadPoolTest, FewerItemsThanThreads) {
@@ -306,37 +304,42 @@ TEST(ThreadPoolTest, FewerItemsThanThreads) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, NestedSubmitDoesNotDeadlockWait) {
-  ThreadPool pool(2);
-  std::atomic<int> stage{0};
-  pool.Submit([&] {
-    ++stage;
-    pool.Submit([&] { ++stage; });
-  });
-  pool.Wait();  // Must cover the task submitted from inside the task.
-  EXPECT_EQ(stage.load(), 2);
-}
-
 TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
   std::atomic<int> inner_total{0};
-  pool.Submit([&] {
-    pool.ParallelFor(0, 10, [&](size_t lo, size_t hi) {
-      inner_total += static_cast<int>(hi - lo);
-    });
+  std::atomic<int> inner_left_its_worker{0};
+  pool.ParallelFor(0, 8, [&](size_t lo, size_t hi) {
+    const std::thread::id outer = std::this_thread::get_id();
+    for (size_t o = lo; o < hi; ++o) {
+      pool.ParallelFor(0, 10, [&](size_t inner_lo, size_t inner_hi) {
+        inner_total += static_cast<int>(inner_hi - inner_lo);
+        // Called on a worker, the nested loop runs inline on that worker
+        // instead of waiting for workers busy with the outer loop.
+        if (outer != caller && std::this_thread::get_id() != outer) {
+          inner_left_its_worker += 1;
+        }
+      });
+    }
   });
-  pool.Wait();
-  EXPECT_EQ(inner_total.load(), 10);
+  EXPECT_EQ(inner_total.load(), 80);
+  EXPECT_EQ(inner_left_its_worker.load(), 0);
 }
 
+// A chunk that throws on a worker does not kill it or deadlock the call
+// waiting for it; the pool stays usable and a clean call does not rethrow.
 TEST(ThreadPoolTest, ExceptionInTaskDoesNotDeadlockWait) {
   ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // The pool stays usable and a clean Wait() does not rethrow again.
+  EXPECT_THROW(pool.ParallelForChunks(0, 16, 16,
+                                      [](size_t c, size_t, size_t) {
+                                        if (c % 2 == 1) {
+                                          throw std::runtime_error("boom");
+                                        }
+                                      }),
+               std::runtime_error);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 16; ++i) pool.Submit([&] { ++counter; });
-  pool.Wait();
+  pool.ParallelForChunks(0, 16, 16,
+                         [&](size_t, size_t, size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 16);
 }
 
@@ -347,7 +350,6 @@ TEST(ThreadPoolTest, ExceptionInParallelForBodyPropagates) {
                                   if (lo == 0) throw std::runtime_error("x");
                                 }),
                std::runtime_error);
-  pool.Wait();
 }
 
 TEST(ThreadPoolTest, ParallelForChunksLayoutIndependentOfThreads) {
@@ -373,40 +375,6 @@ TEST(ThreadPoolTest, ParallelForChunksCoversRangeOnce) {
                            for (size_t i = lo; i < hi; ++i) hits[i] += 1;
                          });
   for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-// ----------------------------------------------------------- CsvWriter --
-
-TEST(CsvWriterTest, EscapesPerRfc4180) {
-  EXPECT_EQ(CsvWriter::EscapeField("plain"), "plain");
-  EXPECT_EQ(CsvWriter::EscapeField("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::EscapeField("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvWriter::EscapeField("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(CsvWriterTest, WritesRowsToFile) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/out.csv";
-  {
-    CsvWriter csv(path);
-    csv.WriteRow({"method", "auc"});
-    csv.WriteRow("HiGNN", {0.747, 1.0});
-    EXPECT_EQ(csv.rows_written(), 2);
-    EXPECT_TRUE(csv.Close().ok());
-  }
-  std::ifstream in(path);
-  std::string line1;
-  std::string line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "method,auc");
-  EXPECT_EQ(line2, "HiGNN,0.747,1");
-}
-
-TEST(CsvWriterTest, CloseReportsOpenFailure) {
-  CsvWriter csv("/nonexistent-dir/foo.csv");
-  csv.WriteRow({"x"});
-  EXPECT_FALSE(csv.Close().ok());
 }
 
 // ----------------------------------------------------------- Atomic IO --

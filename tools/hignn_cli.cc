@@ -32,7 +32,6 @@
 #include "serve/embedding_store.h"
 #include "util/flags.h"
 #include "util/io.h"
-#include "util/string_util.h"
 
 namespace hignn {
 namespace {
@@ -153,9 +152,7 @@ int RunFit(const CommandLine& cl) {
   const std::string out = cl.GetString("out");
   if (graph_path.empty() || out.empty()) return Usage();
 
-  auto graph = EndsWith(graph_path, ".tsv")
-                   ? LoadBipartiteGraphTsv(graph_path)
-                   : LoadBipartiteGraph(graph_path);
+  auto graph = LoadBipartiteGraphTsv(graph_path);
   if (!graph.ok()) return Fail(graph.status());
 
   HignnConfig config;
