@@ -123,7 +123,7 @@ int main() {
     }
     std::string topics;
     for (int32_t k : run.value().level_topics) {
-      topics += (topics.empty() ? "" : "/") + std::to_string(k);
+      topics += StrFormat("%s%d", topics.empty() ? "" : "/", k);
     }
     table.AddRow({variant.name, topics,
                   StrFormat("%.0f%%", 100 * quality.value().accuracy),

@@ -4,7 +4,8 @@
 #   scripts/run_checks.sh [build-dir]
 #
 # Runs, in order:
-#   1. configure + build (exports compile_commands.json)
+#   1. configure + build with -DHIGNN_WERROR=ON, so a warning fails the
+#      gate (exports compile_commands.json)
 #   2. the full ctest suite (unit, tsan-labelled, asan-labelled — in this
 #      plain build they run without sanitizer runtimes; use
 #      scripts/run_tsan.sh / run_asan.sh for the instrumented versions)
@@ -50,8 +51,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
-echo "== configure + build"
-cmake -B "$BUILD_DIR" -S . >/dev/null
+echo "== configure + build (-Werror)"
+cmake -B "$BUILD_DIR" -S . -DHIGNN_WERROR=ON >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 echo "== unit tests"

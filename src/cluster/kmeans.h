@@ -55,6 +55,56 @@ struct KMeansResult {
 /// all floating-point reductions merge fixed, workload-derived chunks in
 /// ascending order, so results for a given seed are bitwise identical at
 /// any thread count.
+///
+/// Every result is bit for bit that of the plain algorithm: k-means++ with
+/// each chosen center measured against every point, and Lloyd passes that
+/// measure every center (AssignToNearestCenters' contract). Two exact
+/// shortcuts skip the work whose outcome is proven.
+///
+/// k-means++ seeding. Each chosen center j keeps a member list (the points
+/// whose D^2 it holds) and reach_j, their largest D^2. A point's D^2
+/// update for a new center is a proven no-op when gap > 4 (1 + 1e-9) D^2,
+/// gap being ||c_new - c_j||^2 or any lower bound on it: then
+/// ||c_new - c_j|| > 2 ||x - c_j||, the triangle inequality puts c_new
+/// farther, and the 1e-9 margin covers the exact kernel's rounding
+/// ((d + 6) 2^-53 relative per distance), so the computed new distance is
+/// no smaller and the update keeps D^2. The same test with reach_j skips a
+/// whole list. Each round computes float dots of the new center against
+/// all chosen ones (simd::GemmBlock); ||c_new||^2 + ||c_j||^2 - 2 dot minus
+/// the filter's window below bounds gap from below, and only the lists that
+/// bound cannot skip get an exact gap and the per-point test. The rng draws
+/// and the sequential pick scan are unchanged, and the D^2 total re-sums
+/// only the fixed chunks whose points moved, so totals and picks keep
+/// their bits.
+///
+/// Lloyd. The centers fall into G = clamp(k / 8, 1, 64) groups, fixed for
+/// the run (a 5-iteration Lloyd over the initial centers, seeded with the
+/// first G). Each point keeps, per group, a float lower bound on its real
+/// distance to the group's centers other than its own: n * G * 4 bytes.
+///  - Creating. The first pass is the GEMM filter below. Its approx_c is
+///    within e of ||c||^2 - 2 x.c, so ||x||^2 + min_c approx_c - 2e (the
+///    second e covering the double rounding of that sum) bounds the
+///    group's squared distances from below. Its square root, shrunk by
+///    1e-9 for the sqrt's rounding, is stored rounded down to a float.
+///  - Loosening. After the center update (and any reseed), each center's
+///    drift is ||c_new - c_old|| rounded up by 1e-9; by the triangle
+///    inequality a bound minus the largest drift in its group still bounds
+///    the group, and is stored rounded down.
+///  - Testing. A later pass measures the point's own center exactly
+///    (own^2), so inertia keeps its bits. A group whose loosened bound
+///    exceeds reach = sqrt(own^2) (1 + 1e-9) is skipped: every center in
+///    it is farther by more than the kernel's rounding, so its computed
+///    distance exceeds own^2. In other groups, centers are taken by
+///    descending drift and measured until old bound - drift exceeds reach,
+///    which then holds for the rest. The winner is the (distance, index)
+///    minimum of what was measured, where the ascending scan's first
+///    strict minimum lands; every other measured distance, shrunk by 1e-9,
+///    joins its group's bound (the old own center's too, when it lost).
+/// A reseed zeroes the bounds of the one point it moves. Points or passes
+/// the filter cannot take (below) take the full scan; after a pass whose
+/// centers it cannot take, the next filterable pass is a GEMM pass again.
+/// The `kmeans.rescanned_per_point` gauge is the share of points per
+/// bounded pass that fail a group test.
 Result<KMeansResult> RunKMeans(const Matrix& points, const KMeansConfig& config);
 
 /// \brief Assigns each row of `points` (n x d) to its nearest row of
@@ -85,7 +135,7 @@ Result<KMeansResult> RunKMeans(const Matrix& points, const KMeansConfig& config)
 /// overflow) take the full scan.
 ///
 /// Sets the `kmeans.exact_per_point` gauge to the exact distances measured
-/// per point (k on the full scan).
+/// per point (k on the full scan); Lloyd's bounded passes set it too.
 double AssignToNearestCenters(const Matrix& points, const Matrix& centers,
                               std::vector<int32_t>* assignment);
 

@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <tuple>
 
 #include "util/io.h"
 #include "util/string_util.h"
@@ -242,6 +244,10 @@ bool ParseFullFloat(const std::string& field, float* out) {
   return true;
 }
 
+// An inferred vertex count may be at most this many times (edges + 1), so
+// one stray id cannot size the CSR arrays (serialization.h).
+constexpr int64_t kMaxVerticesPerEdge = 64;
+
 }  // namespace
 
 Result<BipartiteGraph> LoadBipartiteGraphTsv(const std::string& path,
@@ -256,8 +262,8 @@ Result<BipartiteGraph> LoadBipartiteGraphTsv(const std::string& path,
     float weight;
   };
   std::vector<ParsedEdge> edges;
-  int32_t max_left = -1;
-  int32_t max_right = -1;
+  int64_t max_left = -1;
+  int64_t max_right = -1;
   std::string line;
   int line_number = 0;
   while (std::getline(in, line)) {
@@ -290,12 +296,31 @@ Result<BipartiteGraph> LoadBipartiteGraphTsv(const std::string& path,
           StrFormat("%s:%d: weight must be finite and non-negative",
                     path.c_str(), line_number));
     }
-    max_left = std::max(max_left, edge.u);
-    max_right = std::max(max_right, edge.i);
+    max_left = std::max<int64_t>(max_left, edge.u);
+    max_right = std::max<int64_t>(max_right, edge.i);
     edges.push_back(edge);
   }
-  const int32_t left = num_left >= 0 ? num_left : max_left + 1;
-  const int32_t right = num_right >= 0 ? num_right : max_right + 1;
+  const auto num_edges = static_cast<int64_t>(edges.size());
+  const int64_t max_count =
+      std::min<int64_t>(std::numeric_limits<int32_t>::max(),
+                        kMaxVerticesPerEdge * (num_edges + 1));
+  for (const auto& [side, given, max_id] :
+       {std::tuple{"left", num_left, max_left},
+        std::tuple{"right", num_right, max_right}}) {
+    if (given < 0 && max_id + 1 > max_count) {
+      return Status::InvalidArgument(StrFormat(
+          "%s: %s id %lld would make %lld %s vertices for %lld edges (the "
+          "limit is %lld); remap ids to a dense range 0..n-1",
+          path.c_str(), side, static_cast<long long>(max_id),
+          static_cast<long long>(max_id + 1), side,
+          static_cast<long long>(num_edges),
+          static_cast<long long>(max_count)));
+    }
+  }
+  const int32_t left =
+      num_left >= 0 ? num_left : static_cast<int32_t>(max_left + 1);
+  const int32_t right =
+      num_right >= 0 ? num_right : static_cast<int32_t>(max_right + 1);
   BipartiteGraphBuilder builder(left, right);
   for (const ParsedEdge& edge : edges) {
     HIGNN_RETURN_IF_ERROR(builder.AddEdge(edge.u, edge.i, edge.weight));

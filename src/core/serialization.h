@@ -33,7 +33,10 @@ Result<HignnModel> LoadHignnModel(const std::string& path);
 /// \brief Loads a bipartite graph from a text edge list: one
 /// "left_id<TAB>right_id[<TAB>weight]" line per edge (weight defaults to
 /// 1; '#'-prefixed lines are comments). Ids are dense non-negative
-/// integers; vertex counts are inferred as max id + 1 unless given.
+/// integers; vertex counts are inferred as max id + 1 unless given. An
+/// inferred count above 64 x (edges + 1) or 2^31 - 1 is InvalidArgument
+/// (checked once, before anything is sized by it): remap such ids to a
+/// dense range.
 Result<BipartiteGraph> LoadBipartiteGraphTsv(const std::string& path,
                                              int32_t num_left = -1,
                                              int32_t num_right = -1);

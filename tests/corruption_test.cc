@@ -5,6 +5,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -423,6 +424,37 @@ TEST(CorruptionTest, CountsBeyondTheRemainingBytesAreRejected) {
     const Status status = LoadHignnModel(path).status();
     EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
   }
+}
+
+// TSV ids size the graph only up to 64 x (edges + 1) vertices per side:
+// a huge id is InvalidArgument before the builder allocates, and the
+// largest int32 id does not overflow the count.
+TEST(CorruptionTest, TsvIdsFarBeyondTheEdgeCountAreRejected) {
+  const std::string sparse = TempPath("sparse_id.tsv");
+  WriteBytes(sparse, "0\t0\n1\t2000000000\n");
+  const std::string largest = TempPath("largest_id.tsv");
+  WriteBytes(largest, "2147483647\t0\n");
+  for (const auto& [path, side, id, edges] :
+       {std::tuple{sparse, "right", "2000000000", "2 edges"},
+        std::tuple{largest, "left", "2147483647", "1 edges"}}) {
+    SCOPED_TRACE(path);
+    const Status status = LoadBipartiteGraphTsv(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    for (const std::string& part : {path, std::string(side) + " id " + id,
+                                    std::string(edges), std::string("dense")}) {
+      EXPECT_NE(status.ToString().find(part), std::string::npos)
+          << status.ToString() << " lacks " << part;
+    }
+  }
+  // One edge allows 128 vertices a side: id 127 loads, id 128 does not.
+  const std::string edge = TempPath("edge.tsv");
+  WriteBytes(edge, "127\t0\n");
+  auto loaded = LoadBipartiteGraphTsv(edge);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().num_left(), 128);
+  WriteBytes(edge, "128\t0\n");
+  EXPECT_EQ(LoadBipartiteGraphTsv(edge).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -13,7 +13,10 @@
 //    sampling rewrites, on every path and thread count;
 //  - the GEMM-filtered k-means assignment returns the naive full scan's
 //    assignment and inertia bits, ties, duplicate centers, large shared
-//    offsets and non-finite inputs included.
+//    offsets and non-finite inputs included;
+//  - whole Lloyd runs (k-means++ seeding, the drift-bounded passes, reseeds
+//    and repair) return a naive Lloyd's assignment, inertia, center bytes,
+//    iterations and reseeds at K = 1200, where every bound path is live.
 // This suite runs twice: once as `kernels.` and once inside the tsan
 // binary, where the 1-vs-4-thread cases double as race detectors.
 
@@ -801,6 +804,270 @@ TEST(KMeansAssignTest, ExactPerPointGaugeCountsMeasuredCenters) {
   centers(0, 0) = std::numeric_limits<float>::quiet_NaN();
   AssignToNearestCenters(points, centers, &assignment);
   EXPECT_EQ(gauge.value(), 257.0);  // a non-finite center: full scan
+}
+
+// --- Whole Lloyd runs against a naive oracle ---------------------------------
+
+// Chunk layout of RunKMeans' reductions: one chunk below 2^16 terms, else
+// up to 64, merged in ascending order.
+size_t OracleChunkSize(size_t work, size_t range) {
+  const size_t chunks =
+      work < (size_t{1} << 16) ? 1 : std::min<size_t>(range, 64);
+  return (range + chunks - 1) / chunks;
+}
+
+// k-means++ with the D^2 update measured for every point and every chosen
+// center, and the total summed per chunk.
+Matrix NaiveKMeansPlusPlus(const Matrix& points, size_t k, Rng& rng) {
+  const size_t n = points.rows();
+  const size_t d = points.cols();
+  Matrix centers(k, d);
+  std::copy_n(points.row(rng.UniformInt(n)), d, centers.row(0));
+  std::vector<double> min_dist(n, std::numeric_limits<double>::max());
+  const size_t chunk_size = OracleChunkSize(n * d, n);
+  for (size_t c = 1; c < k; ++c) {
+    double total = 0.0;
+    for (size_t lo = 0; lo < n; lo += chunk_size) {
+      double local = 0.0;
+      for (size_t i = lo; i < std::min(n, lo + chunk_size); ++i) {
+        const double dist =
+            simd::SquaredDistance(points.row(i), centers.row(c - 1), d);
+        if (dist < min_dist[i]) min_dist[i] = dist;
+        local += min_dist[i];
+      }
+      total += local;
+    }
+    size_t pick = n - 1;
+    if (total > 0.0) {
+      double target = rng.Uniform() * total;
+      for (size_t i = 0; i < n; ++i) {
+        target -= min_dist[i];
+        if (target <= 0.0) {
+          pick = i;
+          break;
+        }
+      }
+    } else {
+      pick = rng.UniformInt(n);
+    }
+    std::copy_n(points.row(pick), d, centers.row(c));
+  }
+  return centers;
+}
+
+// Lloyd as RunKMeans documents it, with every assignment pass the naive
+// full scan: the same center update, shift test, reseed and final repair.
+KMeansResult NaiveLloyd(const Matrix& points, const KMeansConfig& config) {
+  const size_t n = points.rows();
+  const size_t d = points.cols();
+  const size_t k = std::min<size_t>(static_cast<size_t>(config.k), n);
+  Rng rng(config.seed);
+  KMeansResult result;
+  result.centers = NaiveKMeansPlusPlus(points, k, rng);
+  for (int32_t iter = 0; iter < config.max_iters; ++iter) {
+    result.iterations = iter + 1;
+    result.inertia = NaiveAssign(points, result.centers, &result.assignment);
+    Matrix sums(k, d);
+    std::vector<int64_t> counts(k, 0);
+    for (size_t i = 0; i < n; ++i) {
+      const auto a = static_cast<size_t>(result.assignment[i]);
+      for (size_t col = 0; col < d; ++col) sums(a, col) += points(i, col);
+      ++counts[a];
+    }
+    const size_t shift_chunk = OracleChunkSize(k * d, k);
+    double shift = 0.0;
+    for (size_t lo = 0; lo < k; lo += shift_chunk) {
+      double local = 0.0;
+      for (size_t c = lo; c < std::min(k, lo + shift_chunk); ++c) {
+        if (counts[c] == 0) continue;
+        const float inv = 1.0f / static_cast<float>(counts[c]);
+        for (size_t col = 0; col < d; ++col) {
+          const float updated = sums(c, col) * inv;
+          const double delta =
+              static_cast<double>(updated) - result.centers(c, col);
+          local += delta * delta;
+          result.centers(c, col) = updated;
+        }
+      }
+      shift += local;
+    }
+    int32_t iter_reseeds = 0;
+    for (size_t c = 0; c < k; ++c) {
+      if (counts[c] != 0) continue;
+      double best_dist = -1.0;
+      size_t best_point = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const double dist = simd::SquaredDistance(
+            points.row(i),
+            result.centers.row(static_cast<size_t>(result.assignment[i])), d);
+        if (dist > best_dist) {
+          best_dist = dist;
+          best_point = i;
+        }
+      }
+      if (best_dist <= 0.0) break;
+      std::copy_n(points.row(best_point), d, result.centers.row(c));
+      --counts[static_cast<size_t>(result.assignment[best_point])];
+      result.assignment[best_point] = static_cast<int32_t>(c);
+      counts[c] = 1;
+      ++iter_reseeds;
+    }
+    result.reseeds += iter_reseeds;
+    if (iter_reseeds == 0 && shift < config.tol) break;
+  }
+  result.inertia = NaiveAssign(points, result.centers, &result.assignment);
+  // RepairEmptyClusters: the farthest point of the largest cluster.
+  std::vector<int64_t> counts(k, 0);
+  for (const int32_t a : result.assignment) ++counts[static_cast<size_t>(a)];
+  for (size_t c = 0; c < k; ++c) {
+    if (counts[c] > 0) continue;
+    const auto donor = static_cast<int32_t>(
+        std::max_element(counts.begin(), counts.end()) - counts.begin());
+    double best_dist = -1.0;
+    size_t best_point = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (result.assignment[i] != donor) continue;
+      const double dist = simd::SquaredDistance(
+          points.row(i), result.centers.row(static_cast<size_t>(donor)), d);
+      if (dist > best_dist) {
+        best_dist = dist;
+        best_point = i;
+      }
+    }
+    if (best_dist < 0.0) continue;
+    result.assignment[best_point] = static_cast<int32_t>(c);
+    std::copy_n(points.row(best_point), d, result.centers.row(c));
+    --counts[static_cast<size_t>(donor)];
+    ++counts[c];
+    ++result.reseeds;
+  }
+  return result;
+}
+
+// n points around 300 modes: K = 1200 leaves ~4 centers per mode, so the
+// bounds, the 64 center groups and the seeding's member lists all see
+// overlapping clusters.
+Matrix LloydBlobs(size_t n, size_t d, uint64_t seed) {
+  Rng rng(seed);
+  Matrix modes(300, d);
+  modes.FillNormal(rng);
+  Matrix points(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    const float* mode = modes.row(rng.UniformInt(modes.rows()));
+    for (size_t c = 0; c < d; ++c) {
+      points(i, c) = 3.0f * mode[c] + static_cast<float>(rng.Normal());
+    }
+  }
+  return points;
+}
+
+struct LloydCase {
+  std::string label;
+  Matrix points;
+  int32_t k;
+};
+
+std::vector<LloydCase> LloydCases() {
+  std::vector<LloydCase> cases;
+  uint64_t seed = 801;
+  for (const size_t d : {5, 16, 32, 33}) {
+    cases.push_back({"blobs d=" + std::to_string(d),
+                     LloydBlobs(6000, d, seed++), 1200});
+  }
+  // 960 distinct rows, each six times, and more centers than rows:
+  // k-means++ runs out of D^2 mass and picks duplicates, whose clusters
+  // empty and reseed on every pass.
+  {
+    const Matrix distinct = RandomMatrix(960, 3, 811);
+    Matrix points(5760, 3);
+    for (size_t i = 0; i < points.rows(); ++i) {
+      std::copy_n(distinct.row(i % distinct.rows()), 3, points.row(i));
+    }
+    cases.push_back({"duplicates", std::move(points), 1200});
+  }
+  // The integer lattice {0..19}^2 x {0..14}: exact ties between centers.
+  {
+    Matrix points(6000, 3);
+    for (size_t i = 0; i < points.rows(); ++i) {
+      points(i, 0) = static_cast<float>(i % 20);
+      points(i, 1) = static_cast<float>((i / 20) % 20);
+      points(i, 2) = static_cast<float>(i / 400);
+    }
+    cases.push_back({"integer grid", std::move(points), 1200});
+  }
+  cases.push_back(
+      {"offset 1e5", Shifted(LloydBlobs(6000, 32, 821), 1e5f), 1200});
+  // A NaN and an Inf point: their clusters' centers turn non-finite, and
+  // every later pass takes the full scan (smaller, as every pass is full).
+  {
+    Matrix points = LloydBlobs(2000, 16, 831);
+    points(17, 3) = std::numeric_limits<float>::quiet_NaN();
+    points(1500, 9) = std::numeric_limits<float>::infinity();
+    cases.push_back({"non-finite points", std::move(points), 400});
+  }
+  return cases;
+}
+
+uint64_t FloatBytesHash(const Matrix& m) {
+  return Fnv1a(0xCBF29CE484222325ULL, m.data(), m.size() * sizeof(float));
+}
+
+TEST(KMeansLloydOracleTest, RunKMeansMatchesNaiveLloydBitForBit) {
+  PathGuard guard;
+  for (const LloydCase& c : LloydCases()) {
+    KMeansConfig config;
+    config.k = c.k;
+    config.max_iters = 4;
+    config.tol = 0.0;
+    config.seed = 97;
+    const KMeansResult naive = NaiveLloyd(c.points, config);
+    if (c.label == "duplicates") {
+      EXPECT_GE(naive.reseeds, naive.iterations) << "reseeds on every pass";
+    }
+    for (const simd::IsaPath path : {simd::IsaPath::kScalar, simd::Best()}) {
+      simd::ForcePathForTesting(path);
+      for (const int threads : {1, 4}) {
+        SetGlobalThreadPoolThreads(static_cast<size_t>(threads));
+        auto run = RunKMeans(c.points, config);
+        ASSERT_TRUE(run.ok());
+        const KMeansResult& got = run.value();
+        const std::string where = c.label + " path=" + simd::PathName() +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(got.assignment, naive.assignment) << where;
+        EXPECT_EQ(DoubleBits(got.inertia), DoubleBits(naive.inertia))
+            << where;
+        EXPECT_EQ(FloatBytesHash(got.centers), FloatBytesHash(naive.centers))
+            << where;
+        EXPECT_EQ(got.iterations, naive.iterations) << where;
+        EXPECT_EQ(got.reseeds, naive.reseeds) << where;
+      }
+    }
+  }
+}
+
+TEST(KMeansLloydOracleTest, RescannedGaugeCountsPointsTheBoundsMiss) {
+  const obs::Gauge& rescanned =
+      obs::MetricsRegistry::Global().GetGauge("kmeans.rescanned_per_point");
+  const obs::Gauge& exact =
+      obs::MetricsRegistry::Global().GetGauge("kmeans.exact_per_point");
+  const Matrix points = LloydBlobs(6000, 16, 841);
+  KMeansConfig config;
+  config.k = 1200;
+  config.tol = 0.0;
+  // Early on the centers still move: some points fail the bound test, and
+  // each measures its own center plus the few the bounds cannot rule out.
+  config.max_iters = 2;
+  ASSERT_TRUE(RunKMeans(points, config).ok());
+  EXPECT_GT(rescanned.value(), 0.0);
+  EXPECT_LT(rescanned.value(), 1.0);
+  EXPECT_GT(exact.value(), 1.0);
+  EXPECT_LT(exact.value(), 16.0);
+  // By the eighth pass the run has converged: no center moves, so every
+  // point's bounds hold and only its own center is measured.
+  config.max_iters = 8;
+  ASSERT_TRUE(RunKMeans(points, config).ok());
+  EXPECT_EQ(rescanned.value(), 0.0);
+  EXPECT_EQ(exact.value(), 1.0);
 }
 
 }  // namespace

@@ -160,11 +160,12 @@ TEST(KMeansTest, LloydInertiaDecreasesWithMoreClusters) {
 
 // ------------------------------------------------------- Golden digests --
 //
-// Pins every variant's exact output on fixed inputs. The rows were recorded
-// with the full-scan assignment and the unpruned k-means++ D^2 update, so
-// they are the oracle for the GEMM-filtered assignment and the seeding
-// skip: both must leave every bit unchanged. A failure prints the row to
-// pin, for when an output change is intended.
+// Pins every variant's exact output on fixed inputs. The "wide" rows were
+// recorded on the GEMM-filtered Lloyd with per-point seeding skips, the
+// rest with the full-scan assignment and the unpruned k-means++ D^2
+// update, so they are the oracle for the filter, the drift bounds and the
+// seeding skips: all must leave every bit unchanged. A failure prints the
+// row to pin, for when an output change is intended.
 
 uint64_t Fnv1a(const void* data, size_t bytes) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -176,9 +177,10 @@ uint64_t Fnv1a(const void* data, size_t bytes) {
   return hash;
 }
 
-// "blobs" (K = n/5) and "odd" (d = 5) are Gaussian mixtures; "dups"
-// repeats 48 distinct rows, so k-means++ runs out of D^2 mass and Lloyd
-// must reseed.
+// "blobs" (K = n/5), "wide" (K = 1200: 64 center groups, so every bound
+// path of the drift-bounded Lloyd is live) and "odd" (d = 5) are Gaussian
+// mixtures; "dups" repeats 48 distinct rows, so k-means++ runs out of D^2
+// mass and Lloyd must reseed.
 Matrix GoldenPoints(const std::string& name) {
   if (name == "dups") {
     Rng rng(19);
@@ -188,6 +190,19 @@ Matrix GoldenPoints(const std::string& name) {
     for (size_t i = 0; i < points.rows(); ++i) {
       const float* src = distinct.row(i % distinct.rows());
       std::copy(src, src + 3, points.row(i));
+    }
+    return points;
+  }
+  if (name == "wide") {
+    Rng rng(23);
+    Matrix modes(300, 16);
+    modes.FillNormal(rng);
+    Matrix points(6000, 16);
+    for (size_t i = 0; i < points.rows(); ++i) {
+      const float* mode = modes.row(rng.UniformInt(modes.rows()));
+      for (size_t c = 0; c < points.cols(); ++c) {
+        points(i, c) = 3.0f * mode[c] + static_cast<float>(rng.Normal(0, 1));
+      }
     }
     return points;
   }
@@ -269,6 +284,10 @@ const GoldenCase kGoldenCases[] = {
      0x0000000000000000ULL, 0xb06a5f07020800bbULL, 1, 12},
     {"dups", 60, KMeansAlgorithm::kSinglePass, false, 0x064dbb4661f5d2edULL,
      0x401a86fe9e62478fULL, 0x0491b104de2c3885ULL, 1, 17},
+    {"wide", 1200, KMeansAlgorithm::kLloyd, true, 0xa78dcc481d1fb5c5ULL,
+     0x40efaa7754e49e3cULL, 0xb4083ebae0b7627aULL, 6, 0},
+    {"wide", 1200, KMeansAlgorithm::kLloyd, false, 0x21c558c348722c5bULL,
+     0x40efe6f82d6003efULL, 0xa84da1deda31eedeULL, 7, 3},
 };
 
 TEST(KMeansGoldenTest, OutputsMatchPinnedDigests) {

@@ -6,6 +6,7 @@
 #include "text/vocab.h"
 #include "text/word2vec.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace hignn {
 namespace {
@@ -87,8 +88,8 @@ TEST(Word2VecTest, SeparatesTopics) {
   std::vector<int32_t> topic_a;
   std::vector<int32_t> topic_b;
   for (int k = 0; k < 5; ++k) {
-    topic_a.push_back(vocab.GetOrAdd("a" + std::to_string(k)));
-    topic_b.push_back(vocab.GetOrAdd("b" + std::to_string(k)));
+    topic_a.push_back(vocab.GetOrAdd(StrFormat("a%d", k)));
+    topic_b.push_back(vocab.GetOrAdd(StrFormat("b%d", k)));
   }
   Rng rng(3);
   std::vector<std::vector<int32_t>> corpus;

@@ -7,7 +7,7 @@
 // shape):
 //
 //   hignn export-store --preset tiny --out /tmp/tiny.hgnnstore
-//   hignn_serve serve --store /tmp/tiny.hgnnstore --port 0 \
+//   hignn_serve serve --store /tmp/tiny.hgnnstore --port 0
 //       --port-file /tmp/port --metrics-out /tmp/serve_metrics.json
 //
 // The store can be hot-swapped with zero downtime: a SIGHUP re-opens
