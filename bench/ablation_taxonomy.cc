@@ -98,12 +98,12 @@ int main() {
                 }
                 HignnConfig hignn = config.hignn;
                 hignn.sage.shared_weights = false;
-                HIGNN_ASSIGN_OR_RETURN(
-                    HignnModel model,
-                    Hignn::Fit(dataset.value().BuildGraph(), qf, itf, hignn));
+                const BipartiteGraph graph = dataset.value().BuildGraph();
+                HIGNN_ASSIGN_OR_RETURN(HignnModel model,
+                                       Hignn::Fit(graph, qf, itf, hignn));
                 TaxonomyRun result{Taxonomy{}, std::move(word2vec), {}, 0.0};
                 HIGNN_ASSIGN_OR_RETURN(result.taxonomy,
-                                       BuildTaxonomyFromHignn(model));
+                                       BuildTaxonomyFromHignn(model, graph));
                 for (const auto& level : result.taxonomy.levels) {
                   result.level_topics.push_back(level.num_topics);
                 }

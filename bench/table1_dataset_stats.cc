@@ -43,11 +43,11 @@ int main() {
       return 1;
     }
     const BipartiteGraph graph = dataset.value().BuildTrainGraph();
-    densities[index++] = graph.Density();
+    densities[index++] = GraphShape(graph).Density();
     table.AddRow({name, WithThousandsSep(graph.num_left()),
                   WithThousandsSep(graph.num_right()),
                   WithThousandsSep(graph.num_edges()),
-                  StrFormat("%.2e", graph.Density())});
+                  StrFormat("%.2e", GraphShape(graph).Density())});
   }
   table.Print(std::cout);
 

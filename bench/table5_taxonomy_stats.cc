@@ -40,7 +40,7 @@ int main() {
   table5.AddRow({"Taobao #3 (synthetic)", WithThousandsSep(graph.num_left()),
                  WithThousandsSep(graph.num_right()),
                  WithThousandsSep(graph.num_edges()),
-                 StrFormat("%.3e", graph.Density())});
+                 StrFormat("%.3e", GraphShape(graph).Density())});
   table5.Print(std::cout);
 
   // Table VI: the unsupervised loss treats every edge as a positive and

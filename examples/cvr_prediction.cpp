@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   std::printf("click graph: %d users x %d items, %lld edges "
               "(density %.2e)\n",
               graph.num_left(), graph.num_right(),
-              static_cast<long long>(graph.num_edges()), graph.Density());
+              static_cast<long long>(graph.num_edges()),
+              GraphShape(graph).Density());
 
   // --- 2. Hierarchy: Algorithm 1 with L = 3, alpha = 5 ---------------------
   CvrExperimentConfig config;

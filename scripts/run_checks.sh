@@ -23,7 +23,11 @@
 #      still serving), and a chaos leg
 #      (HIGNN_FAULT_INJECT-failed reload, wire reload, SIGHUP hot-swap,
 #      bitwise score stability throughout)
-#   6. an introspection smoke (DESIGN.md §17): a traced daemon scraped
+#   6. a crash-and-resume smoke (DESIGN.md §8): a 3-level `hignn fit`
+#      killed by HIGNN_FAULT_INJECT inside level 3 (exit 86) and resumed
+#      by a fresh process must write the same model bytes and `hignn info`
+#      as an uninterrupted run; then an introspection smoke (DESIGN.md
+#      §17): a traced daemon scraped
 #      over the `metrics` verb (Prometheus exposition format validated by
 #      a pinned parser when python3 is present), its shutdown event log
 #      analyzed by hignn_obs (per-phase percentiles + dominant-phase
@@ -131,8 +135,8 @@ for pid in "${CLIENT_PIDS[@]}"; do wait "$pid"; done
 for c in 1 2 3 4; do
   cmp "$SMOKE_DIR/topk_serial" "$SMOKE_DIR/topk_client_$c"
 done
-# The index sections obey the store-corruption contract: a truncated v2
-# file is rejected at open (IOError), so the reload fails and the
+# The index sections obey the store-corruption contract: a truncated
+# store is rejected at open (IOError), so the reload fails and the
 # previous generation keeps serving.
 head -c "$(( $(wc -c < "$SMOKE_DIR/store.hgnnstore") - 64 ))" \
   "$SMOKE_DIR/store.hgnnstore" > "$SMOKE_DIR/store_truncated.hgnnstore"
@@ -231,6 +235,31 @@ PY
 else
   echo "python3 not installed; skipping telemetry JSON validation"
 fi
+
+echo "== crash-and-resume smoke (kill a fit inside level 3, resume it)"
+"$BUILD_DIR/tools/hignn" gen-data --preset tiny --out "$SMOKE_DIR/resume.tsv"
+RESUME_FIT=(fit --graph "$SMOKE_DIR/resume.tsv" --levels 3 --dim 8 --steps 30
+  --checkpoint-every 10)
+"$BUILD_DIR/tools/hignn" "${RESUME_FIT[@]}" \
+  --checkpoint-dir "$SMOKE_DIR/ckpt_a" --out "$SMOKE_DIR/resume_a.hgnn"
+# Saves run boundary(1), mid(10), mid(20) per level, then boundary(4).
+# Each save probes checkpoint.saved twice, a crash probe and then a fail
+# check, so hit 17 is the crash probe of save 9: level 3's step-20 save,
+# after its file is durable but before LATEST moves past level 3 step 10.
+FIT_EXIT=0
+HIGNN_FAULT_INJECT="checkpoint.saved=crash@17" "$BUILD_DIR/tools/hignn" \
+  "${RESUME_FIT[@]}" --checkpoint-dir "$SMOKE_DIR/ckpt_b" \
+  --out "$SMOKE_DIR/resume_b.hgnn" || FIT_EXIT=$?
+[ "$FIT_EXIT" -eq 86 ]
+test ! -e "$SMOKE_DIR/resume_b.hgnn"
+# A fresh process resumes inside level 3, replaying two coarsenings.
+"$BUILD_DIR/tools/hignn" "${RESUME_FIT[@]}" \
+  --checkpoint-dir "$SMOKE_DIR/ckpt_b" --out "$SMOKE_DIR/resume_b.hgnn" \
+  --resume --verbose 2> "$SMOKE_DIR/resume.log"
+grep -q 'resume: checkpoint seq 7 -> level 3 step 10' "$SMOKE_DIR/resume.log"
+cmp "$SMOKE_DIR/resume_a.hgnn" "$SMOKE_DIR/resume_b.hgnn"
+diff <("$BUILD_DIR/tools/hignn" info --model "$SMOKE_DIR/resume_a.hgnn") \
+  <("$BUILD_DIR/tools/hignn" info --model "$SMOKE_DIR/resume_b.hgnn")
 
 echo "== introspection smoke (Prometheus scrape + event log -> hignn_obs)"
 # A traced daemon: --slow-us 1 makes every request a slow exemplar, and

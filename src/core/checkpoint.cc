@@ -91,6 +91,63 @@ Result<RngState> ReadRngState(BinaryReader& reader) {
   return rng;
 }
 
+void WriteMatrices(BinaryWriter& writer, const std::vector<Matrix>& list) {
+  writer.WriteI32(static_cast<int32_t>(list.size()));
+  for (const Matrix& m : list) WriteMatrixPayload(writer, m);
+}
+
+Result<std::vector<Matrix>> ReadMatrices(BinaryReader& reader,
+                                         int32_t max_count) {
+  HIGNN_ASSIGN_OR_RETURN(int32_t count, reader.ReadI32());
+  if (count < 0 || count > max_count) {
+    return Status::IOError(StrFormat("unreasonable checkpoint tensor count %d",
+                                     count));
+  }
+  std::vector<Matrix> list;
+  list.reserve(static_cast<size_t>(count));
+  for (int32_t i = 0; i < count; ++i) {
+    HIGNN_ASSIGN_OR_RETURN(Matrix m, ReadMatrixPayload(reader));
+    list.push_back(std::move(m));
+  }
+  return list;
+}
+
+void WriteTrainingState(BinaryWriter& writer, const LevelTrainingState& state) {
+  writer.WriteI32(state.step);
+  writer.WriteF32(state.learning_rate);
+  writer.WriteF64(state.tail_loss_sum);
+  writer.WriteI64(state.tail_count);
+  WriteRngState(writer, state.rng);
+  WriteMatrices(writer, state.params);
+  WriteMatrices(writer, state.opt.tensors);
+  writer.WriteI32(static_cast<int32_t>(state.opt.steps.size()));
+  for (int64_t step : state.opt.steps) writer.WriteI64(step);
+}
+
+Result<LevelTrainingState> ReadTrainingState(BinaryReader& reader) {
+  LevelTrainingState state;
+  HIGNN_ASSIGN_OR_RETURN(state.step, reader.ReadI32());
+  if (state.step < 0) {
+    return Status::IOError("checkpoint has a negative training step");
+  }
+  HIGNN_ASSIGN_OR_RETURN(state.learning_rate, reader.ReadF32());
+  HIGNN_ASSIGN_OR_RETURN(state.tail_loss_sum, reader.ReadF64());
+  HIGNN_ASSIGN_OR_RETURN(state.tail_count, reader.ReadI64());
+  HIGNN_ASSIGN_OR_RETURN(state.rng, ReadRngState(reader));
+  HIGNN_ASSIGN_OR_RETURN(state.params, ReadMatrices(reader, 4096));
+  HIGNN_ASSIGN_OR_RETURN(state.opt.tensors, ReadMatrices(reader, 8192));
+  HIGNN_ASSIGN_OR_RETURN(int32_t num_steps, reader.ReadI32());
+  if (num_steps < 0 || num_steps > 4096) {
+    return Status::IOError("unreasonable optimizer step count");
+  }
+  state.opt.steps.reserve(static_cast<size_t>(num_steps));
+  for (int32_t i = 0; i < num_steps; ++i) {
+    HIGNN_ASSIGN_OR_RETURN(int64_t step, reader.ReadI64());
+    state.opt.steps.push_back(step);
+  }
+  return state;
+}
+
 // Sequence encoded in a checkpoint filename, or -1 if the name doesn't
 // match ckpt-<digits>.hgnn.
 int64_t SequenceFromFilename(const std::string& name) {
@@ -227,16 +284,11 @@ Status SaveCheckpoint(const TrainingCheckpoint& ckpt,
   if (!writer.ok()) return Status::IOError("cannot open " + path);
   writer.WriteHeader(kTagCheckpoint);
 
-  // Section: scalar training-position metadata.
+  // Section: the training position.
   writer.WriteU64(ckpt.fingerprint);
   writer.WriteI64(ckpt.sequence);
   writer.WriteI32(ckpt.level);
-  writer.WriteI32(ckpt.sage_step);
-  writer.WriteF32(ckpt.learning_rate);
-  writer.WriteF64(ckpt.tail_loss_sum);
-  writer.WriteI64(ckpt.tail_count);
   WriteMonitorState(writer, ckpt.monitor);
-  WriteRngState(writer, ckpt.rng);
 
   // Section(s): one per finished level.
   writer.NextSection();
@@ -246,20 +298,9 @@ Status SaveCheckpoint(const TrainingCheckpoint& ckpt,
     WriteLevelPayload(writer, level);
   }
 
-  // Section: in-progress level inputs.
+  // Section: the in-progress level's training record.
   writer.NextSection();
-  WriteGraphPayload(writer, ckpt.graph);
-  WriteMatrixPayload(writer, ckpt.left_features);
-  WriteMatrixPayload(writer, ckpt.right_features);
-
-  // Section: model parameters + optimizer state.
-  writer.NextSection();
-  writer.WriteI32(static_cast<int32_t>(ckpt.params.size()));
-  for (const Matrix& m : ckpt.params) WriteMatrixPayload(writer, m);
-  writer.WriteI32(static_cast<int32_t>(ckpt.opt.tensors.size()));
-  for (const Matrix& m : ckpt.opt.tensors) WriteMatrixPayload(writer, m);
-  writer.WriteI32(static_cast<int32_t>(ckpt.opt.steps.size()));
-  for (int64_t step : ckpt.opt.steps) writer.WriteI64(step);
+  WriteTrainingState(writer, ckpt.training);
 
   HIGNN_RETURN_IF_ERROR(writer.Close());
 
@@ -292,24 +333,18 @@ Result<TrainingCheckpoint> LoadCheckpointFile(const std::string& path) {
   HIGNN_ASSIGN_OR_RETURN(ckpt.fingerprint, reader.ReadU64());
   HIGNN_ASSIGN_OR_RETURN(ckpt.sequence, reader.ReadI64());
   HIGNN_ASSIGN_OR_RETURN(ckpt.level, reader.ReadI32());
-  HIGNN_ASSIGN_OR_RETURN(ckpt.sage_step, reader.ReadI32());
-  HIGNN_ASSIGN_OR_RETURN(ckpt.learning_rate, reader.ReadF32());
-  HIGNN_ASSIGN_OR_RETURN(ckpt.tail_loss_sum, reader.ReadF64());
-  HIGNN_ASSIGN_OR_RETURN(ckpt.tail_count, reader.ReadI64());
   HIGNN_ASSIGN_OR_RETURN(ckpt.monitor, ReadMonitorState(reader));
-  HIGNN_ASSIGN_OR_RETURN(ckpt.rng, ReadRngState(reader));
-  if (ckpt.level < 1 || ckpt.sage_step < 0) {
-    return Status::IOError("checkpoint has invalid training position");
-  }
 
+  // The level in progress sits on top of level - 1 finished ones, which
+  // form one chain, as in a saved model.
   HIGNN_ASSIGN_OR_RETURN(int32_t num_levels, reader.ReadI32());
-  if (num_levels < 0 || num_levels > 64) {
-    return Status::IOError("unreasonable checkpoint level count");
+  if (ckpt.level < 1 || ckpt.level > kMaxLevels + 1 ||
+      num_levels != ckpt.level - 1) {
+    return Status::IOError(StrFormat(
+        "checkpoint at level %d has %d finished levels; it needs level - 1 "
+        "of them, at most %d",
+        ckpt.level, num_levels, kMaxLevels));
   }
-  // Finished levels form one chain, as in a saved model, and the
-  // in-progress graph chains onto the last of them. A finished run's final
-  // boundary has no next level; it keeps that level's own input graph,
-  // which Fit never trains on.
   std::vector<HignnLevel>& done = ckpt.completed_levels;
   done.reserve(static_cast<size_t>(num_levels));
   for (int32_t l = 0; l < num_levels; ++l) {
@@ -319,42 +354,7 @@ Result<TrainingCheckpoint> LoadCheckpointFile(const std::string& path) {
     done.push_back(std::move(level));
   }
 
-  HIGNN_ASSIGN_OR_RETURN(ckpt.graph, ReadGraphPayload(reader));
-  if (!done.empty() &&
-      (ckpt.graph.num_left() != done.back().graph.num_left() ||
-       ckpt.graph.num_right() != done.back().graph.num_right())) {
-    HIGNN_RETURN_IF_ERROR(CheckLevelChain(done.back(), ckpt.graph));
-  }
-  HIGNN_ASSIGN_OR_RETURN(ckpt.left_features, ReadMatrixPayload(reader));
-  HIGNN_ASSIGN_OR_RETURN(ckpt.right_features, ReadMatrixPayload(reader));
-
-  HIGNN_ASSIGN_OR_RETURN(int32_t num_params, reader.ReadI32());
-  if (num_params < 0 || num_params > 4096) {
-    return Status::IOError("unreasonable checkpoint parameter count");
-  }
-  ckpt.params.reserve(static_cast<size_t>(num_params));
-  for (int32_t i = 0; i < num_params; ++i) {
-    HIGNN_ASSIGN_OR_RETURN(Matrix m, ReadMatrixPayload(reader));
-    ckpt.params.push_back(std::move(m));
-  }
-  HIGNN_ASSIGN_OR_RETURN(int32_t num_tensors, reader.ReadI32());
-  if (num_tensors < 0 || num_tensors > 8192) {
-    return Status::IOError("unreasonable optimizer tensor count");
-  }
-  ckpt.opt.tensors.reserve(static_cast<size_t>(num_tensors));
-  for (int32_t i = 0; i < num_tensors; ++i) {
-    HIGNN_ASSIGN_OR_RETURN(Matrix m, ReadMatrixPayload(reader));
-    ckpt.opt.tensors.push_back(std::move(m));
-  }
-  HIGNN_ASSIGN_OR_RETURN(int32_t num_steps, reader.ReadI32());
-  if (num_steps < 0 || num_steps > 4096) {
-    return Status::IOError("unreasonable optimizer step count");
-  }
-  ckpt.opt.steps.reserve(static_cast<size_t>(num_steps));
-  for (int32_t i = 0; i < num_steps; ++i) {
-    HIGNN_ASSIGN_OR_RETURN(int64_t step, reader.ReadI64());
-    ckpt.opt.steps.push_back(step);
-  }
+  HIGNN_ASSIGN_OR_RETURN(ckpt.training, ReadTrainingState(reader));
   return ckpt;
 }
 

@@ -7,7 +7,6 @@
 
 #include "core/hignn.h"
 #include "core/training_monitor.h"
-#include "graph/bipartite_graph.h"
 #include "nn/matrix.h"
 #include "nn/optimizer.h"
 #include "util/rng.h"
@@ -34,31 +33,15 @@ struct CheckpointOptions {
   bool resume = true;
 };
 
-/// \brief Complete training state at a save point. Restoring it and
-/// rerunning Fit reproduces the uninterrupted run bit for bit: exact
-/// float payloads for weights and Adam moments, the RNG stream position,
-/// the tail-loss accumulator, and the monitor's divergence statistics.
-struct TrainingCheckpoint {
-  /// Hash of the Fit inputs (graph identity + features + config); a
-  /// checkpoint from a different run setup is never resumed.
-  uint64_t fingerprint = 0;
-
-  /// Monotone save counter; the file with the largest sequence wins.
-  int64_t sequence = 0;
-
-  /// 1-based level in progress.
-  int32_t level = 1;
-
-  /// SAGE steps already completed within `level` (0 at a level boundary).
-  int32_t sage_step = 0;
-
-  /// Fully finished levels (the model prefix).
-  std::vector<HignnLevel> completed_levels;
-
-  /// The in-progress level's input graph and features (G^{l-1}, X^{l-1}).
-  BipartiteGraph graph;
-  Matrix left_features;
-  Matrix right_features;
+/// \brief Where one level's SAGE training stands: everything that
+/// resuming or rolling back the level restores, so its remaining steps
+/// replay bit for bit. Fit keeps one as its rollback anchor and a
+/// checkpoint carries one.
+struct LevelTrainingState {
+  /// SAGE steps completed within the level. 0 means nothing is trained
+  /// yet: the level restarts from its seed and the fields below are
+  /// unused (a boundary checkpoint leaves them empty).
+  int32_t step = 0;
 
   /// SAGE parameter values in Params() order.
   std::vector<Matrix> params;
@@ -75,6 +58,29 @@ struct TrainingCheckpoint {
   /// Tail-loss accumulator (mean over the final 10% of steps).
   double tail_loss_sum = 0.0;
   int64_t tail_count = 0;
+};
+
+/// \brief Training state at a save point: the finished levels plus where
+/// the current level's training stands. It holds no graph: Fit rebuilds
+/// the current level's inputs by replaying the coarsening of the
+/// finished levels over the input graph. Restoring it and rerunning Fit
+/// reproduces the uninterrupted run bit for bit.
+struct TrainingCheckpoint {
+  /// Hash of the Fit inputs (graph identity + features + config); a
+  /// checkpoint from a different run setup is never resumed.
+  uint64_t fingerprint = 0;
+
+  /// Monotone save counter; the file with the largest sequence wins.
+  int64_t sequence = 0;
+
+  /// 1-based level in progress; L + 1 marks a finished run.
+  int32_t level = 1;
+
+  /// Fully finished levels (the model prefix), level - 1 of them.
+  std::vector<HignnLevel> completed_levels;
+
+  /// The in-progress level's training (step 0 at a level boundary).
+  LevelTrainingState training;
 
   /// Numerical-health statistics.
   TrainingMonitorState monitor;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "core/checkpoint.h"
-#include "core/serialization.h"
 #include "core/training_monitor.h"
 #include "graph/coarsen.h"
 #include "nn/optimizer.h"
@@ -59,32 +59,22 @@ int32_t HignnModel::level_dim() const {
   return static_cast<int32_t>(levels_.front().left_embeddings.cols());
 }
 
-int32_t HignnModel::LeftClusterAt(int32_t u, int32_t level) const {
-  HIGNN_CHECK_GE(level, 1);
-  HIGNN_CHECK_LE(level, num_levels());
-  int32_t vertex = u;
-  for (int32_t l = 1; l <= level; ++l) {
-    const auto& assignment = levels_[static_cast<size_t>(l - 1)].left_assignment;
-    HIGNN_CHECK_LT(static_cast<size_t>(vertex), assignment.size());
-    vertex = assignment[static_cast<size_t>(vertex)];
-  }
-  return vertex;
-}
-
-int32_t HignnModel::RightClusterAt(int32_t i, int32_t level) const {
-  HIGNN_CHECK_GE(level, 1);
-  HIGNN_CHECK_LE(level, num_levels());
-  int32_t vertex = i;
-  for (int32_t l = 1; l <= level; ++l) {
-    const auto& assignment =
-        levels_[static_cast<size_t>(l - 1)].right_assignment;
-    HIGNN_CHECK_LT(static_cast<size_t>(vertex), assignment.size());
-    vertex = assignment[static_cast<size_t>(vertex)];
-  }
-  return vertex;
-}
-
 namespace {
+
+// Follows `vertex`'s chain of assignments up to `level`.
+int32_t ClusterAt(const std::vector<HignnLevel>& levels, bool left,
+                  int32_t vertex, int32_t level) {
+  HIGNN_CHECK_GE(level, 1);
+  HIGNN_CHECK_LE(static_cast<size_t>(level), levels.size());
+  for (int32_t l = 0; l < level; ++l) {
+    const HignnLevel& below = levels[static_cast<size_t>(l)];
+    const auto& assignment =
+        left ? below.left_assignment : below.right_assignment;
+    HIGNN_CHECK_LT(static_cast<size_t>(vertex), assignment.size());
+    vertex = assignment[static_cast<size_t>(vertex)];
+  }
+  return vertex;
+}
 
 Matrix StackHierarchical(const HignnModel& model, bool left,
                          int32_t max_level) {
@@ -93,8 +83,9 @@ Matrix StackHierarchical(const HignnModel& model, bool left,
                      : std::min(max_level, model.num_levels());
   HIGNN_CHECK_GE(levels, 1);
   const size_t d = static_cast<size_t>(model.level_dim());
-  const size_t n = left ? model.levels().front().graph.num_left()
-                        : model.levels().front().graph.num_right();
+  const size_t n = static_cast<size_t>(
+      left ? model.levels().front().graph.num_left
+           : model.levels().front().graph.num_right);
   Matrix out(n, static_cast<size_t>(levels) * d);
   for (size_t v = 0; v < n; ++v) {
     int32_t vertex = static_cast<int32_t>(v);
@@ -114,6 +105,14 @@ Matrix StackHierarchical(const HignnModel& model, bool left,
 }
 
 }  // namespace
+
+int32_t HignnModel::LeftClusterAt(int32_t u, int32_t level) const {
+  return ClusterAt(levels_, /*left=*/true, u, level);
+}
+
+int32_t HignnModel::RightClusterAt(int32_t i, int32_t level) const {
+  return ClusterAt(levels_, /*left=*/false, i, level);
+}
 
 Matrix HignnModel::AllHierarchicalLeft(int32_t max_level) const {
   return StackHierarchical(*this, /*left=*/true, max_level);
@@ -154,6 +153,63 @@ Status RestoreParams(BipartiteSage& sage, const std::vector<Matrix>& values) {
   return Status::OK();
 }
 
+// The graph and features a level trains on, (G^{l-1}, X^{l-1}): the
+// caller's inputs at level 1, then the latest coarsening, which is the
+// only graph owned. The input graph is never copied.
+struct LevelInputs {
+  const BipartiteGraph* graph;
+  const Matrix* left;
+  const Matrix* right;
+  std::unique_ptr<CoarsenedGraph> coarse;  // G^{l-1}, X^{l-1} when l > 1
+};
+
+// (G^l, X^l) <- F(C_u, C_i, G^{l-1}) [Alg. 1 line 6], from finished level
+// l's embeddings and assignments.
+Status Coarsen(const HignnLevel& level, int32_t l, LevelInputs& inputs) {
+  HIGNN_ASSIGN_OR_RETURN(
+      CoarsenedGraph next,
+      CoarsenBipartiteGraph(*inputs.graph, level.left_embeddings,
+                            level.right_embeddings, level.left_assignment,
+                            level.num_left_clusters, level.right_assignment,
+                            level.num_right_clusters));
+  if (next.graph.num_edges() == 0) {
+    return Status::Internal(
+        StrFormat("coarsened graph at level %d has no edges", l));
+  }
+  inputs.coarse = std::make_unique<CoarsenedGraph>(std::move(next));
+  inputs.graph = &inputs.coarse->graph;
+  inputs.left = &inputs.coarse->left_features;
+  inputs.right = &inputs.coarse->right_features;
+  return Status::OK();
+}
+
+// Rebuilds the inputs of the level after `done` by replaying each
+// finished level's coarsening, starting from the caller's `inputs`.
+// Coarsening is deterministic, so this is the graph the interrupted run
+// trained on, provided the levels belong to these inputs: each must have
+// trained on the graph its replay gives it, at the config's width.
+Result<LevelInputs> ReplayFinishedLevels(const std::vector<HignnLevel>& done,
+                                         LevelInputs inputs,
+                                         const HignnConfig& config) {
+  if (done.size() > static_cast<size_t>(config.levels)) {
+    return Status::InvalidArgument("more finished levels than configured");
+  }
+  const size_t width = config.sage.dims.empty()
+                           ? 0
+                           : static_cast<size_t>(config.sage.dims.back());
+  for (size_t k = 0; k < done.size(); ++k) {
+    const int32_t l = static_cast<int32_t>(k) + 1;
+    const HignnLevel& level = done[k];
+    if (level.graph != GraphShape(*inputs.graph) ||
+        level.left_embeddings.cols() != width) {
+      return Status::InvalidArgument(StrFormat(
+          "level %d did not train on the graph or width its replay gives", l));
+    }
+    if (l < config.levels) HIGNN_RETURN_IF_ERROR(Coarsen(level, l, inputs));
+  }
+  return inputs;
+}
+
 }  // namespace
 
 Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
@@ -170,8 +226,9 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
                               const HignnConfig& config,
                               const CheckpointOptions& checkpoint,
                               const TrainingMonitorConfig& monitor_config) {
-  if (config.levels < 1) {
-    return Status::InvalidArgument("HiGNN needs at least one level");
+  if (config.levels < 1 || config.levels > kMaxLevels) {
+    return Status::InvalidArgument(StrFormat(
+        "HiGNN needs 1 to %d levels, not %d", kMaxLevels, config.levels));
   }
   if (graph.num_left() == 0 || graph.num_right() == 0) {
     return Status::InvalidArgument("empty graph");
@@ -190,88 +247,63 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
           : 0;
 
   HignnModel model;
-  BipartiteGraph current_graph = graph;
-  Matrix current_left = left_features;
-  Matrix current_right = right_features;
+  LevelInputs inputs{&graph, &left_features, &right_features, nullptr};
   TrainingMonitor monitor(monitor_config);
 
   int32_t start_level = 1;
   int64_t next_sequence = 0;
   bool resumed = false;
-  bool resume_mid_level = false;
-  int32_t resume_step = 0;
-  std::vector<Matrix> resume_params;
-  OptimizerState resume_opt;
-  float resume_lr = 0.0f;
-  RngState resume_rng;
-  double resume_tail_sum = 0.0;
-  int64_t resume_tail_count = 0;
+  LevelTrainingState resume_state;  // how far start_level had trained
 
   if (checkpointing && checkpoint.resume) {
     Result<TrainingCheckpoint> loaded =
         LoadLatestCheckpoint(checkpoint, fingerprint);
     if (loaded.ok()) {
       TrainingCheckpoint ckpt = std::move(loaded).value();
-      if (ckpt.completed_levels.size() !=
-          static_cast<size_t>(ckpt.level - 1)) {
+      Result<LevelInputs> replayed = ReplayFinishedLevels(
+          ckpt.completed_levels,
+          {&graph, &left_features, &right_features, nullptr}, config);
+      if (!replayed.ok()) {
         HIGNN_LOG(kWarning)
-            << "ignoring inconsistent checkpoint (completed levels "
-            << ckpt.completed_levels.size() << ", level " << ckpt.level << ")";
-      } else if (ckpt.level <= config.levels &&
-                 !ckpt.completed_levels.empty() &&
-                 !CheckLevelChain(ckpt.completed_levels.back(), ckpt.graph)
-                      .ok()) {
-        HIGNN_LOG(kWarning) << "ignoring inconsistent checkpoint (level "
-                            << ckpt.level
-                            << " graph does not chain onto the level below)";
+            << "ignoring checkpoint seq " << ckpt.sequence
+            << ": its levels do not replay onto these inputs ("
+            << replayed.status().message() << ")";
       } else {
         resumed = true;
+        inputs = std::move(replayed).value();
         next_sequence = ckpt.sequence + 1;
         start_level = ckpt.level;
         monitor.RestoreState(ckpt.monitor);
         model.levels_ = std::move(ckpt.completed_levels);
+        resume_state = std::move(ckpt.training);
         if (config.verbose) {
           HIGNN_LOG(kInfo) << StrFormat(
               "HiGNN resume: checkpoint seq %lld -> level %d step %d",
               static_cast<long long>(ckpt.sequence), ckpt.level,
-              ckpt.sage_step);
+              resume_state.step);
         }
-        if (ckpt.level > config.levels) {
+        if (start_level > config.levels) {
           return model;  // The interrupted run had already finished.
-        }
-        current_graph = std::move(ckpt.graph);
-        current_left = std::move(ckpt.left_features);
-        current_right = std::move(ckpt.right_features);
-        if (ckpt.sage_step > 0) {
-          resume_mid_level = true;
-          resume_step = ckpt.sage_step;
-          resume_params = std::move(ckpt.params);
-          resume_opt = std::move(ckpt.opt);
-          resume_lr = ckpt.learning_rate;
-          resume_rng = ckpt.rng;
-          resume_tail_sum = ckpt.tail_loss_sum;
-          resume_tail_count = ckpt.tail_count;
         }
       }
     }
   }
 
-  // Boundary checkpoint: "about to start `level`, nothing of it trained
-  // yet". Weights are omitted — step-0 state is deterministic from the
-  // config seed, so resume simply re-creates the level's SAGE.
-  auto save_boundary = [&](int32_t level) -> Status {
+  // Saves "`level` in progress, trained as far as `training`": a
+  // boundary passes an empty record (step 0), since a level's step-0
+  // state is a pure function of the config seed. The finished levels are
+  // lent to the checkpoint for the write, not copied.
+  auto save = [&](int32_t level, LevelTrainingState training) -> Status {
     TrainingCheckpoint ckpt;
     ckpt.fingerprint = fingerprint;
     ckpt.sequence = next_sequence++;
     ckpt.level = level;
-    ckpt.sage_step = 0;
-    ckpt.completed_levels = model.levels_;
-    ckpt.graph = current_graph;
-    ckpt.left_features = current_left;
-    ckpt.right_features = current_right;
-    ckpt.learning_rate = config.sage.learning_rate;
+    ckpt.completed_levels = std::move(model.levels_);
+    ckpt.training = std::move(training);
     ckpt.monitor = monitor.ExportState();
-    return SaveCheckpoint(ckpt, checkpoint);
+    const Status status = SaveCheckpoint(ckpt, checkpoint);
+    model.levels_ = std::move(ckpt.completed_levels);
+    return status;
   };
 
   // Observation-only run report next to the checkpoints: refreshed at
@@ -289,7 +321,7 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
   };
 
   if (checkpointing && !resumed) {
-    HIGNN_RETURN_IF_ERROR(save_boundary(1));
+    HIGNN_RETURN_IF_ERROR(save(1, LevelTrainingState()));
     write_run_report();
   }
 
@@ -302,8 +334,8 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
     HIGNN_ASSIGN_OR_RETURN(
         BipartiteSage sage,
         BipartiteSage::Create(sage_config,
-                              static_cast<int32_t>(current_left.cols()),
-                              static_cast<int32_t>(current_right.cols())));
+                              static_cast<int32_t>(inputs.left->cols()),
+                              static_cast<int32_t>(inputs.right->cols())));
 
     // The step loop below replicates BipartiteSage::Train exactly (RNG
     // seeding, optimizer setup, tail-loss bookkeeping), with three
@@ -319,57 +351,36 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
     const int32_t tail_start = sage_config.train_steps * 9 / 10;
     int32_t step = 0;
 
-    if (l == start_level && resume_mid_level) {
-      HIGNN_RETURN_IF_ERROR(RestoreParams(sage, resume_params));
-      HIGNN_RETURN_IF_ERROR(optimizer.ImportState(sage.Params(), resume_opt));
-      optimizer.set_learning_rate(resume_lr);
-      rng.RestoreState(resume_rng);
-      tail_loss_sum = resume_tail_sum;
-      tail_count = resume_tail_count;
-      step = resume_step;
-    }
+    // The level's training record, taken and put back whole: a
+    // mid-level save writes it, resume and rollback restore it.
+    auto capture = [&]() {
+      LevelTrainingState state;
+      state.step = step;
+      state.params = SnapshotParams(sage);
+      state.opt = optimizer.ExportState(sage.Params());
+      state.learning_rate = optimizer.learning_rate();
+      state.rng = rng.SaveState();
+      state.tail_loss_sum = tail_loss_sum;
+      state.tail_count = tail_count;
+      return state;
+    };
+    auto restore = [&](const LevelTrainingState& state) -> Status {
+      HIGNN_RETURN_IF_ERROR(RestoreParams(sage, state.params));
+      HIGNN_RETURN_IF_ERROR(optimizer.ImportState(sage.Params(), state.opt));
+      optimizer.set_learning_rate(state.learning_rate);
+      rng.RestoreState(state.rng);
+      tail_loss_sum = state.tail_loss_sum;
+      tail_count = state.tail_count;
+      step = state.step;
+      return Status::OK();
+    };
 
+    if (l == start_level && resume_state.step > 0) {
+      HIGNN_RETURN_IF_ERROR(restore(resume_state));
+    }
     // Rollback anchor: the level's last durable point (level start, a
     // restored checkpoint, or the latest mid-level save).
-    struct Anchor {
-      int32_t step = 0;
-      std::vector<Matrix> params;
-      OptimizerState opt;
-      float learning_rate = 0.0f;
-      RngState rng;
-      double tail_loss_sum = 0.0;
-      int64_t tail_count = 0;
-    } anchor;
-    auto capture_anchor = [&]() {
-      anchor.step = step;
-      anchor.params = SnapshotParams(sage);
-      anchor.opt = optimizer.ExportState(sage.Params());
-      anchor.learning_rate = optimizer.learning_rate();
-      anchor.rng = rng.SaveState();
-      anchor.tail_loss_sum = tail_loss_sum;
-      anchor.tail_count = tail_count;
-    };
-    capture_anchor();
-
-    auto save_mid_level = [&]() -> Status {
-      TrainingCheckpoint ckpt;
-      ckpt.fingerprint = fingerprint;
-      ckpt.sequence = next_sequence++;
-      ckpt.level = l;
-      ckpt.sage_step = step;
-      ckpt.completed_levels = model.levels_;
-      ckpt.graph = current_graph;
-      ckpt.left_features = current_left;
-      ckpt.right_features = current_right;
-      ckpt.params = SnapshotParams(sage);
-      ckpt.opt = optimizer.ExportState(sage.Params());
-      ckpt.learning_rate = optimizer.learning_rate();
-      ckpt.rng = rng.SaveState();
-      ckpt.tail_loss_sum = tail_loss_sum;
-      ckpt.tail_count = tail_count;
-      ckpt.monitor = monitor.ExportState();
-      return SaveCheckpoint(ckpt, checkpoint);
-    };
+    LevelTrainingState anchor = capture();
 
     auto rollback = [&]() -> Status {
       monitor.OnRollback();
@@ -379,14 +390,8 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
             "after %d rollbacks",
             l, monitor.rollbacks()));
       }
-      HIGNN_RETURN_IF_ERROR(RestoreParams(sage, anchor.params));
-      HIGNN_RETURN_IF_ERROR(optimizer.ImportState(sage.Params(), anchor.opt));
       anchor.learning_rate *= monitor_config.lr_decay;
-      optimizer.set_learning_rate(anchor.learning_rate);
-      rng.RestoreState(anchor.rng);
-      tail_loss_sum = anchor.tail_loss_sum;
-      tail_count = anchor.tail_count;
-      step = anchor.step;
+      HIGNN_RETURN_IF_ERROR(restore(anchor));
       obs::SeriesAppend("train.lr", anchor.learning_rate);
       HIGNN_LOG(kWarning) << StrFormat(
           "HiGNN level %d: divergence detected, rolled back to step %d "
@@ -400,7 +405,7 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
       HIGNN_SPAN("fit.step", {{"level", l}, {"step", step}});
       HIGNN_ASSIGN_OR_RETURN(
           double step_loss,
-          sage.TrainStep(current_graph, current_left, current_right,
+          sage.TrainStep(*inputs.graph, *inputs.left, *inputs.right,
                          optimizer, rng, &monitor));
       obs::SeriesAppend("train.loss", step_loss);
       if (monitor.ObserveLoss(step_loss) == HealthVerdict::kRollback) {
@@ -416,8 +421,8 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
       if (checkpointing && checkpoint.step_interval > 0 &&
           step % checkpoint.step_interval == 0 &&
           step < sage_config.train_steps) {
-        HIGNN_RETURN_IF_ERROR(save_mid_level());
-        capture_anchor();
+        anchor = capture();
+        HIGNN_RETURN_IF_ERROR(save(l, anchor));
         write_run_report();
       }
     }
@@ -426,28 +431,28 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
 
     HIGNN_ASSIGN_OR_RETURN(
         SageEmbeddings embeddings,
-        sage.EmbedAll(current_graph, current_left, current_right));
+        sage.EmbedAll(*inputs.graph, *inputs.left, *inputs.right));
 
     // --- C_u^l, C_i^l <- K(Z^l) [Alg. 1 line 5] ---------------------------
     int32_t left_k = 0;
     int32_t right_k = 0;
     HIGNN_ASSIGN_OR_RETURN(
         KMeansResult left_clusters,
-        ClusterSide(embeddings.left, current_graph.num_left(), config,
+        ClusterSide(embeddings.left, inputs.graph->num_left(), config,
                     config.seed + static_cast<uint64_t>(l) * 104729 + 1,
                     &left_k));
     HIGNN_ASSIGN_OR_RETURN(
         KMeansResult right_clusters,
-        ClusterSide(embeddings.right, current_graph.num_right(), config,
+        ClusterSide(embeddings.right, inputs.graph->num_right(), config,
                     config.seed + static_cast<uint64_t>(l) * 104729 + 2,
                     &right_k));
 
     HignnLevel level;
-    level.graph = current_graph;
-    level.left_embeddings = embeddings.left;
-    level.right_embeddings = embeddings.right;
-    level.left_assignment = left_clusters.assignment;
-    level.right_assignment = right_clusters.assignment;
+    level.graph = *inputs.graph;
+    level.left_embeddings = std::move(embeddings.left);
+    level.right_embeddings = std::move(embeddings.right);
+    level.left_assignment = std::move(left_clusters.assignment);
+    level.right_assignment = std::move(right_clusters.assignment);
     level.num_left_clusters = left_k;
     level.num_right_clusters = right_k;
     level.train_loss = loss;
@@ -460,33 +465,19 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
       HIGNN_LOG(kInfo) << StrFormat(
           "HiGNN level %d: |U|=%d |I|=%d |E|=%lld loss=%.4f Ku=%d Ki=%d "
           "reseeds=%d/%d (%.1fs)",
-          l, current_graph.num_left(), current_graph.num_right(),
-          static_cast<long long>(current_graph.num_edges()), loss, left_k,
+          l, level.graph.num_left, level.graph.num_right,
+          static_cast<long long>(level.graph.num_edges), loss, left_k,
           right_k, left_clusters.reseeds, right_clusters.reseeds,
           timer.Seconds());
     }
 
-    // --- (G^l, X^l) <- F(C_u, C_i, G^{l-1}) [Alg. 1 line 6] ---------------
-    if (l < config.levels) {
-      HIGNN_ASSIGN_OR_RETURN(
-          CoarsenedGraph coarse,
-          CoarsenBipartiteGraph(current_graph, embeddings.left,
-                                embeddings.right, left_clusters.assignment,
-                                left_k, right_clusters.assignment, right_k));
-      current_graph = std::move(coarse.graph);
-      current_left = std::move(coarse.left_features);
-      current_right = std::move(coarse.right_features);
-      if (current_graph.num_edges() == 0) {
-        return Status::Internal(
-            StrFormat("coarsened graph at level %d has no edges", l));
-      }
-    }
+    if (l < config.levels) HIGNN_RETURN_IF_ERROR(Coarsen(level, l, inputs));
     model.levels_.push_back(std::move(level));
 
     if (checkpointing) {
-      // Level boundary: the finished prefix plus the next level's inputs
-      // (level config.levels + 1 marks a completed run).
-      HIGNN_RETURN_IF_ERROR(save_boundary(l + 1));
+      // Level boundary: the finished prefix, nothing of the next level
+      // trained yet (level config.levels + 1 marks a completed run).
+      HIGNN_RETURN_IF_ERROR(save(l + 1, LevelTrainingState()));
     }
   }
   write_run_report();

@@ -12,6 +12,10 @@
 
 namespace hignn {
 
+/// \brief Most levels a hierarchy may have: Fit refuses more, and the
+/// model and checkpoint readers reject files that declare more.
+inline constexpr int32_t kMaxLevels = 64;
+
 /// \brief Configuration for the full HiGNN stack (Algorithm 1).
 struct HignnConfig {
   /// L: number of GNN/cluster levels. L = 0 degenerates to "no graph"
@@ -51,11 +55,12 @@ struct HignnConfig {
 
 /// \brief Artifacts of one HiGNN level l (1-based).
 ///
-/// `graph` is the input graph G^{l-1} the level's GraphSAGE trained on;
-/// the embeddings are Z^l (one row per G^{l-1} vertex); the assignments
-/// define the coarsening into G^l.
+/// `graph` is the shape of the input graph G^{l-1} the level's GraphSAGE
+/// trained on; the embeddings are Z^l (one row per G^{l-1} vertex); the
+/// assignments define the coarsening into G^l, which CoarsenBipartiteGraph
+/// rebuilds from G^{l-1}, so no level keeps edges.
 struct HignnLevel {
-  BipartiteGraph graph;
+  GraphShape graph;
   Matrix left_embeddings;
   Matrix right_embeddings;
   std::vector<int32_t> left_assignment;
@@ -116,8 +121,8 @@ struct TrainingMonitorConfig;
 class Hignn {
  public:
   /// \brief Runs Algorithm 1 on the input graph and features. Requires
-  /// `config.levels >= 1`; for the L = 0 case skip HiGNN entirely.
-  /// Checkpointing disabled; default numerical-health guards.
+  /// 1 <= `config.levels` <= kMaxLevels; for the L = 0 case skip HiGNN
+  /// entirely. Checkpointing disabled; default numerical-health guards.
   static Result<HignnModel> Fit(const BipartiteGraph& graph,
                                 const Matrix& left_features,
                                 const Matrix& right_features,
@@ -130,9 +135,12 @@ class Hignn {
   /// steps within a level); when `checkpoint.resume` is set and the
   /// directory holds a valid checkpoint whose fingerprint matches these
   /// inputs, training continues from it and the final model is bitwise
-  /// identical to an uninterrupted run. The monitor guards every step's
-  /// loss and gradients; on divergence the level rolls back to its last
-  /// saved state with a reduced learning rate.
+  /// identical to an uninterrupted run. Checkpoints hold no graph: resume
+  /// rebuilds the current level's inputs by replaying the coarsening of
+  /// the finished levels over `graph`, and ignores (with a warning) a
+  /// checkpoint whose levels do not replay onto it. The monitor guards
+  /// every step's loss and gradients; on divergence the level rolls back
+  /// to its last saved state with a reduced learning rate.
   static Result<HignnModel> Fit(const BipartiteGraph& graph,
                                 const Matrix& left_features,
                                 const Matrix& right_features,

@@ -42,58 +42,7 @@ Result<Matrix> ReadMatrixPayload(BinaryReader& reader) {
   return matrix;
 }
 
-void WriteGraphPayload(BinaryWriter& writer, const BipartiteGraph& graph) {
-  writer.WriteI32(graph.num_left());
-  writer.WriteI32(graph.num_right());
-  writer.WriteI64(graph.num_edges());
-  for (int64_t k = 0; k < graph.num_edges(); ++k) {
-    const WeightedEdge edge = graph.EdgeAt(k);
-    writer.WriteI32(edge.u);
-    writer.WriteI32(edge.i);
-    writer.WriteF32(edge.weight);
-  }
-}
-
-Result<BipartiteGraph> ReadGraphPayload(BinaryReader& reader) {
-  HIGNN_ASSIGN_OR_RETURN(int32_t num_left, reader.ReadI32());
-  HIGNN_ASSIGN_OR_RETURN(int32_t num_right, reader.ReadI32());
-  HIGNN_ASSIGN_OR_RETURN(int64_t num_edges, reader.ReadI64());
-  if (num_left < 0 || num_right < 0 || num_edges < 0) {
-    return Status::IOError("negative graph dimensions");
-  }
-  // Every count is bounded by the verified bytes left before anything is
-  // allocated: an edge takes kEdgeBytes here, and each vertex owns at
-  // least one 4-byte entry after the graph (its cluster assignment in a
-  // level, its feature row in a checkpoint).
-  constexpr uint64_t kEdgeBytes = 2 * sizeof(int32_t) + sizeof(float);
-  const uint64_t left = reader.remaining();
-  const uint64_t edges = static_cast<uint64_t>(num_edges);
-  const uint64_t vertices = static_cast<uint64_t>(num_left) +
-                            static_cast<uint64_t>(num_right);
-  if (edges > left / kEdgeBytes ||
-      vertices > (left - edges * kEdgeBytes) / sizeof(int32_t)) {
-    return Status::IOError(StrFormat(
-        "graph of %d x %d vertices and %lld edges exceeds the %llu bytes "
-        "left",
-        num_left, num_right, static_cast<long long>(num_edges),
-        static_cast<unsigned long long>(left)));
-  }
-  BipartiteGraphBuilder builder(num_left, num_right);
-  for (int64_t k = 0; k < num_edges; ++k) {
-    HIGNN_ASSIGN_OR_RETURN(int32_t u, reader.ReadI32());
-    HIGNN_ASSIGN_OR_RETURN(int32_t i, reader.ReadI32());
-    HIGNN_ASSIGN_OR_RETURN(float weight, reader.ReadF32());
-    HIGNN_RETURN_IF_ERROR(builder.AddEdge(u, i, weight));
-  }
-  return builder.Build();
-}
-
 namespace {
-
-void WriteAssignment(BinaryWriter& writer,
-                     const std::vector<int32_t>& assignment) {
-  writer.WriteI32s(assignment.data(), assignment.size());
-}
 
 Result<std::vector<int32_t>> ReadAssignment(BinaryReader& reader,
                                             size_t expected) {
@@ -119,40 +68,72 @@ Status CheckAssignment(const std::vector<int32_t>& assignment,
   return Status::OK();
 }
 
-}  // namespace
-
-void WriteLevelPayload(BinaryWriter& writer, const HignnLevel& level) {
-  WriteGraphPayload(writer, level.graph);
-  WriteMatrixPayload(writer, level.left_embeddings);
-  WriteMatrixPayload(writer, level.right_embeddings);
-  WriteAssignment(writer, level.left_assignment);
-  WriteAssignment(writer, level.right_assignment);
-  writer.WriteI32(level.num_left_clusters);
-  writer.WriteI32(level.num_right_clusters);
-  writer.WriteF64(level.train_loss);
+void WriteShape(BinaryWriter& writer, const GraphShape& shape) {
+  writer.WriteI32(shape.num_left);
+  writer.WriteI32(shape.num_right);
+  writer.WriteI64(shape.num_edges);
 }
 
-Status CheckLevelChain(const HignnLevel& below, const BipartiteGraph& graph) {
-  if (graph.num_left() != below.num_left_clusters ||
-      graph.num_right() != below.num_right_clusters) {
+Result<GraphShape> ReadShape(BinaryReader& reader) {
+  GraphShape shape;
+  HIGNN_ASSIGN_OR_RETURN(shape.num_left, reader.ReadI32());
+  HIGNN_ASSIGN_OR_RETURN(shape.num_right, reader.ReadI32());
+  HIGNN_ASSIGN_OR_RETURN(shape.num_edges, reader.ReadI64());
+  // Each vertex owns a 4-byte cluster assignment after the shape, so
+  // counts the verified bytes cannot hold are rejected before anything
+  // is sized by them.
+  const int64_t pairs = static_cast<int64_t>(shape.num_left) * shape.num_right;
+  if (shape.num_left < 0 || shape.num_right < 0 || shape.num_edges < 0 ||
+      shape.num_edges > pairs ||
+      static_cast<uint64_t>(shape.num_left) + shape.num_right >
+          reader.remaining() / sizeof(int32_t)) {
+    return Status::IOError(StrFormat(
+        "a %d x %d graph with %lld edges is impossible or exceeds the %zu "
+        "bytes left",
+        shape.num_left, shape.num_right,
+        static_cast<long long>(shape.num_edges), reader.remaining()));
+  }
+  return shape;
+}
+
+// IOError unless a level over `shape` can sit on `below`: its vertex
+// counts must be below's cluster counts.
+Status CheckLevelChain(const HignnLevel& below, const GraphShape& shape) {
+  if (shape.num_left != below.num_left_clusters ||
+      shape.num_right != below.num_right_clusters) {
     return Status::IOError(StrFormat(
         "level graph has %d x %d vertices, but the level below has %d x %d "
         "clusters",
-        graph.num_left(), graph.num_right(), below.num_left_clusters,
+        shape.num_left, shape.num_right, below.num_left_clusters,
         below.num_right_clusters));
   }
   return Status::OK();
 }
 
+}  // namespace
+
+void WriteLevelPayload(BinaryWriter& writer, const HignnLevel& level) {
+  WriteShape(writer, level.graph);
+  WriteMatrixPayload(writer, level.left_embeddings);
+  WriteMatrixPayload(writer, level.right_embeddings);
+  for (const auto* assignment :
+       {&level.left_assignment, &level.right_assignment}) {
+    writer.WriteI32s(assignment->data(), assignment->size());
+  }
+  writer.WriteI32(level.num_left_clusters);
+  writer.WriteI32(level.num_right_clusters);
+  writer.WriteF64(level.train_loss);
+}
+
 Result<HignnLevel> ReadLevelPayload(BinaryReader& reader,
                                     const HignnLevel* below) {
   HignnLevel level;
-  HIGNN_ASSIGN_OR_RETURN(level.graph, ReadGraphPayload(reader));
+  HIGNN_ASSIGN_OR_RETURN(level.graph, ReadShape(reader));
   if (below != nullptr) {
     HIGNN_RETURN_IF_ERROR(CheckLevelChain(*below, level.graph));
   }
-  const size_t num_left = static_cast<size_t>(level.graph.num_left());
-  const size_t num_right = static_cast<size_t>(level.graph.num_right());
+  const size_t num_left = static_cast<size_t>(level.graph.num_left);
+  const size_t num_right = static_cast<size_t>(level.graph.num_right);
   HIGNN_ASSIGN_OR_RETURN(level.left_embeddings, ReadMatrixPayload(reader));
   HIGNN_ASSIGN_OR_RETURN(level.right_embeddings, ReadMatrixPayload(reader));
   if (level.left_embeddings.rows() != num_left ||
@@ -203,9 +184,9 @@ Result<HignnModel> LoadHignnModel(const std::string& path) {
   BinaryReader reader(path);
   HIGNN_RETURN_IF_ERROR(reader.ReadHeader(kTagHignnModel));
   HIGNN_ASSIGN_OR_RETURN(int32_t num_levels, reader.ReadI32());
-  if (num_levels < 1 || num_levels > 64) {
-    return Status::IOError(
-        StrFormat("model has %d levels, not 1 to 64", num_levels));
+  if (num_levels < 1 || num_levels > kMaxLevels) {
+    return Status::IOError(StrFormat("model has %d levels, not 1 to %d",
+                                     num_levels, kMaxLevels));
   }
   std::vector<HignnLevel> levels;
   levels.reserve(static_cast<size_t>(num_levels));

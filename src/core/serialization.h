@@ -24,9 +24,8 @@ namespace hignn {
 Status SaveHignnModel(const HignnModel& model, const std::string& path);
 
 /// \brief Loads a model saved by SaveHignnModel. Beyond the checksums,
-/// the structure must hold: 1 to 64 levels, each as ReadLevelPayload
-/// checks it, chained so that each level's vertex counts are the cluster
-/// counts of the level below. Anything else is IOError, so a loaded
+/// the structure must hold: 1 to kMaxLevels levels, each as
+/// ReadLevelPayload checks it. Anything else is IOError, so a loaded
 /// model never indexes out of bounds.
 Result<HignnModel> LoadHignnModel(const std::string& path);
 
@@ -50,22 +49,20 @@ Status SaveBipartiteGraphTsv(const BipartiteGraph& graph,
 /// into the writer's current checksum section; readers assume the
 /// container was already verified via ReadHeader, and bound every count
 /// a payload declares by the verified bytes left before they allocate.
+/// A level payload is its graph shape, embeddings, assignments, cluster
+/// counts and loss.
 void WriteMatrixPayload(BinaryWriter& writer, const Matrix& matrix);
 Result<Matrix> ReadMatrixPayload(BinaryReader& reader);
-void WriteGraphPayload(BinaryWriter& writer, const BipartiteGraph& graph);
-Result<BipartiteGraph> ReadGraphPayload(BinaryReader& reader);
 void WriteLevelPayload(BinaryWriter& writer, const HignnLevel& level);
 
-/// \brief Reads one level and checks it: one embedding row per vertex,
-/// every assignment inside [0, cluster count), and one embedding width
-/// for both sides (the first level's, taken from `below` when given).
-/// With `below` (the level under it) it also applies CheckLevelChain.
+/// \brief Reads one level and checks it: 0 <= edges <= left x right
+/// vertices, one embedding row per vertex, every assignment inside
+/// [0, cluster count), and one embedding width for both sides (the first
+/// level's, taken from `below` when given). With `below` (the level
+/// under it) the level's vertex counts must also be below's cluster
+/// counts.
 Result<HignnLevel> ReadLevelPayload(BinaryReader& reader,
                                     const HignnLevel* below);
-
-/// \brief IOError unless `graph` can sit on `below`: its vertex counts
-/// must be below's cluster counts.
-Status CheckLevelChain(const HignnLevel& below, const BipartiteGraph& graph);
 
 }  // namespace hignn
 

@@ -110,7 +110,8 @@ Result<std::unique_ptr<PlantedWorld>> BuildPlantedWorld(
     const int32_t users_out = left_counts[static_cast<size_t>(l)];
     const Matrix& codes = right_codes[static_cast<size_t>(l - 1)];
 
-    level.graph = BipartiteGraphBuilder(users_in, items_in).Build();
+    level.graph.num_left = users_in;
+    level.graph.num_right = items_in;
     level.num_left_clusters = users_out;
     level.num_right_clusters = items_out;
 

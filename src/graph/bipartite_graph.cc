@@ -7,10 +7,10 @@
 
 namespace hignn {
 
-double BipartiteGraph::Density() const {
-  if (num_left_ == 0 || num_right_ == 0) return 0.0;
-  return static_cast<double>(num_edges()) /
-         (static_cast<double>(num_left_) * static_cast<double>(num_right_));
+double GraphShape::Density() const {
+  if (num_left == 0 || num_right == 0) return 0.0;
+  return static_cast<double>(num_edges) /
+         (static_cast<double>(num_left) * static_cast<double>(num_right));
 }
 
 double BipartiteGraph::TotalWeight() const {

@@ -30,9 +30,6 @@ class BipartiteGraph {
   int32_t num_right() const { return num_right_; }
   int64_t num_edges() const { return static_cast<int64_t>(left_adj_.size()); }
 
-  /// \brief Edge density |E| / (|U|*|I|), as reported in Tables I and V.
-  double Density() const;
-
   /// \brief Sum of all edge weights.
   double TotalWeight() const;
 
@@ -86,6 +83,27 @@ class BipartiteGraph {
   std::vector<int64_t> right_offsets_;  // size num_right_+1
   std::vector<int32_t> right_adj_;      // left ids
   std::vector<float> right_weights_;
+};
+
+/// \brief Vertex and edge counts of a bipartite graph, without its edges:
+/// what a trained hierarchy level keeps of the graph it trained on.
+/// Converts implicitly from a graph, so `shape = graph;` records one.
+struct GraphShape {
+  GraphShape() = default;
+  GraphShape(const BipartiteGraph& graph)  // NOLINT
+      : num_left(graph.num_left()),
+        num_right(graph.num_right()),
+        num_edges(graph.num_edges()) {}
+
+  /// \brief Edge density |E| / (|U|*|I|), as reported in Tables I and V;
+  /// 0 when a side is empty.
+  double Density() const;
+
+  friend bool operator==(const GraphShape&, const GraphShape&) = default;
+
+  int32_t num_left = 0;
+  int32_t num_right = 0;
+  int64_t num_edges = 0;
 };
 
 /// \brief Accumulating builder: duplicate (u, i) edges sum their weights.

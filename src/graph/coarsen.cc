@@ -84,9 +84,9 @@ Status ValidateAssignment(const std::vector<int32_t>& assignment,
 
 Result<CoarsenedGraph> CoarsenBipartiteGraph(
     const BipartiteGraph& graph, const Matrix& left_embeddings,
-    const Matrix& right_embeddings, std::vector<int32_t> left_assignment,
-    int32_t num_left_clusters, std::vector<int32_t> right_assignment,
-    int32_t num_right_clusters) {
+    const Matrix& right_embeddings,
+    const std::vector<int32_t>& left_assignment, int32_t num_left_clusters,
+    const std::vector<int32_t>& right_assignment, int32_t num_right_clusters) {
   if (num_left_clusters <= 0 || num_right_clusters <= 0) {
     return Status::InvalidArgument("cluster counts must be positive");
   }
@@ -104,8 +104,6 @@ Result<CoarsenedGraph> CoarsenBipartiteGraph(
              {{"left", graph.num_left()}, {"right", graph.num_right()}});
 
   CoarsenedGraph out;
-  out.num_left_clusters = num_left_clusters;
-  out.num_right_clusters = num_right_clusters;
   out.left_features = ClusterMeans(left_embeddings, left_assignment,
                                    num_left_clusters);
   out.right_features = ClusterMeans(right_embeddings, right_assignment,
@@ -202,8 +200,6 @@ Result<CoarsenedGraph> CoarsenBipartiteGraph(
         builder.AddEdge(cu, ci, static_cast<float>(weight)));
   }
   out.graph = builder.Build();
-  out.left_assignment = std::move(left_assignment);
-  out.right_assignment = std::move(right_assignment);
   const int64_t fine_vertices =
       static_cast<int64_t>(graph.num_left()) + graph.num_right();
   const int64_t coarse_vertices =

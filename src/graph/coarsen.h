@@ -14,10 +14,6 @@ struct CoarsenedGraph {
   BipartiteGraph graph;     ///< super-vertex bipartite graph
   Matrix left_features;     ///< X_{C_u}: mean embedding per left cluster
   Matrix right_features;    ///< X_{C_i}: mean embedding per right cluster
-  std::vector<int32_t> left_assignment;   ///< fine left id -> cluster id
-  std::vector<int32_t> right_assignment;  ///< fine right id -> cluster id
-  int32_t num_left_clusters = 0;
-  int32_t num_right_clusters = 0;
 };
 
 /// \brief Builds the coarsened user-item graph of Eq. 6.
@@ -26,7 +22,8 @@ struct CoarsenedGraph {
 /// S(C_u, C_i) = sum_{(u,i) in E, u in C_u, i in C_i} S(u, i) is positive,
 /// and that sum becomes the coarse edge weight. Cluster features are the
 /// mean embedding of members (paper Sec. III-C); empty clusters keep a
-/// zero feature row and become isolated vertices.
+/// zero feature row and become isolated vertices. The result is a pure
+/// function of the arguments, bit for bit at any thread count.
 ///
 /// \param graph            the finer-level graph
 /// \param left_embeddings  (num_left x d) embeddings used for features
@@ -37,9 +34,9 @@ struct CoarsenedGraph {
 ///                         [0, num_right_clusters)
 Result<CoarsenedGraph> CoarsenBipartiteGraph(
     const BipartiteGraph& graph, const Matrix& left_embeddings,
-    const Matrix& right_embeddings, std::vector<int32_t> left_assignment,
-    int32_t num_left_clusters, std::vector<int32_t> right_assignment,
-    int32_t num_right_clusters);
+    const Matrix& right_embeddings,
+    const std::vector<int32_t>& left_assignment, int32_t num_left_clusters,
+    const std::vector<int32_t>& right_assignment, int32_t num_right_clusters);
 
 }  // namespace hignn
 

@@ -15,8 +15,9 @@ namespace {
 // widest vector width) so Borrow* pointers are safe for any aligned
 // SIMD load a future kernel might issue.
 constexpr size_t kRowAlignment = 64;
-// Meta/blocks/tails/chains/mlp, then the cluster-tree index sections.
-constexpr uint32_t kStoreVersion = 2;
+// Meta/blocks/tails/item chains/mlp, then the cluster-tree index
+// sections. Version 2 also stored user chains, which nothing read.
+constexpr uint32_t kStoreVersion = 3;
 
 // Tail widths come from the offline feature builder: a tail-only spec
 // measures exactly the profile/statistic block the full spec appends.
@@ -143,18 +144,9 @@ Status ExportEmbeddingStore(const HignnModel& model,
   writer.WriteRawFloats(item_tail.data(), item_tail.size());
   writer.NextSection();
 
-  // Cluster chains, composed through the per-level assignments once at
-  // export time so the server answers chain lookups with one array read.
-  std::vector<int32_t> left_chain;
-  left_chain.reserve(static_cast<size_t>(chain_levels) *
-                     static_cast<size_t>(dataset.num_users()));
-  for (int32_t level = 1; level <= chain_levels; ++level) {
-    for (int32_t u = 0; u < dataset.num_users(); ++u) {
-      left_chain.push_back(model.LeftClusterAt(u, level));
-    }
-  }
-  writer.AlignTo(kRowAlignment);
-  writer.WriteRawI32s(left_chain.data(), left_chain.size());
+  // Item cluster chains, composed through the per-level assignments once
+  // at export time so the retrieval index reads a chain with one array
+  // read.
   std::vector<int32_t> right_chain;
   right_chain.reserve(static_cast<size_t>(chain_levels) *
                       static_cast<size_t>(dataset.num_items()));
@@ -248,7 +240,6 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
 
   const size_t users = static_cast<size_t>(store->num_users_);
   const size_t items = static_cast<size_t>(store->num_items_);
-  const size_t levels = static_cast<size_t>(store->chain_levels_);
   HIGNN_RETURN_IF_ERROR(reader->AlignTo(kRowAlignment));
   HIGNN_ASSIGN_OR_RETURN(
       store->user_block_,
@@ -270,12 +261,9 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
       reader->BorrowFloats(items *
                            static_cast<size_t>(store->item_tail_dim_)));
   HIGNN_RETURN_IF_ERROR(reader->AlignTo(kRowAlignment));
-  // The user cluster chains: part of the layout and bounds-checked, but
-  // nothing reads them at serving time.
-  HIGNN_RETURN_IF_ERROR(reader->BorrowI32s(levels * users).status());
-  HIGNN_RETURN_IF_ERROR(reader->AlignTo(kRowAlignment));
-  HIGNN_ASSIGN_OR_RETURN(store->right_chain_,
-                         reader->BorrowI32s(levels * items));
+  HIGNN_ASSIGN_OR_RETURN(
+      store->right_chain_,
+      reader->BorrowI32s(static_cast<size_t>(store->chain_levels_) * items));
 
   HIGNN_ASSIGN_OR_RETURN(CvrModel model, CvrModel::ReadWeightsPayload(*reader));
   if (model.input_dim() != store->feature_dim_) {

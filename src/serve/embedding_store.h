@@ -31,13 +31,14 @@ namespace hignn {
 ///   ■ item z^H  num_items x (item_levels * d) float32
 ///   ■ user tail profile one-hots + user counters, as FillRow emits them
 ///   ■ item tail item counters + metadata features
-///   ■ chains    per level: left then right cluster ids (original -> G^l)
+///   ■ chains    per level: item cluster ids (original item -> G^l)
 ///   ■ mlp       CvrModel topology + exact float weights
 ///   ■ index     cluster-tree retrieval index: level count + shapes,
 ///               then per level the centroid block/tail matrices and the
 ///               child CSR (serve/index/cluster_tree.h)
 ///
-/// The store version is 2; any other version is rejected as IOError.
+/// The store version is 3; any other version is rejected as IOError
+/// (version 2 also carried user chains, which nothing read).
 ///
 /// Tails are produced by the offline CvrFeatureBuilder itself (with only
 /// the profile / item-stat blocks enabled), so a serving feature row is
@@ -116,7 +117,7 @@ class EmbeddingStore {
 /// \brief Builds the serving store from a trained hierarchy + predictor:
 /// precomputes the hierarchical embedding blocks for `spec`, the
 /// profile/statistic tails (via the offline feature builder, so the
-/// floats are byte-identical), the full cluster chains, the CVR
+/// floats are byte-identical), the item cluster chains, the CVR
 /// weights, and the cluster-tree retrieval index, and writes them
 /// atomically to `path`. The CLI verb `hignn export-store` is a thin
 /// wrapper over this.

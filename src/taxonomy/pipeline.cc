@@ -54,7 +54,7 @@ Result<TaxonomyRun> RunHignnTaxonomy(const QueryDataset& dataset,
       Hignn::Fit(graph, query_features, item_features, hignn_config));
 
   TaxonomyRun run{Taxonomy{}, std::move(word2vec), {}, 0.0};
-  HIGNN_ASSIGN_OR_RETURN(run.taxonomy, BuildTaxonomyFromHignn(model));
+  HIGNN_ASSIGN_OR_RETURN(run.taxonomy, BuildTaxonomyFromHignn(model, graph));
   for (const auto& level : run.taxonomy.levels) {
     run.level_topics.push_back(level.num_topics);
   }

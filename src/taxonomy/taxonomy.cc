@@ -47,13 +47,17 @@ std::vector<std::vector<int32_t>> Taxonomy::TopicItems(int32_t level) const {
   return out;
 }
 
-Result<Taxonomy> BuildTaxonomyFromHignn(const HignnModel& model) {
+Result<Taxonomy> BuildTaxonomyFromHignn(const HignnModel& model,
+                                        const BipartiteGraph& graph) {
   if (model.num_levels() < 1) {
     return Status::InvalidArgument("model has no levels");
   }
-  const int32_t num_items =
-      model.levels().front().graph.num_right();
-  const int32_t num_queries = model.levels().front().graph.num_left();
+  if (GraphShape(graph) != model.levels().front().graph) {
+    return Status::InvalidArgument(
+        "graph counts differ from the model's level 1");
+  }
+  const int32_t num_items = graph.num_right();
+  const int32_t num_queries = graph.num_left();
 
   Taxonomy taxonomy;
   for (int32_t l = 1; l <= model.num_levels(); ++l) {
@@ -68,10 +72,9 @@ Result<Taxonomy> BuildTaxonomyFromHignn(const HignnModel& model) {
     // Queries attach to the *item* topic receiving the majority of their
     // click weight (topics are item clusters; the query-side clusters are
     // internal to the GNN hierarchy). Unclicked queries get -1.
-    const BipartiteGraph& original = model.levels().front().graph;
     level.query_assignment.assign(static_cast<size_t>(num_queries), -1);
     for (int32_t q = 0; q < num_queries; ++q) {
-      const auto span = original.LeftNeighbors(q);
+      const auto span = graph.LeftNeighbors(q);
       std::unordered_map<int32_t, float> votes;
       for (size_t k = 0; k < span.size; ++k) {
         votes[model.RightClusterAt(span.ids[k], l)] += span.weights[k];

@@ -40,9 +40,13 @@ struct Taxonomy {
 };
 
 /// \brief Reads HiGNN's cluster hierarchy on a query-item graph as a
-/// taxonomy: the item-side clusters at each level are the topics, and the
-/// query-side clusters give each query's position (Sec. V-C.1).
-Result<Taxonomy> BuildTaxonomyFromHignn(const HignnModel& model);
+/// taxonomy: the item-side clusters at each level are the topics, and
+/// each query sits under the topic that receives most of its click
+/// weight in `graph` (Sec. V-C.1). `graph` is the query-item graph the
+/// model was fitted on; InvalidArgument when its counts differ from the
+/// model's level 1.
+Result<Taxonomy> BuildTaxonomyFromHignn(const HignnModel& model,
+                                        const BipartiteGraph& graph);
 
 /// \brief Topic description matching (Sec. V-C.2, Eqs. 14-16): scores each
 /// candidate query q for topic t_k by

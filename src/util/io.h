@@ -161,14 +161,16 @@ Status AtomicWriteTextFile(const std::string& path,
                            const std::string& contents);
 
 /// Payload tags for the container header. Tag 1 holds one matrix; only
-/// the IO test suites write it. Tag 2 is retired (it was the binary
-/// bipartite-graph container, which nothing writes any more; graph input
-/// is TSV) and must never be reused.
+/// the IO test suites write it. Retired tags must never be reused, so an
+/// old file fails its tag check instead of being misparsed: 2 was the
+/// binary graph container (graph input is TSV), 3 models and 4
+/// checkpoints that stored graphs. Models (7) and checkpoints (8) hold
+/// none: a level keeps only its graph's shape.
 inline constexpr uint32_t kTagMatrix = 1;
-inline constexpr uint32_t kTagHignnModel = 3;
-inline constexpr uint32_t kTagCheckpoint = 4;
 inline constexpr uint32_t kTagManifest = 5;
 inline constexpr uint32_t kTagEmbeddingStore = 6;
+inline constexpr uint32_t kTagHignnModel = 7;
+inline constexpr uint32_t kTagCheckpoint = 8;
 
 }  // namespace hignn
 

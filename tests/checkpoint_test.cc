@@ -14,6 +14,7 @@
 #include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace hignn {
 namespace {
@@ -79,17 +80,12 @@ TrainingCheckpoint MakeSampleCheckpoint(uint64_t fingerprint,
   ckpt.fingerprint = fingerprint;
   ckpt.sequence = sequence;
   ckpt.level = 2;
-  ckpt.sage_step = 5;
 
   Rng rng(11);
   HignnLevel level;
-  {
-    BipartiteGraphBuilder builder(3, 3);
-    EXPECT_TRUE(builder.AddEdge(0, 1, 1.0f).ok());
-    EXPECT_TRUE(builder.AddEdge(1, 2, 2.0f).ok());
-    EXPECT_TRUE(builder.AddEdge(2, 0, 0.5f).ok());
-    level.graph = builder.Build();
-  }
+  level.graph.num_left = 3;
+  level.graph.num_right = 3;
+  level.graph.num_edges = 3;
   level.left_embeddings = Matrix(3, 4);
   level.left_embeddings.FillNormal(rng);
   level.right_embeddings = Matrix(3, 4);
@@ -101,37 +97,28 @@ TrainingCheckpoint MakeSampleCheckpoint(uint64_t fingerprint,
   level.train_loss = 0.25;
   ckpt.completed_levels.push_back(std::move(level));
 
-  {
-    BipartiteGraphBuilder builder(2, 2);
-    EXPECT_TRUE(builder.AddEdge(0, 0, 3.0f).ok());
-    EXPECT_TRUE(builder.AddEdge(1, 1, 4.0f).ok());
-    ckpt.graph = builder.Build();
-  }
-  ckpt.left_features = Matrix(2, 3);
-  ckpt.left_features.FillNormal(rng);
-  ckpt.right_features = Matrix(2, 3);
-  ckpt.right_features.FillNormal(rng);
-
+  LevelTrainingState& training = ckpt.training;
+  training.step = 5;
   for (int i = 0; i < 2; ++i) {
     Matrix p(4, 2);
     p.FillNormal(rng);
-    ckpt.params.push_back(std::move(p));
+    training.params.push_back(std::move(p));
     for (int t = 0; t < 2; ++t) {
       Matrix aux(4, 2);
       aux.FillNormal(rng);
-      ckpt.opt.tensors.push_back(std::move(aux));
+      training.opt.tensors.push_back(std::move(aux));
     }
-    ckpt.opt.steps.push_back(3);
+    training.opt.steps.push_back(3);
   }
-  ckpt.learning_rate = 0.125f;
+  training.learning_rate = 0.125f;
 
   Rng stream(99);
   Matrix burn(5, 5);
   burn.FillNormal(stream);  // advance past the initial state
-  ckpt.rng = stream.SaveState();
+  training.rng = stream.SaveState();
 
-  ckpt.tail_loss_sum = 1.5;
-  ckpt.tail_count = 3;
+  training.tail_loss_sum = 1.5;
+  training.tail_count = 3;
   ckpt.monitor.ema = 0.5;
   ckpt.monitor.observed = 12;
   ckpt.monitor.rollbacks = 1;
@@ -276,12 +263,11 @@ TEST(CheckpointTest, SaveLoadRoundTripPreservesEveryField) {
   EXPECT_EQ(ckpt.fingerprint, original.fingerprint);
   EXPECT_EQ(ckpt.sequence, original.sequence);
   EXPECT_EQ(ckpt.level, original.level);
-  EXPECT_EQ(ckpt.sage_step, original.sage_step);
 
   ASSERT_EQ(ckpt.completed_levels.size(), original.completed_levels.size());
   const HignnLevel& level = ckpt.completed_levels[0];
   const HignnLevel& expected = original.completed_levels[0];
-  EXPECT_EQ(level.graph.num_edges(), expected.graph.num_edges());
+  EXPECT_EQ(level.graph, expected.graph);
   EXPECT_TRUE(AllClose(level.left_embeddings, expected.left_embeddings, 0.0f));
   EXPECT_TRUE(
       AllClose(level.right_embeddings, expected.right_embeddings, 0.0f));
@@ -290,28 +276,27 @@ TEST(CheckpointTest, SaveLoadRoundTripPreservesEveryField) {
   EXPECT_EQ(level.num_left_clusters, expected.num_left_clusters);
   EXPECT_EQ(level.train_loss, expected.train_loss);
 
-  EXPECT_EQ(ckpt.graph.num_edges(), original.graph.num_edges());
-  EXPECT_DOUBLE_EQ(ckpt.graph.TotalWeight(), original.graph.TotalWeight());
-  EXPECT_TRUE(AllClose(ckpt.left_features, original.left_features, 0.0f));
-  EXPECT_TRUE(AllClose(ckpt.right_features, original.right_features, 0.0f));
-
-  ASSERT_EQ(ckpt.params.size(), original.params.size());
-  for (size_t i = 0; i < ckpt.params.size(); ++i) {
-    EXPECT_TRUE(AllClose(ckpt.params[i], original.params[i], 0.0f));
+  const LevelTrainingState& training = ckpt.training;
+  const LevelTrainingState& want = original.training;
+  EXPECT_EQ(training.step, want.step);
+  ASSERT_EQ(training.params.size(), want.params.size());
+  for (size_t i = 0; i < training.params.size(); ++i) {
+    EXPECT_TRUE(AllClose(training.params[i], want.params[i], 0.0f));
   }
-  ASSERT_EQ(ckpt.opt.tensors.size(), original.opt.tensors.size());
-  for (size_t i = 0; i < ckpt.opt.tensors.size(); ++i) {
-    EXPECT_TRUE(AllClose(ckpt.opt.tensors[i], original.opt.tensors[i], 0.0f));
+  ASSERT_EQ(training.opt.tensors.size(), want.opt.tensors.size());
+  for (size_t i = 0; i < training.opt.tensors.size(); ++i) {
+    EXPECT_TRUE(
+        AllClose(training.opt.tensors[i], want.opt.tensors[i], 0.0f));
   }
-  EXPECT_EQ(ckpt.opt.steps, original.opt.steps);
-  EXPECT_EQ(ckpt.learning_rate, original.learning_rate);
+  EXPECT_EQ(training.opt.steps, want.opt.steps);
+  EXPECT_EQ(training.learning_rate, want.learning_rate);
 
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(ckpt.rng.s[i], original.rng.s[i]);
-  EXPECT_EQ(ckpt.rng.has_cached_normal, original.rng.has_cached_normal);
-  EXPECT_EQ(ckpt.rng.cached_normal, original.rng.cached_normal);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(training.rng.s[i], want.rng.s[i]);
+  EXPECT_EQ(training.rng.has_cached_normal, want.rng.has_cached_normal);
+  EXPECT_EQ(training.rng.cached_normal, want.rng.cached_normal);
 
-  EXPECT_EQ(ckpt.tail_loss_sum, original.tail_loss_sum);
-  EXPECT_EQ(ckpt.tail_count, original.tail_count);
+  EXPECT_EQ(training.tail_loss_sum, want.tail_loss_sum);
+  EXPECT_EQ(training.tail_count, want.tail_count);
   EXPECT_EQ(ckpt.monitor.ema, original.monitor.ema);
   EXPECT_EQ(ckpt.monitor.observed, original.monitor.observed);
   EXPECT_EQ(ckpt.monitor.rollbacks, original.monitor.rollbacks);
@@ -351,16 +336,73 @@ TEST(CheckpointTest, PruningKeepsOnlyTheNewestFiles) {
 
 // --- crash-and-resume integration -------------------------------------
 
-// The core ISSUE contract: kill training at an injected fault, rerun with
-// --resume, and the final model is bitwise identical to an uninterrupted
-// run. Failed saves cover the initial boundary save (1), a mid-level save
-// inside level 1 (2), the level-2 boundary save (4), and a mid-level save
-// inside level 2 (6); save order for this config is
-// boundary(1), mid(5), mid(10), boundary(2), mid(5), mid(10), boundary(3).
-// Each save probes `checkpoint.saved` twice (crash probe, then the fail
-// check), so failing the Nth save means arming hit 2N.
+// Kill training at an injected fault, rerun with resume, and the final
+// model is bitwise identical to an uninterrupted run. At 12 steps with a
+// save every 5, the saves of a 3-level fit are boundary(1), mid(5),
+// mid(10), boundary(2), mid(5), mid(10), boundary(3), mid(5), mid(10),
+// boundary(4); a 2-level fit stops at boundary(3), its 7th save. Each
+// save probes `checkpoint.saved` twice (crash probe, then the fail
+// check), so failing the Nth save means arming hit 2N. The failed save's
+// file is durable but the manifest still names the save before it, which
+// is where resume picks up. The 2-level cases fail the initial boundary
+// (1), a mid-level save inside level 1 (2), the level-2 boundary (4) and
+// a mid-level save inside level 2 (6). The 3-level case fails the second
+// mid-level save of level 3 (9), so resume restores level 3 at step 5
+// after replaying two coarsenings.
 TEST(CheckpointTest, ResumeAfterInjectedFailureIsBitwiseIdentical) {
   FaultGuard guard;
+  auto dataset =
+      SyntheticDataset::Generate(SyntheticConfig::Tiny()).ValueOrDie();
+  const BipartiteGraph graph = dataset.BuildTrainGraph();
+  const struct {
+    int32_t levels;
+    int fail_save;
+  } cases[] = {{2, 1}, {2, 2}, {2, 4}, {2, 6}, {3, 9}};
+
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message() << c.levels << " levels, failed save "
+                                      << c.fail_save);
+    HignnConfig config = SmallConfig();
+    config.levels = c.levels;
+    const HignnModel reference =
+        Hignn::Fit(graph, dataset.user_features(), dataset.item_features(),
+                   config)
+            .ValueOrDie();
+    const std::string dir =
+        FreshDir(StrFormat("ckpt_resume_%d_%d", c.levels, c.fail_save));
+    CheckpointOptions options;
+    options.dir = dir;
+    options.step_interval = 5;
+
+    fault::Configure(StrFormat("checkpoint.saved=fail@%d", 2 * c.fail_save));
+    auto interrupted =
+        Hignn::Fit(graph, dataset.user_features(), dataset.item_features(),
+                   config, options, TrainingMonitorConfig());
+    fault::Configure("");
+    ASSERT_FALSE(interrupted.ok());
+    EXPECT_EQ(interrupted.status().code(), StatusCode::kInternal);
+
+    // An unreachable hit only counts the resumed run's saves.
+    fault::Configure("checkpoint.saved=fail@1000");
+    auto resumed =
+        Hignn::Fit(graph, dataset.user_features(), dataset.item_features(),
+                   config, options, TrainingMonitorConfig());
+    const int resumed_probes = fault::HitCount("checkpoint.saved");
+    fault::Configure("");
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ExpectModelsBitwiseEqual(resumed.value(), reference);
+    if (c.levels == 3) {
+      // Resumed inside level 3: only mid(10) and boundary(4) remain.
+      EXPECT_EQ(resumed_probes, 2 * 2);
+    }
+  }
+}
+
+// A checkpoint can pass its checksums and carry the right fingerprint,
+// yet hold a level 1 that does not fit the input graph. Replay finds
+// that out: Fit warns, starts fresh, and returns the model of an
+// uninterrupted run.
+TEST(CheckpointTest, CheckpointThatDoesNotReplayStartsFresh) {
   auto dataset =
       SyntheticDataset::Generate(SyntheticConfig::Tiny()).ValueOrDie();
   const BipartiteGraph graph = dataset.BuildTrainGraph();
@@ -370,26 +412,43 @@ TEST(CheckpointTest, ResumeAfterInjectedFailureIsBitwiseIdentical) {
                  config)
           .ValueOrDie();
 
-  for (int fail_hit : {1, 2, 4, 6}) {
-    SCOPED_TRACE(fail_hit);
-    const std::string dir =
-        FreshDir("ckpt_resume_" + std::to_string(fail_hit));
+  SyntheticConfig other_config = SyntheticConfig::Tiny();
+  other_config.seed = 8;
+  auto other = SyntheticDataset::Generate(other_config).ValueOrDie();
+  const HignnModel stranger =
+      Hignn::Fit(other.BuildTrainGraph(), other.user_features(),
+                 other.item_features(), config)
+          .ValueOrDie();
+  HignnLevel edge_off = reference.levels()[0];
+  edge_off.graph.num_edges -= 1;
+  ASSERT_NE(stranger.levels()[0].graph, reference.levels()[0].graph);
+
+  const struct {
+    const char* name;
+    const HignnLevel& level1;
+  } cases[] = {{"level 1 of a fit on another graph", stranger.levels()[0]},
+               {"level 1 one edge short", edge_off}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
     CheckpointOptions options;
-    options.dir = dir;
-    options.step_interval = 5;
+    options.dir = FreshDir("ckpt_no_replay");
+    TrainingCheckpoint ckpt;
+    ckpt.fingerprint = FingerprintFitInputs(graph, dataset.user_features(),
+                                            dataset.item_features(), config);
+    ckpt.sequence = 5;
+    ckpt.level = 2;
+    ckpt.completed_levels.push_back(c.level1);
+    ASSERT_TRUE(SaveCheckpoint(ckpt, options).ok());
+    ASSERT_TRUE(LoadLatestCheckpoint(options, ckpt.fingerprint).ok());
 
-    fault::Configure("checkpoint.saved=fail@" + std::to_string(2 * fail_hit));
-    auto interrupted =
-        Hignn::Fit(graph, dataset.user_features(), dataset.item_features(),
-                   config, options, TrainingMonitorConfig());
-    fault::Configure("");
-    ASSERT_FALSE(interrupted.ok());
-    EXPECT_EQ(interrupted.status().code(), StatusCode::kInternal);
-
+    ::testing::internal::CaptureStderr();
     auto resumed =
         Hignn::Fit(graph, dataset.user_features(), dataset.item_features(),
                    config, options, TrainingMonitorConfig());
+    const std::string log = ::testing::internal::GetCapturedStderr();
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_NE(log.find("ignoring checkpoint seq 5"), std::string::npos)
+        << log;
     ExpectModelsBitwiseEqual(resumed.value(), reference);
   }
 }

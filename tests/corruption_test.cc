@@ -60,11 +60,9 @@ Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
 HignnLevel MakeLevel(uint64_t seed) {
   Rng rng(seed);
   HignnLevel level;
-  BipartiteGraphBuilder builder(4, 3);
-  EXPECT_TRUE(builder.AddEdge(0, 1, 1.0f).ok());
-  EXPECT_TRUE(builder.AddEdge(2, 2, 2.0f).ok());
-  EXPECT_TRUE(builder.AddEdge(3, 0, 0.5f).ok());
-  level.graph = builder.Build();
+  level.graph.num_left = 4;
+  level.graph.num_right = 3;
+  level.graph.num_edges = 3;
   level.left_embeddings = Matrix(4, 4);
   level.left_embeddings.FillNormal(rng);
   level.right_embeddings = Matrix(3, 4);
@@ -81,10 +79,9 @@ HignnLevel MakeLevel(uint64_t seed) {
 HignnLevel MakeTopLevel(uint64_t seed) {
   Rng rng(seed);
   HignnLevel level;
-  BipartiteGraphBuilder builder(2, 2);
-  EXPECT_TRUE(builder.AddEdge(0, 1, 1.0f).ok());
-  EXPECT_TRUE(builder.AddEdge(1, 0, 2.5f).ok());
-  level.graph = builder.Build();
+  level.graph.num_left = 2;
+  level.graph.num_right = 2;
+  level.graph.num_edges = 2;
   level.left_embeddings = Matrix(2, 4);
   level.left_embeddings.FillNormal(rng);
   level.right_embeddings = Matrix(2, 4);
@@ -102,20 +99,16 @@ TrainingCheckpoint MakeCheckpoint(uint64_t fingerprint, int64_t sequence) {
   ckpt.fingerprint = fingerprint;
   ckpt.sequence = sequence;
   ckpt.level = 2;
-  ckpt.sage_step = 4;
   ckpt.completed_levels.push_back(MakeLevel(5));
-  BipartiteGraphBuilder builder(2, 2);
-  EXPECT_TRUE(builder.AddEdge(0, 1, 1.0f).ok());
-  ckpt.graph = builder.Build();
-  ckpt.left_features = RandomMatrix(2, 3, 6);
-  ckpt.right_features = RandomMatrix(2, 3, 7);
-  ckpt.params.push_back(RandomMatrix(3, 2, 8));
-  ckpt.opt.tensors.push_back(RandomMatrix(3, 2, 9));
-  ckpt.opt.tensors.push_back(RandomMatrix(3, 2, 10));
-  ckpt.opt.steps.push_back(4);
-  ckpt.learning_rate = 0.01f;
-  ckpt.tail_loss_sum = 2.0;
-  ckpt.tail_count = 1;
+  LevelTrainingState& training = ckpt.training;
+  training.step = 4;
+  training.params.push_back(RandomMatrix(3, 2, 8));
+  training.opt.tensors.push_back(RandomMatrix(3, 2, 9));
+  training.opt.tensors.push_back(RandomMatrix(3, 2, 10));
+  training.opt.steps.push_back(4);
+  training.learning_rate = 0.01f;
+  training.tail_loss_sum = 2.0;
+  training.tail_count = 1;
   return ckpt;
 }
 
@@ -358,6 +351,12 @@ TEST(CorruptionTest, ModelsThatBreakTheHierarchyAreRejected) {
          levels[0].right_assignment = {0, 1, 2};
          levels[0].num_right_clusters = 3;
        }},
+      {"more edges than vertex pairs",
+       [](std::vector<HignnLevel>& levels) { levels[1].graph.num_edges = 5; }},
+      {"negative edge count",
+       [](std::vector<HignnLevel>& levels) {
+         levels[0].graph.num_edges = -1;
+       }},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.rule);
@@ -368,25 +367,24 @@ TEST(CorruptionTest, ModelsThatBreakTheHierarchyAreRejected) {
   }
 }
 
-// Checkpoint load shares the level reader and chains the in-progress
-// graph onto the last finished level.
+// Checkpoint load shares the level reader, and the level in progress
+// must sit on exactly level - 1 finished levels.
 TEST(CorruptionTest, CheckpointsThatBreakTheHierarchyAreRejected) {
   const std::string dir = FreshDir("broken_ckpt");
   CheckpointOptions options;
   options.dir = dir;
   options.keep_last = 8;
 
-  TrainingCheckpoint graph_off_chain = MakeCheckpoint(91, 1);
-  BipartiteGraphBuilder builder(3, 2);
-  ASSERT_TRUE(builder.AddEdge(2, 1, 1.0f).ok());
-  graph_off_chain.graph = builder.Build();
-  graph_off_chain.left_features = RandomMatrix(3, 3, 92);
-  ASSERT_TRUE(SaveCheckpoint(graph_off_chain, options).ok());
-
   // A second 4 x 3 level cannot sit on the first one's 2 x 2 clusters.
-  TrainingCheckpoint levels_off_chain = MakeCheckpoint(91, 2);
+  TrainingCheckpoint levels_off_chain = MakeCheckpoint(91, 1);
+  levels_off_chain.level = 3;
   levels_off_chain.completed_levels.push_back(MakeLevel(93));
   ASSERT_TRUE(SaveCheckpoint(levels_off_chain, options).ok());
+
+  // Level 3 in progress over a single finished level.
+  TrainingCheckpoint level_gap = MakeCheckpoint(91, 2);
+  level_gap.level = 3;
+  ASSERT_TRUE(SaveCheckpoint(level_gap, options).ok());
 
   for (int64_t sequence : {1, 2}) {
     SCOPED_TRACE(sequence);

@@ -218,7 +218,8 @@ TEST(SyntheticDatasetTest, Taobao2SparserThanTaobao1) {
   c2.num_items = 200;
   auto d1 = SyntheticDataset::Generate(c1).ValueOrDie();
   auto d2 = SyntheticDataset::Generate(c2).ValueOrDie();
-  EXPECT_LT(d2.BuildTrainGraph().Density(), d1.BuildTrainGraph().Density());
+  EXPECT_LT(GraphShape(d2.BuildTrainGraph()).Density(),
+            GraphShape(d1.BuildTrainGraph()).Density());
 }
 
 TEST(SyntheticDatasetTest, RejectsBadConfig) {

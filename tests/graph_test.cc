@@ -35,7 +35,7 @@ TEST(BipartiteGraphTest, BasicCounts) {
   EXPECT_EQ(g.num_left(), 3);
   EXPECT_EQ(g.num_right(), 4);
   EXPECT_EQ(g.num_edges(), 5);
-  EXPECT_DOUBLE_EQ(g.Density(), 5.0 / 12.0);
+  EXPECT_DOUBLE_EQ(GraphShape(g).Density(), 5.0 / 12.0);
   EXPECT_DOUBLE_EQ(g.TotalWeight(), 8.5);
   EXPECT_TRUE(g.Validate().ok());
 }
@@ -128,7 +128,7 @@ TEST(BipartiteGraphTest, EmptyGraph) {
   BipartiteGraphBuilder builder(0, 0);
   BipartiteGraph g = builder.Build();
   EXPECT_EQ(g.num_edges(), 0);
-  EXPECT_DOUBLE_EQ(g.Density(), 0.0);
+  EXPECT_DOUBLE_EQ(GraphShape(g).Density(), 0.0);
   EXPECT_TRUE(g.Validate().ok());
 }
 

@@ -1,10 +1,12 @@
 #include "core/hignn.h"
 
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "graph/coarsen.h"
 
 namespace hignn {
 namespace {
@@ -42,6 +44,25 @@ class HignnFixture : public ::testing::Test {
     dataset_ = nullptr;
   }
 
+  // G^0 .. G^{L-1}, the graph each level trained on: the input graph,
+  // then each level's coarsening re-derived from its embeddings and
+  // assignments (a model keeps only the shapes).
+  static std::vector<BipartiteGraph> LevelGraphs() {
+    std::vector<BipartiteGraph> graphs = {*graph_};
+    for (int32_t l = 1; l < model_->num_levels(); ++l) {
+      const HignnLevel& level = model_->levels()[static_cast<size_t>(l - 1)];
+      graphs.push_back(
+          CoarsenBipartiteGraph(graphs.back(), level.left_embeddings,
+                                level.right_embeddings, level.left_assignment,
+                                level.num_left_clusters,
+                                level.right_assignment,
+                                level.num_right_clusters)
+              .ValueOrDie()
+              .graph);
+    }
+    return graphs;
+  }
+
   static SyntheticDataset* dataset_;
   static BipartiteGraph* graph_;
   static HignnModel* model_;
@@ -59,8 +80,9 @@ TEST_F(HignnFixture, ProducesRequestedLevels) {
 
 TEST_F(HignnFixture, LevelOneCoversOriginalGraph) {
   const HignnLevel& level = model_->levels().front();
-  EXPECT_EQ(level.graph.num_left(), dataset_->num_users());
-  EXPECT_EQ(level.graph.num_right(), dataset_->num_items());
+  EXPECT_EQ(level.graph, GraphShape(*graph_));
+  EXPECT_EQ(level.graph.num_left, dataset_->num_users());
+  EXPECT_EQ(level.graph.num_right, dataset_->num_items());
   EXPECT_EQ(level.left_embeddings.rows(),
             static_cast<size_t>(dataset_->num_users()));
   EXPECT_EQ(level.right_embeddings.rows(),
@@ -68,24 +90,29 @@ TEST_F(HignnFixture, LevelOneCoversOriginalGraph) {
 }
 
 TEST_F(HignnFixture, GraphsShrinkMonotonically) {
+  const std::vector<BipartiteGraph> graphs = LevelGraphs();
   for (int32_t l = 1; l < model_->num_levels(); ++l) {
     const auto& finer = model_->levels()[static_cast<size_t>(l - 1)];
     const auto& coarser = model_->levels()[static_cast<size_t>(l)];
-    EXPECT_LT(coarser.graph.num_left(), finer.graph.num_left());
-    EXPECT_LT(coarser.graph.num_right(), finer.graph.num_right());
-    EXPECT_LE(coarser.graph.num_edges(), finer.graph.num_edges());
+    EXPECT_LT(coarser.graph.num_left, finer.graph.num_left);
+    EXPECT_LT(coarser.graph.num_right, finer.graph.num_right);
     // Coarsened vertex counts equal the previous level's cluster counts.
-    EXPECT_EQ(coarser.graph.num_left(), finer.num_left_clusters);
-    EXPECT_EQ(coarser.graph.num_right(), finer.num_right_clusters);
+    EXPECT_EQ(coarser.graph.num_left, finer.num_left_clusters);
+    EXPECT_EQ(coarser.graph.num_right, finer.num_right_clusters);
+    // The re-derived coarse graph is the one the level recorded, and
+    // merging vertices never adds edges.
+    const BipartiteGraph& graph = graphs[static_cast<size_t>(l)];
+    const BipartiteGraph& below = graphs[static_cast<size_t>(l - 1)];
+    EXPECT_EQ(GraphShape(graph), coarser.graph);
+    EXPECT_TRUE(graph.Validate().ok());
+    EXPECT_LE(graph.num_edges(), below.num_edges());
   }
 }
 
 TEST_F(HignnFixture, CoarseningPreservesTotalWeight) {
-  for (int32_t l = 1; l < model_->num_levels(); ++l) {
-    EXPECT_NEAR(model_->levels()[static_cast<size_t>(l)].graph.TotalWeight(),
-                model_->levels()[static_cast<size_t>(l - 1)]
-                    .graph.TotalWeight(),
-                1.0);
+  const std::vector<BipartiteGraph> graphs = LevelGraphs();
+  for (size_t l = 1; l < graphs.size(); ++l) {
+    EXPECT_NEAR(graphs[l].TotalWeight(), graphs[l - 1].TotalWeight(), 1.0);
   }
 }
 
@@ -191,6 +218,11 @@ TEST(HignnTest, RejectsBadInputs) {
   EXPECT_FALSE(Hignn::Fit(graph, dataset.user_features(),
                           dataset.item_features(), config)
                    .ok());
+  // More levels than any model may hold: nothing could load the result.
+  config = SmallHignnConfig(kMaxLevels + 1);
+  const auto too_deep = Hignn::Fit(graph, dataset.user_features(),
+                                   dataset.item_features(), config);
+  EXPECT_EQ(too_deep.status().code(), StatusCode::kInvalidArgument);
   // Empty graph.
   BipartiteGraphBuilder empty(3, 3);
   EXPECT_FALSE(Hignn::Fit(empty.Build(), Matrix(3, 2), Matrix(3, 2),
@@ -209,7 +241,7 @@ TEST(HignnTest, ChSelectionProducesValidClusterCounts) {
   for (const auto& level : model.value().levels()) {
     EXPECT_GE(level.num_left_clusters, config.min_clusters);
     EXPECT_GE(level.num_right_clusters, config.min_clusters);
-    EXPECT_LE(level.num_left_clusters, level.graph.num_left());
+    EXPECT_LE(level.num_left_clusters, level.graph.num_left);
   }
 }
 

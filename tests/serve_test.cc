@@ -34,6 +34,7 @@
 #include "serve/server.h"
 #include "serve/store_manager.h"
 #include "serve/wire.h"
+#include "util/crc32.h"
 #include "util/status.h"
 #include "util/string_util.h"
 
@@ -236,6 +237,56 @@ TEST_F(ServeFixture, BitFlippedStoreIsRejectedBeforeParsing) {
   ASSERT_FALSE(store.ok());
   EXPECT_EQ(store.status().code(), StatusCode::kIOError)
       << store.status().ToString();
+}
+
+// Rewrites every section CRC and the footer CRC of the util/io container
+// in `bytes`, so an in-place payload edit passes the checksums and only
+// the structural checks behind them can reject it. Footer (util/io.h):
+// per-section (u64 length, u32 crc), u32 count, u32 footer crc, "HGNC".
+void ResealContainer(std::string& bytes) {
+  constexpr size_t kEntryBytes = sizeof(uint64_t) + sizeof(uint32_t);
+  uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + bytes.size() - 12, sizeof(count));
+  char* table = bytes.data() + bytes.size() - 12 - count * kEntryBytes;
+  uint32_t footer = kCrc32Init;
+  size_t offset = 0;
+  for (uint32_t section = 0; section < count; ++section) {
+    char* entry = table + section * kEntryBytes;
+    uint64_t length = 0;
+    std::memcpy(&length, entry, sizeof(length));
+    const uint32_t crc = Crc32(bytes.data() + offset, length);
+    std::memcpy(entry + sizeof(length), &crc, sizeof(crc));
+    footer = Crc32Extend(footer, entry, kEntryBytes);
+    offset += length;
+  }
+  footer = Crc32Finish(Crc32Extend(footer, &count, sizeof(count)));
+  std::memcpy(bytes.data() + bytes.size() - 8, &footer, sizeof(footer));
+}
+
+// Only the current store version opens. The store version is the first
+// u32 of the meta section, right after the 12-byte container header.
+TEST_F(ServeFixture, StoreOfAnotherVersionIsRejected) {
+  const std::string bytes = ReadBytes(store_path_);
+  const std::string path = TempPath("serve_other_version.hgnnstore");
+  for (const uint32_t version : {3u, 2u, 4u}) {
+    SCOPED_TRACE(version);
+    std::string patched = bytes;
+    std::memcpy(patched.data() + 12, &version, sizeof(version));
+    ResealContainer(patched);
+    WriteBytes(path, patched);
+    auto store = EmbeddingStore::Open(path);
+    if (version == 3) {
+      // Resealing an unchanged store leaves it loadable.
+      EXPECT_TRUE(store.ok()) << store.status().ToString();
+      continue;
+    }
+    ASSERT_FALSE(store.ok());
+    EXPECT_EQ(store.status().code(), StatusCode::kIOError);
+    const std::string expected =
+        StrFormat("unsupported embedding store version %u", version);
+    EXPECT_NE(store.status().message().find(expected), std::string::npos)
+        << store.status().ToString();
+  }
 }
 
 // --------------------------------------------------------------- engine --

@@ -1,6 +1,7 @@
 #include "taxonomy/taxonomy.h"
 
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -199,6 +200,40 @@ TEST(TaxonomyUnitTest, RepresentativenessIsGeometricMean) {
                    0.0);
   EXPECT_DOUBLE_EQ(TopicDescriptionMatcher::Representativeness(0.5, 0.0),
                    0.0);
+}
+
+// A model keeps only level 1's graph shape, so the caller passes the
+// fitted graph for the query votes, and a graph of other counts is
+// rejected.
+TEST(TaxonomyUnitTest, BuildFromHignnNeedsTheFittedGraph) {
+  BipartiteGraphBuilder builder(3, 2);
+  ASSERT_TRUE(builder.AddEdge(0, 0, 2.0f).ok());
+  ASSERT_TRUE(builder.AddEdge(1, 1, 1.0f).ok());
+  ASSERT_TRUE(builder.AddEdge(2, 1, 1.0f).ok());
+  const BipartiteGraph graph = builder.Build();
+  HignnLevel level;
+  level.graph = graph;
+  level.left_embeddings = Matrix(3, 2);
+  level.right_embeddings = Matrix(2, 2);
+  level.left_assignment = {0, 1, 1};
+  level.right_assignment = {0, 1};
+  level.num_left_clusters = 2;
+  level.num_right_clusters = 2;
+  std::vector<HignnLevel> levels;
+  levels.push_back(std::move(level));
+  const HignnModel model = HignnModel::FromLevels(std::move(levels));
+
+  auto taxonomy = BuildTaxonomyFromHignn(model, graph);
+  ASSERT_TRUE(taxonomy.ok()) << taxonomy.status().ToString();
+  EXPECT_EQ(taxonomy.value().levels[0].item_assignment,
+            (std::vector<int32_t>{0, 1}));
+  EXPECT_EQ(taxonomy.value().levels[0].query_assignment,
+            (std::vector<int32_t>{0, 1, 1}));
+
+  BipartiteGraphBuilder other(3, 2);
+  ASSERT_TRUE(other.AddEdge(0, 0, 1.0f).ok());
+  EXPECT_EQ(BuildTaxonomyFromHignn(model, other.Build()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(TaxonomyUnitTest, ShoalRejectsIncreasingCounts) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
 #include <atomic>
 #include <fstream>
@@ -379,9 +381,15 @@ TEST(ThreadPoolTest, ParallelForChunksCoversRangeOnce) {
 
 // ----------------------------------------------------------- Atomic IO --
 
+// This file is compiled into two test binaries that ctest runs in
+// parallel, so each process writes its own file.
+std::string ProcessTempPath(const std::string& name) {
+  return StrFormat("%s/%d_%s", ::testing::TempDir().c_str(),
+                   static_cast<int>(::getpid()), name.c_str());
+}
+
 TEST(AtomicWriteTextFileTest, WritesExactContents) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/atomic_out.txt";
+  const std::string path = ProcessTempPath("atomic_out.txt");
   EXPECT_TRUE(AtomicWriteTextFile(path, "alpha\nbeta\n").ok());
   std::ifstream in(path, std::ios::binary);
   std::string contents((std::istreambuf_iterator<char>(in)),
@@ -390,8 +398,7 @@ TEST(AtomicWriteTextFileTest, WritesExactContents) {
 }
 
 TEST(AtomicWriteTextFileTest, ReplacesExistingFileWholesale) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/atomic_replace.txt";
+  const std::string path = ProcessTempPath("atomic_replace.txt");
   ASSERT_TRUE(AtomicWriteTextFile(path, "a much longer first version").ok());
   ASSERT_TRUE(AtomicWriteTextFile(path, "v2").ok());
   std::ifstream in(path, std::ios::binary);

@@ -143,7 +143,8 @@ int RunGenData(const CommandLine& cl) {
   }
   std::printf("wrote %s: %d users x %d items, %lld edges (density %.2e)\n",
               out.c_str(), graph.num_left(), graph.num_right(),
-              static_cast<long long>(graph.num_edges()), graph.Density());
+              static_cast<long long>(graph.num_edges()),
+              GraphShape(graph).Density());
   return 0;
 }
 
@@ -226,8 +227,8 @@ int RunInfo(const CommandLine& cl) {
     std::printf(
         "  level %d: graph %d x %d (%lld edges, density %.2e), "
         "clusters %d x %d, sage tail loss %.4f\n",
-        l + 1, level.graph.num_left(), level.graph.num_right(),
-        static_cast<long long>(level.graph.num_edges()),
+        l + 1, level.graph.num_left, level.graph.num_right,
+        static_cast<long long>(level.graph.num_edges),
         level.graph.Density(), level.num_left_clusters,
         level.num_right_clusters, level.train_loss);
   }
@@ -278,8 +279,8 @@ int RunClusters(const CommandLine& cl) {
   }
 
   const int32_t n = side == "left"
-                        ? model.value().levels().front().graph.num_left()
-                        : model.value().levels().front().graph.num_right();
+                        ? model.value().levels().front().graph.num_left
+                        : model.value().levels().front().graph.num_right;
   std::ostringstream stream;
   for (int32_t v = 0; v < n; ++v) {
     const int32_t cluster =
