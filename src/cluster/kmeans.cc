@@ -47,6 +47,12 @@ constexpr size_t kMaxGroups = 64;
 constexpr int kGroupingIters = 5;
 constexpr double kBoundSlack = 1e-9;
 
+// The grouping states its work to ThreadPool::ParallelForWork, whose
+// cutoff counts GEMM tile flops, as distance terms times this factor: a
+// double-accumulated squared-distance term takes ~0.15 ns against a tile
+// flop's ~15 ps (DESIGN.md, "Kernel architecture").
+constexpr size_t kGemmFlopsPerDistanceTerm = 10;
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 size_t ReduceChunksFor(size_t work, size_t range) {
@@ -168,7 +174,8 @@ CenterGroups GroupCenters(const Matrix& centers, size_t num_groups) {
           groups.group_of[c] = NearestCenter(means, centers.row(c)).first;
         }
       };
-      GlobalThreadPool().ParallelForWork(0, k, k * num_groups * d, assign);
+      GlobalThreadPool().ParallelForWork(
+          0, k, k * num_groups * d * kGemmFlopsPerDistanceTerm, assign);
       if (iter == kGroupingIters) break;
       std::fill(sums.begin(), sums.end(), 0.0);
       std::fill(sizes.begin(), sizes.end(), 0);

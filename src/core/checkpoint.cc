@@ -191,17 +191,24 @@ Result<int64_t> ReadManifest(const std::string& dir) {
   return reader.ReadI64();
 }
 
-void PruneCheckpoints(const std::string& dir, int32_t keep_last)
-    HIGNN_REQUIRES(g_manifest_mu) {
-  if (keep_last <= 0) return;
+// Sequences of the checkpoint files in `dir`, ascending.
+std::vector<int64_t> CheckpointSequences(const std::string& dir) {
   std::vector<int64_t> sequences;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const int64_t seq = SequenceFromFilename(entry.path().filename().string());
     if (seq >= 0) sequences.push_back(seq);
   }
-  if (sequences.size() <= static_cast<size_t>(keep_last)) return;
   std::sort(sequences.begin(), sequences.end());
+  return sequences;
+}
+
+void PruneCheckpoints(const std::string& dir, int32_t keep_last)
+    HIGNN_REQUIRES(g_manifest_mu) {
+  if (keep_last <= 0) return;
+  const std::vector<int64_t> sequences = CheckpointSequences(dir);
+  if (sequences.size() <= static_cast<size_t>(keep_last)) return;
+  std::error_code ec;
   const size_t doomed = sequences.size() - static_cast<size_t>(keep_last);
   for (size_t i = 0; i < doomed; ++i) {
     std::filesystem::remove(CheckpointPath(dir, sequences[i]), ec);
@@ -264,6 +271,11 @@ uint64_t FingerprintFitInputs(const BipartiteGraph& graph,
 std::string CheckpointPath(const std::string& dir, int64_t sequence) {
   return StrFormat("%s/%s%08lld%s", dir.c_str(), kCheckpointPrefix,
                    static_cast<long long>(sequence), kCheckpointSuffix);
+}
+
+int64_t NextCheckpointSequence(const std::string& dir) {
+  const std::vector<int64_t> sequences = CheckpointSequences(dir);
+  return sequences.empty() ? 0 : sequences.back() + 1;
 }
 
 Status SaveCheckpoint(const TrainingCheckpoint& ckpt,
@@ -364,20 +376,14 @@ Result<TrainingCheckpoint> LoadLatestCheckpoint(const CheckpointOptions& options
     return Status::NotFound("checkpointing disabled");
   }
 
-  std::vector<int64_t> sequences;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(options.dir,
-                                                               ec)) {
-    const int64_t seq = SequenceFromFilename(entry.path().filename().string());
-    if (seq >= 0) sequences.push_back(seq);
-  }
+  std::vector<int64_t> sequences = CheckpointSequences(options.dir);
   if (sequences.empty()) {
     return Status::NotFound("no checkpoints in " + options.dir);
   }
   // Newest first, but lead with the manifest's pick when it is valid and
   // present (it usually is; after a torn manifest write the plain scan
   // order still recovers).
-  std::sort(sequences.begin(), sequences.end(), std::greater<int64_t>());
+  std::reverse(sequences.begin(), sequences.end());
   Result<int64_t> manifest = ReadManifest(options.dir);
   if (manifest.ok()) {
     auto it = std::find(sequences.begin(), sequences.end(), manifest.value());

@@ -8,8 +8,6 @@
 #include "core/hignn.h"
 #include "core/training_monitor.h"
 #include "nn/matrix.h"
-#include "nn/optimizer.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace hignn {
@@ -31,33 +29,6 @@ struct CheckpointOptions {
   /// matches the Fit inputs; off, Fit always starts fresh (existing
   /// checkpoints are still overwritten as training progresses).
   bool resume = true;
-};
-
-/// \brief Where one level's SAGE training stands: everything that
-/// resuming or rolling back the level restores, so its remaining steps
-/// replay bit for bit. Fit keeps one as its rollback anchor and a
-/// checkpoint carries one.
-struct LevelTrainingState {
-  /// SAGE steps completed within the level. 0 means nothing is trained
-  /// yet: the level restarts from its seed and the fields below are
-  /// unused (a boundary checkpoint leaves them empty).
-  int32_t step = 0;
-
-  /// SAGE parameter values in Params() order.
-  std::vector<Matrix> params;
-
-  /// Optimizer auxiliary state for the same parameter order.
-  OptimizerState opt;
-
-  /// Current learning rate (decays on rollback).
-  float learning_rate = 0.0f;
-
-  /// Training RNG stream position.
-  RngState rng;
-
-  /// Tail-loss accumulator (mean over the final 10% of steps).
-  double tail_loss_sum = 0.0;
-  int64_t tail_count = 0;
 };
 
 /// \brief Training state at a save point: the finished levels plus where
@@ -95,6 +66,12 @@ uint64_t FingerprintFitInputs(const BipartiteGraph& graph,
 
 /// \brief Path of the checkpoint file for `sequence` inside `dir`.
 std::string CheckpointPath(const std::string& dir, int64_t sequence);
+
+/// \brief One past the largest checkpoint sequence in `dir` (0 when it
+/// holds none or does not exist). A run numbers its saves from here, so
+/// pruning, which keeps the highest sequences, never takes a new save
+/// for an older one of another run.
+int64_t NextCheckpointSequence(const std::string& dir);
 
 /// \brief Atomically writes `ckpt` to dir/ckpt-<sequence>.hgnn, updates
 /// the LATEST manifest, and prunes all but the newest `keep_last` files.

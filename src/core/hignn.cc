@@ -8,7 +8,6 @@
 #include "core/checkpoint.h"
 #include "core/training_monitor.h"
 #include "graph/coarsen.h"
-#include "nn/optimizer.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
@@ -124,35 +123,6 @@ Matrix HignnModel::AllHierarchicalRight(int32_t max_level) const {
 
 namespace {
 
-// Copies the current parameter values in Params() order.
-std::vector<Matrix> SnapshotParams(BipartiteSage& sage) {
-  std::vector<Matrix> out;
-  std::vector<Parameter*> params = sage.Params();
-  out.reserve(params.size());
-  for (const Parameter* p : params) out.push_back(p->value);
-  return out;
-}
-
-// Overwrites the model weights with a snapshot (shape-checked) and clears
-// any pending gradients.
-Status RestoreParams(BipartiteSage& sage, const std::vector<Matrix>& values) {
-  std::vector<Parameter*> params = sage.Params();
-  if (params.size() != values.size()) {
-    return Status::InvalidArgument("checkpoint parameter count mismatch");
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (values[i].rows() != params[i]->value.rows() ||
-        values[i].cols() != params[i]->value.cols()) {
-      return Status::InvalidArgument("checkpoint parameter shape mismatch");
-    }
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    params[i]->value = values[i];
-    params[i]->grad.Fill(0.0f);
-  }
-  return Status::OK();
-}
-
 // The graph and features a level trains on, (G^{l-1}, X^{l-1}): the
 // caller's inputs at level 1, then the latest coarsening, which is the
 // only graph owned. The input graph is never copied.
@@ -251,7 +221,10 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
   TrainingMonitor monitor(monitor_config);
 
   int32_t start_level = 1;
-  int64_t next_sequence = 0;
+  // Saves are numbered after every checkpoint already in the directory,
+  // so pruning never removes this run's newest saves for another run's.
+  int64_t next_sequence =
+      checkpointing ? NextCheckpointSequence(checkpoint.dir) : 0;
   bool resumed = false;
   LevelTrainingState resume_state;  // how far start_level had trained
 
@@ -271,7 +244,6 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
       } else {
         resumed = true;
         inputs = std::move(replayed).value();
-        next_sequence = ckpt.sequence + 1;
         start_level = ckpt.level;
         monitor.RestoreState(ckpt.monitor);
         model.levels_ = std::move(ckpt.completed_levels);
@@ -337,97 +309,61 @@ Result<HignnModel> Hignn::Fit(const BipartiteGraph& graph,
                               static_cast<int32_t>(inputs.left->cols()),
                               static_cast<int32_t>(inputs.right->cols())));
 
-    // The step loop below replicates BipartiteSage::Train exactly (RNG
-    // seeding, optimizer setup, tail-loss bookkeeping), with three
-    // additions: checkpoints every `step_interval` steps, per-step health
-    // verdicts, and divergence rollback.
-    Rng rng(sage_config.seed ^ 0xBEEFULL);
-    Adam optimizer(sage_config.learning_rate);
-    optimizer.set_weight_decay(sage_config.weight_decay);
-    optimizer.set_clip_norm(monitor_config.clip_norm);
-
-    double tail_loss_sum = 0.0;
-    int64_t tail_count = 0;
-    const int32_t tail_start = sage_config.train_steps * 9 / 10;
-    int32_t step = 0;
-
-    // The level's training record, taken and put back whole: a
-    // mid-level save writes it, resume and rollback restore it.
-    auto capture = [&]() {
-      LevelTrainingState state;
-      state.step = step;
-      state.params = SnapshotParams(sage);
-      state.opt = optimizer.ExportState(sage.Params());
-      state.learning_rate = optimizer.learning_rate();
-      state.rng = rng.SaveState();
-      state.tail_loss_sum = tail_loss_sum;
-      state.tail_count = tail_count;
-      return state;
-    };
-    auto restore = [&](const LevelTrainingState& state) -> Status {
-      HIGNN_RETURN_IF_ERROR(RestoreParams(sage, state.params));
-      HIGNN_RETURN_IF_ERROR(optimizer.ImportState(sage.Params(), state.opt));
-      optimizer.set_learning_rate(state.learning_rate);
-      rng.RestoreState(state.rng);
-      tail_loss_sum = state.tail_loss_sum;
-      tail_count = state.tail_count;
-      step = state.step;
-      return Status::OK();
-    };
-
-    if (l == start_level && resume_state.step > 0) {
-      HIGNN_RETURN_IF_ERROR(restore(resume_state));
-    }
-    // Rollback anchor: the level's last durable point (level start, a
-    // restored checkpoint, or the latest mid-level save).
-    LevelTrainingState anchor = capture();
-
-    auto rollback = [&]() -> Status {
-      monitor.OnRollback();
-      if (monitor.RollbackBudgetExhausted()) {
-        return Status::Internal(StrFormat(
-            "training diverged at level %d: rollback budget exhausted "
-            "after %d rollbacks",
-            l, monitor.rollbacks()));
-      }
-      anchor.learning_rate *= monitor_config.lr_decay;
-      HIGNN_RETURN_IF_ERROR(restore(anchor));
-      obs::SeriesAppend("train.lr", anchor.learning_rate);
-      HIGNN_LOG(kWarning) << StrFormat(
-          "HiGNN level %d: divergence detected, rolled back to step %d "
-          "(lr=%g, rollback %d/%d)",
-          l, step, anchor.learning_rate, monitor.rollbacks(),
-          monitor_config.max_rollbacks);
-      return Status::OK();
-    };
-
-    while (step < sage_config.train_steps) {
-      HIGNN_SPAN("fit.step", {{"level", l}, {"step", step}});
+    // BipartiteSage::Train's loop, plus checkpoints every
+    // `step_interval` steps, per-step health verdicts, and divergence
+    // rollback. The trainer's plans are freed before EmbedAll and
+    // k-means run.
+    double loss = 0.0;
+    {
       HIGNN_ASSIGN_OR_RETURN(
-          double step_loss,
-          sage.TrainStep(*inputs.graph, *inputs.left, *inputs.right,
-                         optimizer, rng, &monitor));
-      obs::SeriesAppend("train.loss", step_loss);
-      if (monitor.ObserveLoss(step_loss) == HealthVerdict::kRollback) {
-        HIGNN_RETURN_IF_ERROR(rollback());
-        continue;
+          SageTrainer trainer,
+          SageTrainer::Create(sage, *inputs.graph, *inputs.left, *inputs.right,
+                              monitor_config.clip_norm));
+      if (l == start_level && resume_state.step > 0) {
+        HIGNN_RETURN_IF_ERROR(trainer.Restore(resume_state));
       }
-      if (step >= tail_start) {
-        tail_loss_sum += step_loss;
-        ++tail_count;
+      // Rollback anchor: the level's last durable point (level start, a
+      // restored checkpoint, or the latest mid-level save).
+      LevelTrainingState anchor = trainer.Capture();
+
+      auto rollback = [&]() -> Status {
+        monitor.OnRollback();
+        if (monitor.RollbackBudgetExhausted()) {
+          return Status::Internal(StrFormat(
+              "training diverged at level %d: rollback budget exhausted "
+              "after %d rollbacks",
+              l, monitor.rollbacks()));
+        }
+        anchor.learning_rate *= monitor_config.lr_decay;
+        HIGNN_RETURN_IF_ERROR(trainer.Restore(anchor));
+        obs::SeriesAppend("train.lr", anchor.learning_rate);
+        HIGNN_LOG(kWarning) << StrFormat(
+            "HiGNN level %d: divergence detected, rolled back to step %d "
+            "(lr=%g, rollback %d/%d)",
+            l, trainer.step(), anchor.learning_rate, monitor.rollbacks(),
+            monitor_config.max_rollbacks);
+        return Status::OK();
+      };
+
+      while (!trainer.done()) {
+        HIGNN_SPAN("fit.step", {{"level", l}, {"step", trainer.step()}});
+        const double step_loss = trainer.Step(&monitor);
+        obs::SeriesAppend("train.loss", step_loss);
+        if (monitor.ObserveLoss(step_loss) == HealthVerdict::kRollback) {
+          HIGNN_RETURN_IF_ERROR(rollback());
+          continue;
+        }
+        trainer.Accept(step_loss);
+        obs::CounterAdd("train.steps");
+        if (checkpointing && checkpoint.step_interval > 0 &&
+            trainer.step() % checkpoint.step_interval == 0 && !trainer.done()) {
+          anchor = trainer.Capture();
+          HIGNN_RETURN_IF_ERROR(save(l, anchor));
+          write_run_report();
+        }
       }
-      ++step;
-      obs::CounterAdd("train.steps");
-      if (checkpointing && checkpoint.step_interval > 0 &&
-          step % checkpoint.step_interval == 0 &&
-          step < sage_config.train_steps) {
-        anchor = capture();
-        HIGNN_RETURN_IF_ERROR(save(l, anchor));
-        write_run_report();
-      }
+      loss = trainer.tail_loss();
     }
-    const double loss =
-        tail_count > 0 ? tail_loss_sum / static_cast<double>(tail_count) : 0.0;
 
     HIGNN_ASSIGN_OR_RETURN(
         SageEmbeddings embeddings,

@@ -42,7 +42,8 @@ struct HignnConfig {
   bool select_k_by_ch = false;
 
   /// Worker threads for the parallel kernels (MatMul, K-means assignment
-  /// and reduction, SAGE minibatch assembly, coarsening). 0 = hardware
+  /// and reduction, coarsening) and for drawing the next SAGE minibatch
+  /// while the current one computes. 0 = hardware
   /// concurrency, 1 = fully inline single-threaded execution. Applied to
   /// the process-wide pool at the top of Fit(); every parallel path uses
   /// fixed-order reductions, so results for a given seed are identical at

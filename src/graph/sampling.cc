@@ -21,11 +21,19 @@ RowGroups NeighborSampler::SampleBatch(Side side,
   out.offsets.reserve(vertices.size() + 1);
   out.ids.reserve(vertices.size() * static_cast<size_t>(fanout));
   out.weights.reserve(vertices.size() * static_cast<size_t>(fanout));
+  SampleBatch(side, vertices, fanout, rng, out);
+  return out;
+}
+
+void NeighborSampler::SampleBatch(Side side,
+                                  const std::vector<int32_t>& vertices,
+                                  int32_t fanout, Rng& rng,
+                                  RowGroups& out) const {
+  out.Clear();
   for (int32_t v : vertices) {
     AppendSample(side, v, fanout, rng, out);
     out.CloseGroup();
   }
-  return out;
 }
 
 void NeighborSampler::AppendSample(Side side, int32_t vertex, int32_t fanout,

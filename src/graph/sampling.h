@@ -38,6 +38,13 @@ class NeighborSampler {
   RowGroups SampleBatch(Side side, const std::vector<int32_t>& vertices,
                         int32_t fanout, Rng& rng) const;
 
+  /// \brief SampleBatch into `out`, replacing its groups but keeping its
+  /// capacity. It grows `out` geometrically, never to an exact size, so a
+  /// caller that reuses `out` for batches of varying size stops
+  /// allocating after its first few.
+  void SampleBatch(Side side, const std::vector<int32_t>& vertices,
+                   int32_t fanout, Rng& rng, RowGroups& out) const;
+
   const BipartiteGraph& graph() const { return graph_; }
   bool weighted() const { return weighted_; }
 

@@ -13,8 +13,8 @@ namespace hignn {
 ///
 /// NeighborSampler::SampleBatch fills one per batch (group k = the sampled
 /// neighbors of vertex k, weights = their edge weights), and the tape's
-/// grouped aggregations (Tape::GroupMeanRows and friends) consume it as
-/// is: three allocations per batch instead of two per vertex.
+/// grouped aggregations (Tape::GroupMeanRows and friends) read it in
+/// place: a reused one costs no allocation per batch.
 struct RowGroups {
   std::vector<size_t> offsets = {0};
   std::vector<int32_t> ids;
@@ -28,6 +28,13 @@ struct RowGroups {
   /// \brief Ends the current group: it holds every id appended since the
   /// previous call.
   void CloseGroup() { offsets.push_back(ids.size()); }
+
+  /// \brief Removes every group; the buffers keep their capacity.
+  void Clear() {
+    offsets.assign(1, 0);
+    ids.clear();
+    weights.clear();
+  }
 };
 
 }  // namespace hignn

@@ -297,12 +297,12 @@ VarId Tape::GatherRowsFrom(const Matrix& src,
   return Emit(GatherRowsValue(src, index), /*requires_grad=*/false, nullptr);
 }
 
-VarId Tape::GroupMeanRows(VarId a, RowGroups groups) {
+VarId Tape::GroupMeanRows(VarId a, const RowGroups& groups) {
   Matrix out = GroupMeanRowsValue(value(a), groups);
   const bool needs = nodes_[a].requires_grad;
   VarId id = Emit(std::move(out), needs, nullptr);
   if (needs) {
-    nodes_[id].backward = [this, a, gs = std::move(groups), id] {
+    nodes_[id].backward = [this, a, &gs = groups, id] {
       EnsureGrad(a);
       Matrix& ga = MutableGrad(a);
       const Matrix& gout = nodes_[id].grad;
@@ -328,12 +328,12 @@ VarId Tape::GroupMeanRowsFrom(const Matrix& src, const RowGroups& groups) {
               nullptr);
 }
 
-VarId Tape::GroupWeightedSumRows(VarId a, RowGroups groups) {
+VarId Tape::GroupWeightedSumRows(VarId a, const RowGroups& groups) {
   Matrix out = GroupWeightedSumRowsValue(value(a), groups);
   const bool needs = nodes_[a].requires_grad;
   VarId id = Emit(std::move(out), needs, nullptr);
   if (needs) {
-    nodes_[id].backward = [this, a, gs = std::move(groups), id] {
+    nodes_[id].backward = [this, a, &gs = groups, id] {
       EnsureGrad(a);
       Matrix& ga = MutableGrad(a);
       const Matrix& gout = nodes_[id].grad;

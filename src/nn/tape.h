@@ -62,14 +62,17 @@ class Tape {
   /// \brief out.row(g) = mean over {a.row(j) : j in group g}. Empty
   /// groups yield a zero row. This is the GraphSAGE mean aggregator
   /// (AGGREGATE in Eqs. 1-2, 8-9) in matrix form. `groups.weights` is
-  /// ignored.
-  VarId GroupMeanRows(VarId a, RowGroups groups);
+  /// ignored. `groups` is borrowed, not copied: Backward() reads it, so it
+  /// must outlive the tape (a temporary does not compile).
+  VarId GroupMeanRows(VarId a, const RowGroups& groups);
+  VarId GroupMeanRows(VarId a, RowGroups&& groups) = delete;
 
   /// \brief Weighted variant: out.row(g) = sum_k w_k * a.row(j_k) over
   /// group g's ids j_k and their `groups.weights` w_k (one per id).
   /// Weights are caller-normalized; used by the edge-weighted aggregator
-  /// ablation.
-  VarId GroupWeightedSumRows(VarId a, RowGroups groups);
+  /// ablation. Borrows `groups` like GroupMeanRows.
+  VarId GroupWeightedSumRows(VarId a, const RowGroups& groups);
+  VarId GroupWeightedSumRows(VarId a, RowGroups&& groups) = delete;
 
   // Fused constant-source variants: gather/aggregate straight out of a
   // matrix that is NOT on the tape (e.g. the immutable level-0 feature

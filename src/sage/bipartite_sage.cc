@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace hignn {
 
@@ -139,35 +141,93 @@ int32_t BipartiteSage::Frontier::IndexOf(int32_t v) const {
   return index;
 }
 
-BipartiteSage::BatchEmbedding BipartiteSage::ForwardBatch(
-    Tape& tape, const BipartiteGraph& graph, const Matrix& left_features,
-    const Matrix& right_features, const std::vector<int32_t>& left_targets,
-    const std::vector<int32_t>& right_targets, Rng& rng, bool train) {
+void BipartiteSage::DrawBatch(const BipartiteGraph& graph,
+                              const NegativeSampler& negatives, Rng& rng,
+                              StepPlan& plan) const {
+  const int32_t batch = static_cast<int32_t>(
+      std::min<int64_t>(config_.batch_size, graph.num_edges()));
+  const int32_t qu = config_.negatives_per_edge_user;
+  const int32_t qi = config_.negatives_per_edge_item;
+  std::vector<int32_t>& left_targets = plan.left_targets;
+  std::vector<int32_t>& right_targets = plan.right_targets;
+  left_targets.clear();
+  right_targets.clear();
+  plan.row_left.clear();
+  plan.row_right.clear();
+  plan.row_weight.clear();
+  plan.labels.clear();
+
+  // Positive edges (their transformed weights are the first rows'
+  // weights) + the negative-sampled opposing vertices.
+  for (int32_t k = 0; k < batch; ++k) {
+    const WeightedEdge edge = graph.EdgeAt(static_cast<int64_t>(
+        rng.UniformInt(static_cast<uint64_t>(graph.num_edges()))));
+    left_targets.push_back(edge.u);
+    right_targets.push_back(edge.i);
+    plan.row_weight.push_back(std::log1p(edge.weight));
+  }
+  for (int32_t k = 0; k < batch; ++k) {
+    for (int32_t j = 0; j < qu; ++j) {
+      left_targets.push_back(negatives.SampleLeftFor(
+          right_targets[static_cast<size_t>(k)], rng));
+    }
+  }
+  for (int32_t k = 0; k < batch; ++k) {
+    for (int32_t j = 0; j < qi; ++j) {
+      right_targets.push_back(negatives.SampleRightFor(
+          left_targets[static_cast<size_t>(k)], rng));
+    }
+  }
+
+  // Scored rows: positives, then user-negatives, then item-negatives
+  // (Eq. 5's three terms).
+  for (int32_t k = 0; k < batch; ++k) {
+    plan.row_left.push_back(k);
+    plan.row_right.push_back(k);
+    plan.labels.push_back(1.0f);
+  }
+  for (int32_t k = 0; k < batch; ++k) {
+    for (int32_t j = 0; j < qu; ++j) {
+      plan.row_left.push_back(batch + k * qu + j);
+      plan.row_right.push_back(k);
+      plan.row_weight.push_back(config_.negative_edge_weight);
+      plan.labels.push_back(0.0f);
+    }
+  }
+  for (int32_t k = 0; k < batch; ++k) {
+    for (int32_t j = 0; j < qi; ++j) {
+      plan.row_left.push_back(k);
+      plan.row_right.push_back(batch + k * qi + j);
+      plan.row_weight.push_back(config_.negative_edge_weight);
+      plan.labels.push_back(0.0f);
+    }
+  }
+  DrawExpansion(graph, left_targets, right_targets, rng, plan);
+}
+
+void BipartiteSage::DrawExpansion(const BipartiteGraph& graph,
+                                  const std::vector<int32_t>& left_targets,
+                                  const std::vector<int32_t>& right_targets,
+                                  Rng& rng, StepPlan& plan) const {
   const size_t steps = config_.dims.size();
+  SidePlan& left = plan.left;
+  SidePlan& right = plan.right;
+  for (SidePlan* side : {&left, &right}) {
+    side->need.resize(steps + 1);
+    side->nbrs.resize(steps + 1);
+    side->self.resize(steps + 1);
+  }
+  for (size_t p = 1; p <= steps; ++p) {
+    left.need[p].Reset(graph.num_left());
+    right.need[p].Reset(graph.num_right());
+  }
+  for (int32_t v : left_targets) left.need[steps].Intern(v);
+  for (int32_t v : right_targets) right.need[steps].Intern(v);
 
   // --- Dependency expansion (top-down) --------------------------------------
-  // need[p] holds the vertices whose step-p embeddings are required;
-  // group k of nbrs[p] is the sampled neighborhood used to compute
-  // embedding p of need[p].ids[k] (sampled once, reused in the forward
-  // pass).
-  // The first SAGE step reads the feature tables directly by global vertex
-  // id, so the level-0 frontiers (index 0) are never interned.
-  left_frontiers_.resize(steps + 1);
-  right_frontiers_.resize(steps + 1);
-  for (size_t p = 1; p <= steps; ++p) {
-    left_frontiers_[p].Reset(graph.num_left());
-    right_frontiers_[p].Reset(graph.num_right());
-  }
-  std::vector<Frontier>& need_left = left_frontiers_;
-  std::vector<Frontier>& need_right = right_frontiers_;
-  std::vector<RowGroups> left_nbrs(steps + 1);
-  std::vector<RowGroups> right_nbrs(steps + 1);
-
-  for (int32_t v : left_targets) need_left[steps].Intern(v);
-  for (int32_t v : right_targets) need_right[steps].Intern(v);
-
-  // Interns each vertex (its self embedding for CONCAT) and its sampled
-  // neighbors into the step-(p-1) frontiers.
+  // Each hop samples the step-p vertices' neighborhoods, then interns each
+  // vertex (its self embedding for CONCAT) and its sampled neighbors into
+  // the step-(p-1) frontiers.
   const auto intern_prev = [](const Frontier& need, const RowGroups& nbrs,
                               Frontier& self_prev, Frontier& opposite_prev) {
     for (size_t k = 0; k < need.ids.size(); ++k) {
@@ -180,21 +240,67 @@ BipartiteSage::BatchEmbedding BipartiteSage::ForwardBatch(
   const NeighborSampler sampler(graph);
   for (size_t p = steps; p >= 1; --p) {
     const int32_t fanout = config_.fanouts[steps - p];
-    left_nbrs[p] =
-        sampler.SampleBatch(Side::kLeft, need_left[p].ids, fanout, rng);
+    sampler.SampleBatch(Side::kLeft, left.need[p].ids, fanout, rng,
+                        left.nbrs[p]);
     if (p > 1) {
-      intern_prev(need_left[p], left_nbrs[p], need_left[p - 1],
-                  need_right[p - 1]);
+      intern_prev(left.need[p], left.nbrs[p], left.need[p - 1],
+                  right.need[p - 1]);
     }
-    right_nbrs[p] =
-        sampler.SampleBatch(Side::kRight, need_right[p].ids, fanout, rng);
+    sampler.SampleBatch(Side::kRight, right.need[p].ids, fanout, rng,
+                        right.nbrs[p]);
     if (p > 1) {
-      intern_prev(need_right[p], right_nbrs[p], need_right[p - 1],
-                  need_left[p - 1]);
+      intern_prev(right.need[p], right.nbrs[p], right.need[p - 1],
+                  left.need[p - 1]);
     }
   }
 
-  // --- Forward pass (bottom-up) ----------------------------------------------
+  // --- Ids to rows ----------------------------------------------------------
+  // Step 1 reads the feature tables by vertex id; above it, rows are the
+  // previous step's tape nodes, addressed by frontier index.
+  const auto to_rows = [&](SidePlan& side, const SidePlan& opposite,
+                           size_t p) {
+    RowGroups& groups = side.nbrs[p];
+    if (p > 1) {
+      for (int32_t& id : groups.ids) id = opposite.need[p - 1].IndexOf(id);
+      std::vector<int32_t>& self = side.self[p];
+      self.clear();
+      for (int32_t v : side.need[p].ids) {
+        self.push_back(side.need[p - 1].IndexOf(v));
+      }
+    }
+    if (config_.weighted_aggregator) {
+      for (size_t k = 0; k < groups.size(); ++k) {
+        float* w = groups.weights.data() + groups.offsets[k];
+        const size_t size = groups.GroupSize(k);
+        float total = 0.0f;
+        for (size_t j = 0; j < size; ++j) total += w[j];
+        if (total > 0.0f) {
+          for (size_t j = 0; j < size; ++j) w[j] /= total;
+        }
+      }
+    }
+  };
+  for (size_t p = 1; p <= steps; ++p) {
+    to_rows(left, right, p);
+    to_rows(right, left, p);
+  }
+
+  // Rows in the caller's target order (targets may contain duplicates;
+  // the frontier is deduplicated).
+  left.order.clear();
+  for (int32_t v : left_targets) {
+    left.order.push_back(left.need[steps].IndexOf(v));
+  }
+  right.order.clear();
+  for (int32_t v : right_targets) {
+    right.order.push_back(right.need[steps].IndexOf(v));
+  }
+}
+
+BipartiteSage::BatchEmbedding BipartiteSage::ForwardBatch(
+    Tape& tape, const Matrix& left_features, const Matrix& right_features,
+    const StepPlan& plan, bool train) {
+  const size_t steps = config_.dims.size();
   VarId h_left = kInvalidVar;
   VarId h_right = kInvalidVar;
 
@@ -206,54 +312,29 @@ BipartiteSage::BatchEmbedding BipartiteSage::ForwardBatch(
     Dense& w_i = config_.shared_weights ? left_update_[p - 1]
                                         : right_update_[p - 1];
 
-    // At the first step the group ids ARE the global vertex ids and the
-    // aggregation streams straight from the feature tables (opp_feats /
-    // self_feats non-null); above it, rows are the previous step's tape
-    // nodes, addressed by frontier index.
+    // At the first step the aggregation and the self rows stream straight
+    // from the feature tables; above it they read the previous step's
+    // tape nodes.
     const bool fuse_step = p == 1;
-    auto build_side =
-        [&](const Frontier& need, RowGroups& groups,
-            const Frontier& opposite_prev, const Frontier& self_prev,
-            VarId h_opposite_prev, VarId h_self_prev, Dense& transform,
-            Dense& update, const Matrix* opp_feats,
-            const Matrix* self_feats) -> VarId {
-      // Above the first step, rows are frontier indices, not vertex ids.
-      if (!fuse_step) {
-        for (int32_t& id : groups.ids) id = opposite_prev.IndexOf(id);
-      }
-      if (config_.weighted_aggregator) {
-        for (size_t k = 0; k < groups.size(); ++k) {
-          float* w = groups.weights.data() + groups.offsets[k];
-          const size_t size = groups.GroupSize(k);
-          float total = 0.0f;
-          for (size_t j = 0; j < size; ++j) total += w[j];
-          if (total > 0.0f) {
-            for (size_t j = 0; j < size; ++j) w[j] /= total;
-          }
-        }
-      }
+    auto build_side = [&](const SidePlan& side, VarId h_opposite_prev,
+                          VarId h_self_prev, Dense& transform, Dense& update,
+                          const Matrix& opp_feats,
+                          const Matrix& self_feats) -> VarId {
+      const RowGroups& groups = side.nbrs[p];
       VarId agg;
       if (fuse_step) {
         agg = config_.weighted_aggregator
-                  ? tape.GroupWeightedSumRowsFrom(*opp_feats, groups)
-                  : tape.GroupMeanRowsFrom(*opp_feats, groups);
+                  ? tape.GroupWeightedSumRowsFrom(opp_feats, groups)
+                  : tape.GroupMeanRowsFrom(opp_feats, groups);
       } else {
         agg = config_.weighted_aggregator
-                  ? tape.GroupWeightedSumRows(h_opposite_prev,
-                                              std::move(groups))
-                  : tape.GroupMeanRows(h_opposite_prev, std::move(groups));
+                  ? tape.GroupWeightedSumRows(h_opposite_prev, groups)
+                  : tape.GroupMeanRows(h_opposite_prev, groups);
       }
       VarId msg = transform.Forward(tape, agg, train);            // Eq. 1 / 2
-      VarId self;
-      if (fuse_step) {
-        self = tape.GatherRowsFrom(*self_feats, need.ids);
-      } else {
-        std::vector<int32_t> self_index(need.ids.size());
-        for (size_t k = 0; k < need.ids.size(); ++k) {
-          self_index[k] = self_prev.IndexOf(need.ids[k]);
-        }
-        self = tape.GatherRows(h_self_prev, std::move(self_index));
-      }
+      VarId self = fuse_step
+                       ? tape.GatherRowsFrom(self_feats, side.need[p].ids)
+                       : tape.GatherRows(h_self_prev, side.self[p]);
       VarId h = update.Forward(tape, tape.ConcatCols(self, msg),  // Eq. 3 / 4
                                train);
       if (p == steps && config_.normalize_output) {
@@ -262,36 +343,20 @@ BipartiteSage::BatchEmbedding BipartiteSage::ForwardBatch(
       return h;
     };
 
-    VarId next_left =
-        build_side(need_left[p], left_nbrs[p], need_right[p - 1],
-                   need_left[p - 1], h_right, h_left, m_ui, w_u,
-                   fuse_step ? &right_features : nullptr,
-                   fuse_step ? &left_features : nullptr);
-    VarId next_right =
-        build_side(need_right[p], right_nbrs[p], need_left[p - 1],
-                   need_right[p - 1], h_left, h_right, m_iu, w_i,
-                   fuse_step ? &left_features : nullptr,
-                   fuse_step ? &right_features : nullptr);
+    VarId next_left = build_side(plan.left, h_right, h_left, m_ui, w_u,
+                                 right_features, left_features);
+    VarId next_right = build_side(plan.right, h_left, h_right, m_iu, w_i,
+                                  left_features, right_features);
     h_left = next_left;
     h_right = next_right;
   }
 
-  // Re-order rows to match the caller's target order (targets may contain
-  // duplicates; the frontier is deduplicated).
-  std::vector<int32_t> left_order(left_targets.size());
-  for (size_t k = 0; k < left_targets.size(); ++k) {
-    left_order[k] = need_left[steps].IndexOf(left_targets[k]);
-  }
-  std::vector<int32_t> right_order(right_targets.size());
-  for (size_t k = 0; k < right_targets.size(); ++k) {
-    right_order[k] = need_right[steps].IndexOf(right_targets[k]);
-  }
-
   BatchEmbedding out;
-  out.left = left_targets.empty() ? kInvalidVar
-                                  : tape.GatherRows(h_left, left_order);
-  out.right = right_targets.empty() ? kInvalidVar
-                                    : tape.GatherRows(h_right, right_order);
+  out.left = plan.left.order.empty() ? kInvalidVar
+                                     : tape.GatherRows(h_left, plan.left.order);
+  out.right = plan.right.order.empty()
+                  ? kInvalidVar
+                  : tape.GatherRows(h_right, plan.right.order);
   return out;
 }
 
@@ -321,105 +386,21 @@ VarId BipartiteSage::ScoreEdges(Tape& tape, VarId left_rows, VarId right_rows,
   return scorer_.Forward(tape, features, train);
 }
 
-Result<double> BipartiteSage::TrainStep(const BipartiteGraph& graph,
-                                        const Matrix& left_features,
-                                        const Matrix& right_features,
-                                        Adam& optimizer, Rng& rng,
-                                        TrainingMonitor* monitor) {
-  if (graph.num_edges() == 0) {
-    return Status::FailedPrecondition("graph has no edges to train on");
-  }
-  if (left_features.rows() != static_cast<size_t>(graph.num_left()) ||
-      right_features.rows() != static_cast<size_t>(graph.num_right())) {
-    return Status::InvalidArgument("feature rows != vertex counts");
-  }
-
-  const int32_t batch = static_cast<int32_t>(
-      std::min<int64_t>(config_.batch_size, graph.num_edges()));
-  const int32_t qu = config_.negatives_per_edge_user;
-  const int32_t qi = config_.negatives_per_edge_item;
-  const size_t total_rows =
-      static_cast<size_t>(batch) * (1 + static_cast<size_t>(qu) +
-                                    static_cast<size_t>(qi));
-
-  std::vector<int32_t> left_targets;
-  std::vector<int32_t> right_targets;
-  std::vector<int32_t> row_left;
-  std::vector<int32_t> row_right;
-  std::vector<float> row_weight;
-  std::vector<float> labels;
-  {
-    HIGNN_SPAN("sage.batch_assembly",
-               {{"rows", static_cast<int64_t>(total_rows)}});
-    NegativeSampler negatives(graph);
-
-    // Positive edges + the negative-sampled opposing vertices.
-    std::vector<float> pos_weights(static_cast<size_t>(batch));
-    left_targets.reserve(static_cast<size_t>(batch * (1 + qu)));
-    right_targets.reserve(static_cast<size_t>(batch * (1 + qi)));
-    for (int32_t k = 0; k < batch; ++k) {
-      const WeightedEdge edge = graph.EdgeAt(
-          static_cast<int64_t>(rng.UniformInt(
-              static_cast<uint64_t>(graph.num_edges()))));
-      left_targets.push_back(edge.u);
-      right_targets.push_back(edge.i);
-      pos_weights[static_cast<size_t>(k)] = std::log1p(edge.weight);
-    }
-    for (int32_t k = 0; k < batch; ++k) {
-      for (int32_t j = 0; j < qu; ++j) {
-        left_targets.push_back(negatives.SampleLeftFor(
-            right_targets[static_cast<size_t>(k)], rng));
-      }
-    }
-    for (int32_t k = 0; k < batch; ++k) {
-      for (int32_t j = 0; j < qi; ++j) {
-        right_targets.push_back(negatives.SampleRightFor(
-            left_targets[static_cast<size_t>(k)], rng));
-      }
-    }
-
-    // Assemble scored rows: positives, then user-negatives, then
-    // item-negatives (Eq. 5's three terms).
-    row_left.reserve(total_rows);
-    row_right.reserve(total_rows);
-    row_weight.reserve(total_rows);
-    labels.reserve(total_rows);
-    for (int32_t k = 0; k < batch; ++k) {
-      row_left.push_back(k);
-      row_right.push_back(k);
-      row_weight.push_back(pos_weights[static_cast<size_t>(k)]);
-      labels.push_back(1.0f);
-    }
-    for (int32_t k = 0; k < batch; ++k) {
-      for (int32_t j = 0; j < qu; ++j) {
-        row_left.push_back(batch + k * qu + j);
-        row_right.push_back(k);
-        row_weight.push_back(config_.negative_edge_weight);
-        labels.push_back(0.0f);
-      }
-    }
-    for (int32_t k = 0; k < batch; ++k) {
-      for (int32_t j = 0; j < qi; ++j) {
-        row_left.push_back(k);
-        row_right.push_back(batch + k * qi + j);
-        row_weight.push_back(config_.negative_edge_weight);
-        labels.push_back(0.0f);
-      }
-    }
-  }
-
+double BipartiteSage::ComputeStep(const StepPlan& plan,
+                                  const Matrix& left_features,
+                                  const Matrix& right_features,
+                                  Adam& optimizer, TrainingMonitor* monitor) {
   Tape tape;
   VarId loss = 0;
   double loss_value = 0.0;
   {
     HIGNN_SPAN("sage.forward");
-    BatchEmbedding emb = ForwardBatch(tape, graph, left_features,
-                                      right_features, left_targets,
-                                      right_targets, rng, /*train=*/true);
-    VarId zl = tape.GatherRows(emb.left, row_left);
-    VarId zr = tape.GatherRows(emb.right, row_right);
-    VarId logits = ScoreEdges(tape, zl, zr, row_weight, /*train=*/true);
-    loss = tape.BceWithLogits(logits, std::move(labels));
+    BatchEmbedding emb = ForwardBatch(tape, left_features, right_features,
+                                      plan, /*train=*/true);
+    VarId zl = tape.GatherRows(emb.left, plan.row_left);
+    VarId zr = tape.GatherRows(emb.right, plan.row_right);
+    VarId logits = ScoreEdges(tape, zl, zr, plan.row_weight, /*train=*/true);
+    loss = tape.BceWithLogits(logits, plan.labels);
     loss_value = tape.value(loss)(0, 0);
   }
 
@@ -437,27 +418,52 @@ Result<double> BipartiteSage::TrainStep(const BipartiteGraph& graph,
   return loss_value;
 }
 
+namespace {
+
+Status CheckTrainingInputs(const BipartiteGraph& graph,
+                          const Matrix& left_features,
+                          const Matrix& right_features) {
+  if (graph.num_edges() == 0) {
+    return Status::FailedPrecondition("graph has no edges to train on");
+  }
+  if (left_features.rows() != static_cast<size_t>(graph.num_left()) ||
+      right_features.rows() != static_cast<size_t>(graph.num_right())) {
+    return Status::InvalidArgument("feature rows != vertex counts");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<double> BipartiteSage::TrainStep(const BipartiteGraph& graph,
+                                        const Matrix& left_features,
+                                        const Matrix& right_features,
+                                        Adam& optimizer, Rng& rng,
+                                        TrainingMonitor* monitor) {
+  HIGNN_RETURN_IF_ERROR(
+      CheckTrainingInputs(graph, left_features, right_features));
+  {
+    const int64_t batch =
+        std::min<int64_t>(config_.batch_size, graph.num_edges());
+    HIGNN_SPAN("sage.batch_assembly",
+               {{"rows", batch * (1 + config_.negatives_per_edge_user +
+                                  config_.negatives_per_edge_item)}});
+    const NegativeSampler negatives(graph);
+    DrawBatch(graph, negatives, rng, plan_);
+  }
+  return ComputeStep(plan_, left_features, right_features, optimizer,
+                     monitor);
+}
+
 Result<double> BipartiteSage::Train(const BipartiteGraph& graph,
                                     const Matrix& left_features,
                                     const Matrix& right_features) {
-  Rng rng(config_.seed ^ 0xBEEFULL);
-  Adam optimizer(config_.learning_rate);
-  optimizer.set_weight_decay(config_.weight_decay);
-  optimizer.set_clip_norm(5.0f);
-
-  double tail_loss = 0.0;
-  int32_t tail_count = 0;
-  const int32_t tail_start = config_.train_steps * 9 / 10;
-  for (int32_t step = 0; step < config_.train_steps; ++step) {
-    HIGNN_ASSIGN_OR_RETURN(
-        double loss,
-        TrainStep(graph, left_features, right_features, optimizer, rng));
-    if (step >= tail_start) {
-      tail_loss += loss;
-      ++tail_count;
-    }
-  }
-  return tail_count > 0 ? tail_loss / tail_count : 0.0;
+  HIGNN_ASSIGN_OR_RETURN(
+      SageTrainer trainer,
+      SageTrainer::Create(*this, graph, left_features, right_features,
+                          /*clip_norm=*/5.0f));
+  while (!trainer.done()) trainer.Accept(trainer.Step(nullptr));
+  return trainer.tail_loss();
 }
 
 Result<SageEmbeddings> BipartiteSage::EmbedTargets(
@@ -468,10 +474,10 @@ Result<SageEmbeddings> BipartiteSage::EmbedTargets(
       right_features.rows() != static_cast<size_t>(graph.num_right())) {
     return Status::InvalidArgument("feature rows != vertex counts");
   }
+  DrawExpansion(graph, left_targets, right_targets, rng, plan_);
   Tape tape;
-  BatchEmbedding emb =
-      ForwardBatch(tape, graph, left_features, right_features, left_targets,
-                   right_targets, rng, /*train=*/false);
+  BatchEmbedding emb = ForwardBatch(tape, left_features, right_features,
+                                    plan_, /*train=*/false);
   SageEmbeddings out;
   out.left = left_targets.empty() ? Matrix(0, static_cast<size_t>(output_dim()))
                                   : tape.value(emb.left);
@@ -523,6 +529,153 @@ Result<SageEmbeddings> BipartiteSage::EmbedAll(const BipartiteGraph& graph,
     }
   }
   return all;
+}
+
+namespace {
+
+// Microsecond buckets for a draw and for the caller's wait on one drawn
+// ahead: a fit-small draw takes 150-400 us, and a wait near 0 means the
+// draw was fully hidden behind the compute half.
+std::vector<double> DrawBoundsUs() {
+  return {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000};
+}
+
+obs::Histogram& DrawUs() {
+  static obs::Histogram& histogram =
+      obs::MetricsRegistry::Global().GetHistogram("sage.draw_us",
+                                                  DrawBoundsUs());
+  return histogram;
+}
+
+obs::Histogram& DrawWaitUs() {
+  static obs::Histogram& histogram =
+      obs::MetricsRegistry::Global().GetHistogram("sage.draw_wait_us",
+                                                  DrawBoundsUs());
+  return histogram;
+}
+
+}  // namespace
+
+SageTrainer::SageTrainer(BipartiteSage& sage, const BipartiteGraph& graph,
+                         const Matrix& left_features,
+                         const Matrix& right_features, float clip_norm)
+    : sage_(&sage),
+      graph_(&graph),
+      left_features_(&left_features),
+      right_features_(&right_features),
+      negatives_(graph),
+      optimizer_(sage.config().learning_rate),
+      rng_(sage.config().seed ^ 0xBEEFULL),
+      boundary_(rng_.SaveState()) {
+  optimizer_.set_weight_decay(sage.config().weight_decay);
+  optimizer_.set_clip_norm(clip_norm);
+  // A worker's draw records into these; register them on this thread.
+  DrawUs();
+  DrawWaitUs();
+}
+
+Result<SageTrainer> SageTrainer::Create(BipartiteSage& sage,
+                                        const BipartiteGraph& graph,
+                                        const Matrix& left_features,
+                                        const Matrix& right_features,
+                                        float clip_norm) {
+  HIGNN_RETURN_IF_ERROR(
+      CheckTrainingInputs(graph, left_features, right_features));
+  return SageTrainer(sage, graph, left_features, right_features, clip_norm);
+}
+
+void SageTrainer::Draw(BipartiteSage::StepPlan& plan) {
+  obs::Stopwatch timer;
+  sage_->DrawBatch(*graph_, negatives_, rng_, plan);
+  DrawUs().Record(timer.Micros());
+}
+
+double SageTrainer::Step(TrainingMonitor* monitor) {
+  BipartiteSage::StepPlan& plan = plans_[current_];
+  if (!drawn_) Draw(plan);
+  boundary_ = rng_.SaveState();  // where the next step's draw starts
+  double loss = 0.0;
+  const auto compute = [&] {
+    loss = sage_->ComputeStep(plan, *left_features_, *right_features_,
+                              optimizer_, monitor);
+  };
+  if (step_ + 1 >= sage_->config().train_steps) {
+    compute();  // the level's last step: nothing to draw ahead
+    drawn_ = false;
+    return loss;
+  }
+  BipartiteSage::StepPlan& next = plans_[1 - current_];
+  if (!both_drawn_) {
+    // Each plan's first draw runs on this thread, so the buffers it
+    // sizes come from this thread's malloc arena; later draws reuse them.
+    compute();
+    Draw(next);
+    both_drawn_ = true;
+  } else {
+    obs::Stopwatch wait;
+    GlobalThreadPool().ForkJoin([&] { Draw(next); },
+                                [&] {
+                                  compute();
+                                  wait.Restart();
+                                });
+    DrawWaitUs().Record(wait.Micros());
+  }
+  current_ = 1 - current_;
+  drawn_ = true;
+  return loss;
+}
+
+void SageTrainer::Accept(double loss) {
+  if (step_ >= sage_->config().train_steps * 9 / 10) {
+    tail_loss_sum_ += loss;
+    ++tail_count_;
+  }
+  ++step_;
+}
+
+double SageTrainer::tail_loss() const {
+  return tail_count_ > 0 ? tail_loss_sum_ / static_cast<double>(tail_count_)
+                         : 0.0;
+}
+
+LevelTrainingState SageTrainer::Capture() {
+  LevelTrainingState state;
+  state.step = step_;
+  const std::vector<Parameter*> params = sage_->Params();
+  state.params.reserve(params.size());
+  for (const Parameter* p : params) state.params.push_back(p->value);
+  state.opt = optimizer_.ExportState(params);
+  state.learning_rate = optimizer_.learning_rate();
+  state.rng = boundary_;
+  state.tail_loss_sum = tail_loss_sum_;
+  state.tail_count = tail_count_;
+  return state;
+}
+
+Status SageTrainer::Restore(const LevelTrainingState& state) {
+  const std::vector<Parameter*> params = sage_->Params();
+  if (params.size() != state.params.size()) {
+    return Status::InvalidArgument("checkpoint parameter count mismatch");
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (state.params[i].rows() != params[i]->value.rows() ||
+        state.params[i].cols() != params[i]->value.cols()) {
+      return Status::InvalidArgument("checkpoint parameter shape mismatch");
+    }
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    params[i]->value = state.params[i];
+    params[i]->grad.Fill(0.0f);
+  }
+  HIGNN_RETURN_IF_ERROR(optimizer_.ImportState(params, state.opt));
+  optimizer_.set_learning_rate(state.learning_rate);
+  rng_.RestoreState(state.rng);
+  boundary_ = state.rng;
+  drawn_ = false;  // a plan drawn ahead came from the discarded stream
+  step_ = state.step;
+  tail_loss_sum_ = state.tail_loss_sum;
+  tail_count_ = state.tail_count;
+  return Status::OK();
 }
 
 }  // namespace hignn

@@ -93,6 +93,35 @@ struct SageEmbeddings {
   Matrix right;  ///< (num_right x dims.back())
 };
 
+/// \brief Where one level's SAGE training stands: everything that
+/// resuming or rolling back the level restores, so its remaining steps
+/// replay bit for bit. SageTrainer::Capture takes one and Restore puts it
+/// back; Fit keeps one as its rollback anchor and a checkpoint carries
+/// one.
+struct LevelTrainingState {
+  /// SAGE steps completed within the level. 0 means nothing is trained
+  /// yet: the level restarts from its seed and the fields below are
+  /// unused (a boundary checkpoint leaves them empty).
+  int32_t step = 0;
+
+  /// SAGE parameter values in Params() order.
+  std::vector<Matrix> params;
+
+  /// Optimizer auxiliary state for the same parameter order.
+  OptimizerState opt;
+
+  /// Current learning rate (decays on rollback).
+  float learning_rate = 0.0f;
+
+  /// Training RNG stream position at the step boundary: before the draw
+  /// of step `step`, whether or not it was already drawn ahead.
+  RngState rng;
+
+  /// Tail-loss accumulator (mean over the final 10% of steps).
+  double tail_loss_sum = 0.0;
+  int64_t tail_count = 0;
+};
+
 /// \brief Two-tower bipartite GraphSAGE with the unsupervised bipartite
 /// graph loss.
 ///
@@ -102,6 +131,15 @@ struct SageEmbeddings {
 /// the mirror image (Eqs. 2, 4). The unsupervised loss (Eq. 5) scores
 /// positive edges against negative-sampled vertex pairs through a small
 /// MLP f over CONCAT(z_u, z_i, edge-weight).
+///
+/// A batch runs in two halves. The draw half makes every rng draw (the
+/// positive edges, the negatives, each hop's neighbor samples), interns
+/// the frontiers and remaps sampled ids to frontier rows, into a
+/// StepPlan; it reads the graph, the config and the rng only. The compute
+/// half builds the tape from the plan and the weights, then runs the loss,
+/// the backward pass and Adam. No draw reads the weights, so SageTrainer
+/// can draw step t+1 while step t computes and consume the rng in the
+/// same order.
 class BipartiteSage {
  public:
   /// \brief Validates the configuration and initializes parameters.
@@ -113,14 +151,17 @@ class BipartiteSage {
   /// batch loss. `left_features`/`right_features` are the level inputs
   /// (X_u, X_i). With a monitor, updates whose gradients contain NaN/inf
   /// are dropped (gradients zeroed, weights untouched) and counted as
-  /// skipped steps.
+  /// skipped steps. Draws, then computes, on the calling thread; a
+  /// SageTrainer gives the same bits without rebuilding the negative
+  /// sampler every call.
   Result<double> TrainStep(const BipartiteGraph& graph,
                            const Matrix& left_features,
                            const Matrix& right_features, Adam& optimizer,
                            Rng& rng, TrainingMonitor* monitor = nullptr);
 
-  /// \brief Full training loop; returns the mean loss of the final 10% of
-  /// steps (useful as a convergence indicator in tests).
+  /// \brief Full training loop through a SageTrainer; returns the mean
+  /// loss of the final 10% of steps (useful as a convergence indicator in
+  /// tests).
   Result<double> Train(const BipartiteGraph& graph,
                        const Matrix& left_features,
                        const Matrix& right_features);
@@ -145,19 +186,14 @@ class BipartiteSage {
   int32_t output_dim() const { return config_.dims.back(); }
 
  private:
+  friend class SageTrainer;
+
   BipartiteSage(const BipartiteSageConfig& config, int32_t left_feat_dim,
                 int32_t right_feat_dim);
 
-  /// Sampled dependency structure + tape nodes for one batch.
-  struct BatchEmbedding {
-    VarId left = kInvalidVar;   ///< rows align with left targets
-    VarId right = kInvalidVar;  ///< rows align with right targets
-  };
-
   /// Deduplicated vertex set of one side at one step: ids in first-seen
-  /// order and slot[v] = v's index in ids, or -1. Kept as scratch across
-  /// batches; Reset clears only the slots its ids touched, so a batch
-  /// costs O(batch), not O(|V|).
+  /// order and slot[v] = v's index in ids, or -1. Reset clears only the
+  /// slots its ids touched, so a batch costs O(batch), not O(|V|).
   struct Frontier {
     std::vector<int32_t> ids;
     std::vector<int32_t> slot;
@@ -167,13 +203,66 @@ class BipartiteSage {
     int32_t IndexOf(int32_t v) const;
   };
 
-  /// Builds the layered computation for the given targets on `tape`.
-  BatchEmbedding ForwardBatch(Tape& tape, const BipartiteGraph& graph,
-                              const Matrix& left_features,
+  /// One side's share of a batch's sampled dependency structure, indexed
+  /// by SAGE step p in [1, P] (index 0 is unused: step 1 reads the
+  /// feature tables by vertex id).
+  struct SidePlan {
+    /// The vertices whose step-p embeddings are needed.
+    std::vector<Frontier> need;
+    /// Group k is the sampled neighborhood of need[p].ids[k]: opposite
+    /// vertex ids at step 1, rows of the opposite step-(p-1) frontier
+    /// above it. Weights are normalized for the weighted aggregator.
+    std::vector<RowGroups> nbrs;
+    /// Above step 1, row k is need[p].ids[k]'s row in need[p-1].
+    std::vector<std::vector<int32_t>> self;
+    /// Row of each target in need[P], in target order.
+    std::vector<int32_t> order;
+  };
+
+  /// What one batch draws, filled by the draw half and read by the
+  /// compute half. Buffers keep their capacity from batch to batch.
+  struct StepPlan {
+    // Training batch only: targets (positives, then negatives) and the
+    // scored rows of Eq. 5 with their edge weights and labels.
+    std::vector<int32_t> left_targets;
+    std::vector<int32_t> right_targets;
+    std::vector<int32_t> row_left;
+    std::vector<int32_t> row_right;
+    std::vector<float> row_weight;
+    std::vector<float> labels;
+    SidePlan left;
+    SidePlan right;
+  };
+
+  /// Draw half of a training step: positive edges, negatives and scored
+  /// rows, then the targets' expansion.
+  void DrawBatch(const BipartiteGraph& graph, const NegativeSampler& negatives,
+                 Rng& rng, StepPlan& plan) const;
+
+  /// Draw half of an embedding pass: samples each hop's neighborhoods of
+  /// the targets top-down, interns the frontiers and remaps ids to rows.
+  void DrawExpansion(const BipartiteGraph& graph,
+                     const std::vector<int32_t>& left_targets,
+                     const std::vector<int32_t>& right_targets, Rng& rng,
+                     StepPlan& plan) const;
+
+  /// Rows of the targets' embeddings on `tape`.
+  struct BatchEmbedding {
+    VarId left = kInvalidVar;   ///< rows align with left targets
+    VarId right = kInvalidVar;  ///< rows align with right targets
+  };
+
+  /// Compute half of an embedding pass: the layered forward of the drawn
+  /// targets. The tape borrows `plan`'s neighbor groups, so `plan` must
+  /// outlive it.
+  BatchEmbedding ForwardBatch(Tape& tape, const Matrix& left_features,
                               const Matrix& right_features,
-                              const std::vector<int32_t>& left_targets,
-                              const std::vector<int32_t>& right_targets,
-                              Rng& rng, bool train);
+                              const StepPlan& plan, bool train);
+
+  /// Compute half of a training step: forward, loss, backward and Adam.
+  double ComputeStep(const StepPlan& plan, const Matrix& left_features,
+                     const Matrix& right_features, Adam& optimizer,
+                     TrainingMonitor* monitor);
 
   /// Scores CONCAT(z_left, z_right, weight) rows through f.
   VarId ScoreEdges(Tape& tape, VarId left_rows, VarId right_rows,
@@ -193,10 +282,82 @@ class BipartiteSage {
   std::vector<Dense> right_update_;     // W_i per step
   Mlp scorer_;                          // f
 
-  // ForwardBatch's frontiers, one per step 1..P and side (index 0 is
-  // unused: step 1 reads the feature tables by vertex id).
-  std::vector<Frontier> left_frontiers_;
-  std::vector<Frontier> right_frontiers_;
+  // The plan TrainStep and EmbedTargets draw into.
+  StepPlan plan_;
+};
+
+/// \brief Trains one level's BipartiteSage on one graph: Fit and
+/// BipartiteSage::Train both drive it.
+///
+/// It owns what the level's steps share: the negative sampler's alias
+/// tables, built once; two step plans, each first drawn into on the
+/// calling thread; and the step loop's rng (seeded from the config),
+/// Adam, step count and tail-loss sum. From then on, while the calling
+/// thread computes step t, one pool worker draws step t+1 into the other
+/// plan (ThreadPool::ForkJoin); at one thread both run inline. No draw reads
+/// the weights, so every bit equals a loop of TrainStep calls. The draw
+/// records no span; its time and the caller's wait for it go to the
+/// `sage.draw_us` and `sage.draw_wait_us` histograms.
+class SageTrainer {
+ public:
+  /// \brief Checks the inputs and sets up training of `sage` on `graph`
+  /// and its level features. Everything passed must outlive the trainer.
+  static Result<SageTrainer> Create(BipartiteSage& sage,
+                                    const BipartiteGraph& graph,
+                                    const Matrix& left_features,
+                                    const Matrix& right_features,
+                                    float clip_norm);
+
+  SageTrainer(SageTrainer&&) = default;
+  SageTrainer(const SageTrainer&) = delete;
+  SageTrainer& operator=(const SageTrainer&) = delete;
+
+  /// \brief Runs step `step()` and returns its batch loss. With a
+  /// monitor, an update whose gradients are not finite is dropped. The
+  /// step is not counted until Accept: a caller that rolls back instead
+  /// calls Restore.
+  double Step(TrainingMonitor* monitor);
+
+  /// \brief Counts the step just run: its loss joins the tail mean when
+  /// it falls in the final 10% of steps.
+  void Accept(double loss);
+
+  int32_t step() const { return step_; }
+  bool done() const { return step_ >= sage_->config().train_steps; }
+
+  /// \brief Mean loss of the accepted steps in the final 10% (0 if none).
+  double tail_loss() const;
+
+  /// \brief The training record at the current step boundary.
+  LevelTrainingState Capture();
+
+  /// \brief Puts a captured record back and discards any plan drawn
+  /// ahead, so the next step draws from the restored rng.
+  Status Restore(const LevelTrainingState& state);
+
+ private:
+  SageTrainer(BipartiteSage& sage, const BipartiteGraph& graph,
+              const Matrix& left_features, const Matrix& right_features,
+              float clip_norm);
+
+  // Draws the step after the current plan's into `plan`.
+  void Draw(BipartiteSage::StepPlan& plan);
+
+  BipartiteSage* sage_;
+  const BipartiteGraph* graph_;
+  const Matrix* left_features_;
+  const Matrix* right_features_;
+  NegativeSampler negatives_;
+  Adam optimizer_;
+  Rng rng_;
+  RngState boundary_;  // rng_ before step step_'s draw
+  BipartiteSage::StepPlan plans_[2];
+  int current_ = 0;     // plans_[current_] is step step_'s when drawn_
+  bool drawn_ = false;
+  bool both_drawn_ = false;  // each plan has been drawn into on the caller
+  int32_t step_ = 0;
+  double tail_loss_sum_ = 0.0;
+  int64_t tail_count_ = 0;
 };
 
 }  // namespace hignn

@@ -169,6 +169,54 @@ void ThreadPool::ParallelForChunks(
   RunChunks(used, run);
 }
 
+void ThreadPool::ForkJoin(const std::function<void()>& side,
+                          const std::function<void()>& main) {
+  if (threads_.empty() || OnWorkerThread()) {
+    main();
+    side();
+    return;
+  }
+  TaskGroup group;
+  const auto run_side = [&] {
+    try {
+      side();
+    } catch (...) {
+      MutexLock lock(mu_);
+      group.first_error = std::current_exception();
+    }
+  };
+  {
+    MutexLock lock(mu_);
+    tasks_.push_back(Task{[&run_side] { run_side(); }, &group});
+    group.pending = 1;
+  }
+  task_ready_.NotifyOne();
+  std::exception_ptr main_error;
+  try {
+    main();
+  } catch (...) {
+    main_error = std::current_exception();
+  }
+  bool unstarted = false;
+  {
+    MutexLock lock(mu_);
+    // A side task no worker has taken yet is the caller's to run.
+    unstarted = std::erase_if(tasks_, [&group](const Task& task) {
+                  return task.group == &group;
+                }) > 0;
+    if (unstarted) group.pending = 0;
+    while (group.pending != 0) group.done.Wait(lock);
+  }
+  if (unstarted) run_side();
+  std::exception_ptr side_error;
+  {
+    MutexLock lock(mu_);
+    side_error = group.first_error;
+  }
+  if (main_error) std::rethrow_exception(main_error);
+  if (side_error) std::rethrow_exception(side_error);
+}
+
 void ThreadPool::WorkerLoop() {
   current_worker_pool = this;
   for (;;) {

@@ -16,23 +16,25 @@ namespace hignn {
 /// \brief Fixed-size worker pool with ParallelFor conveniences.
 ///
 /// The paper trains on a 300-worker cluster; this pool is the single-host
-/// analogue used by the MatMul kernels, K-means assignment, SAGE minibatch
-/// assembly and graph coarsening. On a single-core host it degrades
-/// gracefully to inline execution (num_threads == 1 runs tasks on the
-/// calling thread).
+/// analogue used by the MatMul kernels, K-means, graph coarsening and the
+/// SAGE trainer, which draws its next minibatch on a worker (ForkJoin)
+/// while the calling thread computes the current one. On a single-core
+/// host it degrades gracefully to inline execution (num_threads == 1 runs
+/// tasks on the calling thread).
 ///
-/// Reentrancy: ParallelFor / ParallelForWork / ParallelForChunks called
-/// from inside a pool task run their body inline on the calling worker
-/// instead of blocking, so nested parallel kernels cannot deadlock.
+/// Reentrancy: every call made from inside a pool task runs its work
+/// inline on the calling worker instead of blocking, so nested parallel
+/// kernels cannot deadlock.
 ///
 /// Completion is per call: every ParallelFor / ParallelForWork /
-/// ParallelForChunks call tracks its own chunks and returns as soon as
-/// those are done, so concurrent external callers (serving handler
-/// threads) share the workers without waiting on each other's work. The
-/// calling thread runs chunks too: it and the workers claim chunk indices
-/// from one counter, so a call completes even while every worker is busy.
+/// ParallelForChunks / ForkJoin call tracks its own tasks and returns as
+/// soon as those are done, so concurrent external callers (serving
+/// handler threads) share the workers without waiting on each other's
+/// work. The calling thread runs work too: it and the workers claim chunk
+/// indices from one counter, and it runs a ForkJoin side task no worker
+/// has started, so a call completes even while every worker is busy.
 ///
-/// Exceptions: a chunk that throws does not kill the worker. Its exception
+/// Exceptions: a task that throws does not kill the worker. Its exception
 /// is rethrown from the call that submitted it, and only from that one.
 class ThreadPool {
  public:
@@ -68,12 +70,22 @@ class ThreadPool {
   void ParallelForWork(size_t begin, size_t end, size_t total_flops,
                        const std::function<void(size_t, size_t)>& body);
 
-  /// \brief Work below this many flops runs inline on the caller: a pool
-  /// dispatch (submit + wait over a mutex/condvar) costs tens of
-  /// microseconds, which dwarfs a tiny per-step kernel.
-  static constexpr size_t kSerialFlopCutoff = size_t{1} << 16;
+  /// \brief Work below this many flops (m*k*n for a GEMM) runs inline on
+  /// the caller. A dispatch must wake parked workers: an empty 4-chunk
+  /// call takes 5 us at p50 and 20 us at p90 on a 4-vCPU KVM guest, while
+  /// the serial GEMM tile does one m*k*n flop in ~15 ps. So a split GEMM
+  /// (about T/4 plus the wake-up) beats the serial one (T) only from
+  /// about 2^21 flops, which is where SAGE-shaped GEMMs measured at 1 and
+  /// 4 threads cross over (DESIGN.md, "Kernel architecture"). A caller
+  /// whose unit of work costs more states it in tile flops (k-means'
+  /// center grouping counts a distance term as 10).
+  static constexpr size_t kSerialFlopCutoff = size_t{1} << 21;
 
   /// \brief Minimum work per chunk once ParallelForWork does go parallel.
+  /// Above the cutoff the cap of 4 chunks per worker binds first on a
+  /// small host; the floor matters on hosts with more than 16 workers.
+  /// Finer chunks measured no slower than coarser ones, because the
+  /// caller and the first workers awake claim the chunks of late ones.
   static constexpr size_t kMinFlopsPerChunk = size_t{1} << 15;
 
   /// \brief Deterministic variant: splits [begin, end) into at most
@@ -89,6 +101,16 @@ class ThreadPool {
   void ParallelForChunks(
       size_t begin, size_t end, size_t num_chunks,
       const std::function<void(size_t, size_t, size_t)>& body);
+
+  /// \brief Runs `side` on one worker while the calling thread runs
+  /// `main`, and returns when both are done. `main` always runs on the
+  /// calling thread, so what it allocates comes from the caller's malloc
+  /// arena. If no worker has started `side` by the time `main` returns,
+  /// the caller runs it. A 1-thread pool, or a call from inside a pool
+  /// task, runs `main` and then `side` inline. Each runs exactly once;
+  /// `main`'s exception is rethrown first, then `side`'s.
+  void ForkJoin(const std::function<void()>& side,
+                const std::function<void()>& main);
 
  private:
   // Completion state of one call's claimer tasks, owned on the caller's

@@ -15,6 +15,7 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace hignn {
 namespace {
@@ -337,7 +338,10 @@ TEST(CheckpointTest, PruningKeepsOnlyTheNewestFiles) {
 // --- crash-and-resume integration -------------------------------------
 
 // Kill training at an injected fault, rerun with resume, and the final
-// model is bitwise identical to an uninterrupted run. At 12 steps with a
+// model is bitwise identical to an uninterrupted run, at 1 thread and at
+// 4, where the trainer draws each next step ahead on a pool worker and
+// the mid-level saves must still record the rng at the step boundary.
+// The reference is a 1-thread run. At 12 steps with a
 // save every 5, the saves of a 3-level fit are boundary(1), mid(5),
 // mid(10), boundary(2), mid(5), mid(10), boundary(3), mid(5), mid(10),
 // boundary(4); a 2-level fit stops at boundary(3), its 7th save. Each
@@ -360,42 +364,114 @@ TEST(CheckpointTest, ResumeAfterInjectedFailureIsBitwiseIdentical) {
   } cases[] = {{2, 1}, {2, 2}, {2, 4}, {2, 6}, {3, 9}};
 
   for (const auto& c : cases) {
-    SCOPED_TRACE(::testing::Message() << c.levels << " levels, failed save "
-                                      << c.fail_save);
     HignnConfig config = SmallConfig();
     config.levels = c.levels;
     const HignnModel reference =
         Hignn::Fit(graph, dataset.user_features(), dataset.item_features(),
                    config)
             .ValueOrDie();
-    const std::string dir =
-        FreshDir(StrFormat("ckpt_resume_%d_%d", c.levels, c.fail_save));
-    CheckpointOptions options;
-    options.dir = dir;
-    options.step_interval = 5;
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.levels << " levels, failed save " << c.fail_save
+                   << ", " << threads << " threads");
+      config.num_threads = threads;
+      CheckpointOptions options;
+      options.dir = FreshDir(StrFormat("ckpt_resume_%d_%d_%d", c.levels,
+                                       c.fail_save, threads));
+      options.step_interval = 5;
 
-    fault::Configure(StrFormat("checkpoint.saved=fail@%d", 2 * c.fail_save));
-    auto interrupted =
-        Hignn::Fit(graph, dataset.user_features(), dataset.item_features(),
-                   config, options, TrainingMonitorConfig());
-    fault::Configure("");
-    ASSERT_FALSE(interrupted.ok());
-    EXPECT_EQ(interrupted.status().code(), StatusCode::kInternal);
+      fault::Configure(
+          StrFormat("checkpoint.saved=fail@%d", 2 * c.fail_save));
+      auto interrupted =
+          Hignn::Fit(graph, dataset.user_features(), dataset.item_features(),
+                     config, options, TrainingMonitorConfig());
+      fault::Configure("");
+      ASSERT_FALSE(interrupted.ok());
+      EXPECT_EQ(interrupted.status().code(), StatusCode::kInternal);
 
-    // An unreachable hit only counts the resumed run's saves.
-    fault::Configure("checkpoint.saved=fail@1000");
-    auto resumed =
-        Hignn::Fit(graph, dataset.user_features(), dataset.item_features(),
-                   config, options, TrainingMonitorConfig());
-    const int resumed_probes = fault::HitCount("checkpoint.saved");
-    fault::Configure("");
-    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-    ExpectModelsBitwiseEqual(resumed.value(), reference);
-    if (c.levels == 3) {
-      // Resumed inside level 3: only mid(10) and boundary(4) remain.
-      EXPECT_EQ(resumed_probes, 2 * 2);
+      // An unreachable hit only counts the resumed run's saves.
+      fault::Configure("checkpoint.saved=fail@1000");
+      auto resumed =
+          Hignn::Fit(graph, dataset.user_features(), dataset.item_features(),
+                     config, options, TrainingMonitorConfig());
+      const int resumed_probes = fault::HitCount("checkpoint.saved");
+      fault::Configure("");
+      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+      ExpectModelsBitwiseEqual(resumed.value(), reference);
+      if (c.levels == 3) {
+        // Resumed inside level 3: only mid(10) and boundary(4) remain.
+        EXPECT_EQ(resumed_probes, 2 * 2);
+      }
     }
   }
+  SetGlobalThreadPoolThreads(1);
+}
+
+// A fresh run in a directory that holds another run's checkpoints
+// numbers its saves after theirs. Pruning keeps the highest sequences, so
+// a run numbered from 0 would lose each of its saves as soon as it wrote
+// it, and a kill between two saves would leave it nothing to resume.
+TEST(CheckpointTest, FreshRunNumbersAfterAnotherRunsCheckpoints) {
+  FaultGuard guard;
+  auto dataset =
+      SyntheticDataset::Generate(SyntheticConfig::Tiny()).ValueOrDie();
+  const BipartiteGraph graph = dataset.BuildTrainGraph();
+  CheckpointOptions options;
+  options.step_interval = 5;
+  options.keep_last = 3;
+  HignnConfig other = SmallConfig();
+  other.seed = 4321;
+  const HignnConfig config = SmallConfig();
+  const uint64_t fingerprint = FingerprintFitInputs(
+      graph, dataset.user_features(), dataset.item_features(), config);
+  const HignnModel reference =
+      Hignn::Fit(graph, dataset.user_features(), dataset.item_features(),
+                 config)
+          .ValueOrDie();
+  // Each run of SmallConfig makes 7 saves (see the resume test above).
+  const auto fill_with_other_run = [&](const std::string& name) {
+    options.dir = FreshDir(name);
+    ASSERT_TRUE(Hignn::Fit(graph, dataset.user_features(),
+                           dataset.item_features(), other, options,
+                           TrainingMonitorConfig())
+                    .ok());
+    ASSERT_EQ(NextCheckpointSequence(options.dir), 7);
+  };
+
+  fill_with_other_run("ckpt_numbering");
+  auto fresh = Hignn::Fit(graph, dataset.user_features(),
+                          dataset.item_features(), config, options,
+                          TrainingMonitorConfig());
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ExpectModelsBitwiseEqual(fresh.value(), reference);
+  // Saves 7..13: the newest three survive, and LATEST names the last.
+  EXPECT_EQ(CountCheckpointFiles(options.dir), options.keep_last);
+  for (int64_t seq = 11; seq <= 13; ++seq) {
+    auto kept = LoadCheckpointFile(CheckpointPath(options.dir, seq));
+    ASSERT_TRUE(kept.ok()) << seq << ": " << kept.status().ToString();
+    EXPECT_EQ(kept.value().fingerprint, fingerprint) << seq;
+  }
+  auto latest = LoadLatestCheckpoint(options, fingerprint);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest.value().sequence, 13);
+
+  // A run killed at its third save (level 1's second mid-level save)
+  // resumes from its first mid-level save: four saves remain.
+  fill_with_other_run("ckpt_numbering_resume");
+  fault::Configure("checkpoint.saved=fail@6");
+  ASSERT_FALSE(Hignn::Fit(graph, dataset.user_features(),
+                          dataset.item_features(), config, options,
+                          TrainingMonitorConfig())
+                   .ok());
+  fault::Configure("checkpoint.saved=fail@1000");
+  auto resumed = Hignn::Fit(graph, dataset.user_features(),
+                            dataset.item_features(), config, options,
+                            TrainingMonitorConfig());
+  const int resumed_probes = fault::HitCount("checkpoint.saved");
+  fault::Configure("");
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ExpectModelsBitwiseEqual(resumed.value(), reference);
+  EXPECT_EQ(resumed_probes, 2 * 5);
 }
 
 // A checkpoint can pass its checksums and carry the right fingerprint,
@@ -513,16 +589,21 @@ TEST(CheckpointTest, FingerprintMismatchStartsFresh) {
 TEST(CheckpointTest, RollbackBudgetExhaustionAbortsTraining) {
   auto dataset =
       SyntheticDataset::Generate(SyntheticConfig::Tiny()).ValueOrDie();
-  const HignnConfig config = SmallConfig();
+  HignnConfig config = SmallConfig();
   TrainingMonitorConfig monitor;
   monitor.warmup_steps = 2;
   monitor.divergence_factor = 1e-9;  // every post-warmup loss "diverges"
   monitor.max_rollbacks = 1;
-  auto result =
-      Hignn::Fit(dataset.BuildTrainGraph(), dataset.user_features(),
-                 dataset.item_features(), config, CheckpointOptions(), monitor);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    config.num_threads = threads;
+    auto result = Hignn::Fit(dataset.BuildTrainGraph(),
+                             dataset.user_features(), dataset.item_features(),
+                             config, CheckpointOptions(), monitor);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  }
+  SetGlobalThreadPoolThreads(1);
 }
 
 }  // namespace

@@ -31,13 +31,16 @@
 #include <vector>
 
 #include "cluster/kmeans.h"
+#include "core/checkpoint.h"
 #include "core/hignn.h"
+#include "core/training_monitor.h"
 #include "data/synthetic.h"
 #include "graph/sampling.h"
 #include "nn/matrix.h"
 #include "nn/simd.h"
 #include "nn/tape.h"
 #include "obs/metrics.h"
+#include "pool_testing.h"
 #include "row_groups_testing.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -254,18 +257,25 @@ TEST(SimdParityTest, RowReductionsRouteThroughSimd) {
 TEST(ParallelKernelTest, GemmVariantsOneVsFourThreadsOnBestPath) {
   PathGuard guard;
   simd::ForcePathForTesting(simd::Best());
-  const Matrix a = RandomMatrix(128, 64, 157);
+  // Every product below has at least 64 * 48 flops a row of `a`, so each
+  // one fans out at 4 threads.
+  const size_t rows = RowsAboveSerialCutoff(64 * 48);
+  const Matrix a = RandomMatrix(rows, 64, 157);
   const Matrix b = RandomMatrix(64, 48, 163);
   const Matrix c = RandomMatrix(96, 64, 167);
-  const Matrix d = RandomMatrix(128, 80, 173);
+  const Matrix d = RandomMatrix(rows, 80, 173);
   SetGlobalThreadPoolThreads(1);
   const Matrix mm1 = MatMul(a, b);
   const Matrix bt1 = MatMulBT(a, c);
   const Matrix at1 = MatMulAT(a, d);
   SetGlobalThreadPoolThreads(4);
+  const ParallelDispatchCount dispatches;
   const Matrix mm4 = MatMul(a, b);
+  EXPECT_EQ(dispatches.value(), 1);
   const Matrix bt4 = MatMulBT(a, c);
+  EXPECT_EQ(dispatches.value(), 2);
   const Matrix at4 = MatMulAT(a, d);
+  EXPECT_EQ(dispatches.value(), 3);
   SetGlobalThreadPoolThreads(1);
   EXPECT_TRUE(BitwiseEqual(mm1, mm4));
   EXPECT_TRUE(BitwiseEqual(bt1, bt4));
@@ -462,11 +472,12 @@ NestedAggregate NestedGroupMean(const Matrix& src, const Matrix& gout,
 TEST(FlatSamplingTest, CsrGroupAggregationEqualsNestedForm) {
   const Matrix src = RandomMatrix(10, 13, 197);
   const Matrix gout = RandomMatrix(4, 13, 199);
+  const RowGroups groups = TestGroups();
   for (const bool weighted : {false, true}) {
     Tape tape;
     const VarId in = tape.Input(src, /*requires_grad=*/true);
-    const VarId agg = weighted ? tape.GroupWeightedSumRows(in, TestGroups())
-                               : tape.GroupMeanRows(in, TestGroups());
+    const VarId agg = weighted ? tape.GroupWeightedSumRows(in, groups)
+                               : tape.GroupMeanRows(in, groups);
     // d/d(agg) of sum(agg * gout) is gout: the op's backward sees it as is.
     const VarId loss = tape.SumAll(tape.Mul(agg, tape.Input(gout)));
     tape.Backward(loss);
@@ -493,21 +504,23 @@ TEST(FusedAggregateTest, GatherRowsFromMatchesInputPlusGather) {
 
 TEST(FusedAggregateTest, GroupMeanRowsFromMatchesInputPlusGroupMean) {
   const Matrix src = RandomMatrix(10, 13, 181);
+  const RowGroups groups = TestGroups();
   Tape unfused;
   VarId in = unfused.Input(src);
-  VarId mean = unfused.GroupMeanRows(in, TestGroups());
+  VarId mean = unfused.GroupMeanRows(in, groups);
   Tape fused;
-  VarId direct = fused.GroupMeanRowsFrom(src, TestGroups());
+  VarId direct = fused.GroupMeanRowsFrom(src, groups);
   EXPECT_TRUE(BitwiseEqual(unfused.value(mean), fused.value(direct)));
 }
 
 TEST(FusedAggregateTest, GroupWeightedSumRowsFromMatchesUnfused) {
   const Matrix src = RandomMatrix(10, 13, 191);
+  const RowGroups groups = TestGroups();
   Tape unfused;
   VarId in = unfused.Input(src);
-  VarId sum = unfused.GroupWeightedSumRows(in, TestGroups());
+  VarId sum = unfused.GroupWeightedSumRows(in, groups);
   Tape fused;
-  VarId direct = fused.GroupWeightedSumRowsFrom(src, TestGroups());
+  VarId direct = fused.GroupWeightedSumRowsFrom(src, groups);
   EXPECT_TRUE(BitwiseEqual(unfused.value(sum), fused.value(direct)));
 }
 
@@ -637,6 +650,46 @@ TEST(FitGoldenTest, DigestMatchesPinnedOnEveryPathAndThreadCount) {
       EXPECT_EQ(FitDigest(GoldenFit(threads, true)), kPinnedAblations)
           << "ablations, " << simd::PathName() << ", " << threads
           << " threads";
+    }
+  }
+}
+
+// A Fit that rolls back once and then finishes. The monitor's loss
+// average carries over from level 2, so level 3's first loss reads as
+// divergence: the trainer, which has already drawn step 1 ahead, rolls
+// back to step 0 with half the learning rate and must redraw from the
+// level's seed. Recorded before the trainer drew ahead.
+TEST(FitGoldenTest, RollbackOnceDigestMatchesPinned) {
+  constexpr uint64_t kPinned = 0x47d6d390276428bdULL;
+  PathGuard guard;
+  auto dataset = SyntheticDataset::Generate(SyntheticConfig::Tiny());
+  ASSERT_TRUE(dataset.ok());
+  const BipartiteGraph graph = dataset.value().BuildTrainGraph();
+  HignnConfig config;
+  config.levels = 3;
+  config.sage.dims = {8, 8};
+  config.sage.fanouts = {4, 3};
+  config.sage.train_steps = 30;
+  config.min_clusters = 2;
+  TrainingMonitorConfig monitor;
+  monitor.divergence_factor = 1.5;
+  for (const simd::IsaPath path : {simd::IsaPath::kScalar, simd::Best()}) {
+    simd::ForcePathForTesting(path);
+    for (const int threads : {1, 4}) {
+      config.num_threads = threads;
+      obs::MetricsRegistry::Global().GetCounter("train.rollbacks").Reset();
+      auto model = Hignn::Fit(graph, dataset.value().user_features(),
+                              dataset.value().item_features(), config,
+                              CheckpointOptions(), monitor);
+      ASSERT_TRUE(model.ok()) << model.status().ToString();
+      EXPECT_EQ(FitDigest(model.value()), kPinned)
+          << simd::PathName() << ", " << threads << " threads";
+      if (obs::Enabled()) {
+        EXPECT_EQ(obs::MetricsRegistry::Global()
+                      .GetCounter("train.rollbacks")
+                      .value(),
+                  1);
+      }
     }
   }
 }

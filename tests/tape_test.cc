@@ -132,7 +132,8 @@ TEST(TapeTest, GatherRowsGradientAccumulatesDuplicates) {
 TEST(TapeTest, GroupMeanRowsForward) {
   Tape tape;
   Matrix a(3, 2, {2, 4, 6, 8, 10, 12});
-  VarId g = tape.GroupMeanRows(tape.Input(a), RowGroupsOf({{0, 1}, {}, {2}}));
+  const RowGroups groups = RowGroupsOf({{0, 1}, {}, {2}});
+  VarId g = tape.GroupMeanRows(tape.Input(a), groups);
   const Matrix& v = tape.value(g);
   ASSERT_EQ(v.rows(), 3u);
   EXPECT_FLOAT_EQ(v(0, 0), 4);   // mean of 2, 6
@@ -141,8 +142,9 @@ TEST(TapeTest, GroupMeanRowsForward) {
 }
 
 TEST(TapeTest, GroupMeanRowsGradient) {
+  const RowGroups groups = RowGroupsOf({{0, 1, 2}, {3, 3}, {}});
   CheckOpGradient(RandomMatrix(4, 3, 61), [&](Tape& tape, VarId x) {
-    VarId g = tape.GroupMeanRows(x, RowGroupsOf({{0, 1, 2}, {3, 3}, {}}));
+    VarId g = tape.GroupMeanRows(x, groups);
     return tape.MeanAll(tape.Mul(g, g));
   });
 }
@@ -151,13 +153,13 @@ TEST(TapeTest, GroupWeightedSumRowsForwardAndGradient) {
   {
     Tape tape;
     Matrix a(2, 1, {10, 20});
-    VarId g = tape.GroupWeightedSumRows(
-        tape.Input(a), RowGroupsOf({{0, 1}}, {{0.25f, 0.75f}}));
+    const RowGroups groups = RowGroupsOf({{0, 1}}, {{0.25f, 0.75f}});
+    VarId g = tape.GroupWeightedSumRows(tape.Input(a), groups);
     EXPECT_FLOAT_EQ(tape.value(g)(0, 0), 17.5f);
   }
+  const RowGroups groups = RowGroupsOf({{0, 1}, {2}}, {{0.3f, 0.7f}, {1.0f}});
   CheckOpGradient(RandomMatrix(3, 2, 67), [&](Tape& tape, VarId x) {
-    VarId g = tape.GroupWeightedSumRows(
-        x, RowGroupsOf({{0, 1}, {2}}, {{0.3f, 0.7f}, {1.0f}}));
+    VarId g = tape.GroupWeightedSumRows(x, groups);
     return tape.MeanAll(tape.Mul(g, g));
   });
 }
@@ -252,8 +254,9 @@ TEST(TapeTest, CompositeGraphGradient) {
   // matmul + concat + nonlinearity + normalize + BCE.
   const Matrix w = RandomMatrix(6, 4, 103);
   const Matrix w2 = RandomMatrix(8, 1, 107);
+  const RowGroups groups = RowGroupsOf({{0, 1}, {2, 3, 4}, {1, 4}});
   CheckOpGradient(RandomMatrix(5, 3, 109), [&](Tape& tape, VarId x) {
-    VarId agg = tape.GroupMeanRows(x, RowGroupsOf({{0, 1}, {2, 3, 4}, {1, 4}}));
+    VarId agg = tape.GroupMeanRows(x, groups);
     VarId self = tape.GatherRows(x, {0, 2, 4});
     VarId cat = tape.ConcatCols(self, agg);  // 3 x 6
     VarId h = tape.LeakyRelu(tape.MatMul(cat, tape.Input(w)), 0.2f);

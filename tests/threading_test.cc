@@ -16,6 +16,9 @@
 #include "core/hignn.h"
 #include "data/synthetic.h"
 #include "nn/matrix.h"
+#include "nn/optimizer.h"
+#include "pool_testing.h"
+#include "sage/bipartite_sage.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -45,56 +48,67 @@ Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   return m;
 }
 
-// Sizes above the kernels' sequential cutoff so the 4-thread run actually
-// takes the parallel path.
+// Sizes derive from the pool's serial cutoff so the 4-thread run takes
+// the parallel path, and each test checks that it did.
 TEST(ParallelKernelTest, MatMulBitwiseStableAcrossThreadCounts) {
-  const Matrix a = RandomMatrix(128, 64, 1);
+  const Matrix a = RandomMatrix(RowsAboveSerialCutoff(64 * 48), 64, 1);
   const Matrix b = RandomMatrix(64, 48, 2);
   SetGlobalThreadPoolThreads(1);
   const Matrix seq = MatMul(a, b);
   SetGlobalThreadPoolThreads(4);
+  const ParallelDispatchCount dispatches;
   const Matrix par = MatMul(a, b);
+  EXPECT_EQ(dispatches.value(), 1);
   SetGlobalThreadPoolThreads(1);
   EXPECT_TRUE(BitwiseEqual(seq, par));
 }
 
 TEST(ParallelKernelTest, MatMulBTBitwiseStableAcrossThreadCounts) {
-  const Matrix a = RandomMatrix(128, 64, 3);
+  const Matrix a = RandomMatrix(RowsAboveSerialCutoff(64 * 96), 64, 3);
   const Matrix b = RandomMatrix(96, 64, 4);
   SetGlobalThreadPoolThreads(1);
   const Matrix seq = MatMulBT(a, b);
   SetGlobalThreadPoolThreads(4);
+  const ParallelDispatchCount dispatches;
   const Matrix par = MatMulBT(a, b);
+  EXPECT_EQ(dispatches.value(), 1);
   SetGlobalThreadPoolThreads(1);
   EXPECT_TRUE(BitwiseEqual(seq, par));
 }
 
 TEST(ParallelKernelTest, MatMulATBitwiseStableAcrossThreadCounts) {
-  const Matrix a = RandomMatrix(256, 64, 5);
-  const Matrix b = RandomMatrix(256, 48, 6);
+  const size_t rows = RowsAboveSerialCutoff(64 * 48);
+  const Matrix a = RandomMatrix(rows, 64, 5);
+  const Matrix b = RandomMatrix(rows, 48, 6);
   SetGlobalThreadPoolThreads(1);
   const Matrix seq = MatMulAT(a, b);
   SetGlobalThreadPoolThreads(4);
+  const ParallelDispatchCount dispatches;
   const Matrix par = MatMulAT(a, b);
+  EXPECT_EQ(dispatches.value(), 1);
   SetGlobalThreadPoolThreads(1);
   EXPECT_TRUE(BitwiseEqual(seq, par));
 }
 
 TEST(ParallelKernelTest, TransposeBitwiseStableAcrossThreadCounts) {
-  const Matrix a = RandomMatrix(300, 250, 7);
+  const Matrix a = RandomMatrix(RowsAboveSerialCutoff(1400), 1400, 7);
   SetGlobalThreadPoolThreads(1);
   const Matrix seq = Transpose(a);
   SetGlobalThreadPoolThreads(4);
+  const ParallelDispatchCount dispatches;
   const Matrix par = Transpose(a);
+  EXPECT_EQ(dispatches.value(), 1);
   SetGlobalThreadPoolThreads(1);
   EXPECT_TRUE(BitwiseEqual(seq, par));
 }
 
 TEST(ParallelKernelTest, MatMulAgreesWithNaiveReference) {
-  const Matrix a = RandomMatrix(130, 70, 8);
+  const Matrix a = RandomMatrix(RowsAboveSerialCutoff(70 * 50), 70, 8);
   const Matrix b = RandomMatrix(70, 50, 9);
   SetGlobalThreadPoolThreads(4);
+  const ParallelDispatchCount dispatches;
   const Matrix out = MatMul(a, b);
+  EXPECT_EQ(dispatches.value(), 1);
   SetGlobalThreadPoolThreads(1);
   Rng probe(10);
   for (int t = 0; t < 50; ++t) {
@@ -225,6 +239,111 @@ TEST(ThreadPoolConcurrencyTest, CallerDrainsItsOwnChunks) {
   release.store(true);
   blocker.join();
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+::testing::AssertionResult SameParams(BipartiteSage& a, BipartiteSage& b) {
+  const std::vector<Parameter*> pa = a.Params();
+  const std::vector<Parameter*> pb = b.Params();
+  if (pa.size() != pb.size()) return ::testing::AssertionFailure() << "count";
+  for (size_t i = 0; i < pa.size(); ++i) {
+    ::testing::AssertionResult same = BitwiseEqual(pa[i]->value, pb[i]->value);
+    if (!same) return same << " (parameter " << i << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// SageTrainer draws step t+1 on a pool worker while the calling thread
+// computes step t. At 4 threads it must give the bits of a plain
+// one-thread TrainStep loop. A record captured mid-level must hold the rng
+// at the step boundary, not after the draw ahead, so a fresh trainer
+// restored from it finishes the level with the same bits.
+TEST(SageTrainerTest, DrawAheadMatchesTrainStepLoop) {
+  auto dataset = SyntheticDataset::Generate(SyntheticConfig::Tiny());
+  ASSERT_TRUE(dataset.ok());
+  const BipartiteGraph graph = dataset.value().BuildTrainGraph();
+  const Matrix& left = dataset.value().user_features();
+  const Matrix& right = dataset.value().item_features();
+  BipartiteSageConfig config;
+  config.dims = {8, 8};
+  config.fanouts = {4, 3};
+  config.batch_size = 64;
+  config.train_steps = 12;
+  constexpr int32_t kCaptureStep = 5;
+  const auto make_sage = [&] {
+    return BipartiteSage::Create(config, static_cast<int32_t>(left.cols()),
+                                 static_cast<int32_t>(right.cols()))
+        .ValueOrDie();
+  };
+
+  SetGlobalThreadPoolThreads(1);
+  BipartiteSage reference = make_sage();
+  Rng rng(config.seed ^ 0xBEEFULL);
+  Adam optimizer(config.learning_rate);
+  optimizer.set_weight_decay(config.weight_decay);
+  optimizer.set_clip_norm(5.0f);
+  std::vector<double> reference_losses;
+  RngState boundary;
+  for (int32_t step = 0; step < config.train_steps; ++step) {
+    if (step == kCaptureStep) boundary = rng.SaveState();
+    reference_losses.push_back(
+        reference.TrainStep(graph, left, right, optimizer, rng).ValueOrDie());
+  }
+
+  SetGlobalThreadPoolThreads(4);
+  BipartiteSage sage = make_sage();
+  SageTrainer trainer = std::move(
+      SageTrainer::Create(sage, graph, left, right, 5.0f).ValueOrDie());
+  LevelTrainingState captured;
+  std::vector<double> losses;
+  while (!trainer.done()) {
+    if (trainer.step() == kCaptureStep) captured = trainer.Capture();
+    const double loss = trainer.Step(nullptr);
+    losses.push_back(loss);
+    trainer.Accept(loss);
+  }
+  EXPECT_EQ(losses, reference_losses);
+  EXPECT_TRUE(SameParams(sage, reference));
+  EXPECT_EQ(captured.step, kCaptureStep);
+  for (int k = 0; k < 4; ++k) EXPECT_EQ(captured.rng.s[k], boundary.s[k]);
+
+  BipartiteSage resumed = make_sage();
+  SageTrainer resumed_trainer = std::move(
+      SageTrainer::Create(resumed, graph, left, right, 5.0f).ValueOrDie());
+  ASSERT_TRUE(resumed_trainer.Restore(captured).ok());
+  while (!resumed_trainer.done()) {
+    const double loss = resumed_trainer.Step(nullptr);
+    EXPECT_EQ(loss, reference_losses[static_cast<size_t>(
+                        resumed_trainer.step())]);
+    resumed_trainer.Accept(loss);
+  }
+  EXPECT_TRUE(SameParams(resumed, reference));
+  EXPECT_EQ(resumed_trainer.tail_loss(), trainer.tail_loss());
+  SetGlobalThreadPoolThreads(1);
+}
+
+// ForkJoin runs its side task on a worker, or on the caller when no worker
+// has started it, and always its main task on the caller.
+TEST(ThreadPoolConcurrencyTest, ForkJoinRunsMainOnTheCaller) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 200; ++round) {
+    std::thread::id main_thread;
+    int side_runs = 0;
+    pool.ForkJoin([&] { ++side_runs; },
+                  [&] { main_thread = std::this_thread::get_id(); });
+    ASSERT_EQ(main_thread, std::this_thread::get_id()) << "round " << round;
+    ASSERT_EQ(side_runs, 1) << "round " << round;
+  }
+  // Exceptions come back to the caller, main's first.
+  EXPECT_THROW(pool.ForkJoin([] { throw std::runtime_error("side"); }, [] {}),
+               std::runtime_error);
+  int side_runs = 0;
+  try {
+    pool.ForkJoin([&] { ++side_runs; },
+                  [] { throw std::logic_error("main"); });
+    ADD_FAILURE() << "main's exception was swallowed";
+  } catch (const std::logic_error&) {
+  }
+  EXPECT_EQ(side_runs, 1);
 }
 
 HignnModel FitWithThreads(int threads) {
