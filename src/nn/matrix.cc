@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "nn/simd.h"
@@ -30,17 +31,19 @@ constexpr size_t kDepthBlock = 256;
 // as the scalar one (simd.h), so ISA choice never changes the bits either.
 //
 // Runs the register/cache-blocked GEMM over output rows [lo, hi):
-// out[i][j] += sum_p A[i][p] * b[p][j] for p < depth, with A[i][p] =
-// a[i * lda + p * a_step] (see simd::GemmBlock), the register tile inside
-// simd::GemmBlock, a kColBlock j panel keeping B slices L1-resident and a
-// kDepthBlock p panel keeping A and B slices cache-resident across tiles.
-void GemmRowBand(const float* a, size_t lda, size_t a_step, size_t depth,
-                 const Matrix& b, Matrix& out, size_t lo, size_t hi) {
+// out[i][j] += sum_p A[i][p] * b[p][j] for p in [p_lo, p_hi), with A[i][p]
+// = a[i * lda + p * a_step] (see simd::GemmBlock), the register tile
+// inside simd::GemmBlock, a kColBlock j panel keeping B slices L1-resident
+// and a kDepthBlock p panel keeping A and B slices cache-resident across
+// tiles.
+void GemmRowBand(const float* a, size_t lda, size_t a_step, size_t p_lo,
+                 size_t p_hi, const Matrix& b, Matrix& out, size_t lo,
+                 size_t hi) {
   const size_t n = b.cols();
   for (size_t j0 = 0; j0 < n; j0 += kColBlock) {
     const size_t jw = std::min(n - j0, kColBlock);
-    for (size_t p0 = 0; p0 < depth; p0 += kDepthBlock) {
-      const size_t pw = std::min(depth - p0, kDepthBlock);
+    for (size_t p0 = p_lo; p0 < p_hi; p0 += kDepthBlock) {
+      const size_t pw = std::min(p_hi - p0, kDepthBlock);
       for (size_t i0 = lo; i0 < hi; i0 += simd::kGemmRowTile) {
         const size_t mr = std::min(simd::kGemmRowTile, hi - i0);
         simd::GemmBlock(mr, pw, jw, a + i0 * lda + p0 * a_step, lda, a_step,
@@ -50,10 +53,26 @@ void GemmRowBand(const float* a, size_t lda, size_t a_step, size_t depth,
   }
 }
 
-// GemmRowBand over a row-major `a`.
+// GemmRowBand over a row-major `a`, all of its columns.
 void GemmRowBand(const Matrix& a, const Matrix& b, Matrix& out, size_t lo,
                  size_t hi) {
-  GemmRowBand(a.data(), a.cols(), 1, a.cols(), b, out, lo, hi);
+  GemmRowBand(a.data(), a.cols(), 1, 0, a.cols(), b, out, lo, hi);
+}
+
+// The leading columns whose bytes every row of `a` shares with row 0.
+// Bytes, not float ==, which equates +0 and -0 (whose products can differ
+// in sign) and fails on NaN.
+size_t SharedLeadingColumns(const Matrix& a) {
+  const float* first = a.row(0);
+  size_t shared = a.cols();
+  for (size_t i = 1; i < a.rows() && shared > 0; ++i) {
+    const float* row = a.row(i);
+    if (std::memcmp(row, first, shared * sizeof(float)) == 0) continue;
+    size_t p = 0;
+    while (std::memcmp(row + p, first + p, sizeof(float)) == 0) ++p;
+    shared = p;
+  }
+  return shared;
 }
 
 // One tick per GEMM call on the counter matching the live dispatch path.
@@ -139,7 +158,15 @@ Matrix MatMulSerial(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows(), b.cols());
   if (out.empty() || a.cols() == 0) return out;
   CountGemmDispatch();
-  GemmRowBand(a, b, out, 0, a.rows());
+  // Every row's chain over the shared columns is row 0's, op for op: run
+  // it once, start every row from it, and continue each chain over the
+  // rest. With nothing shared this is the plain band over all columns.
+  const size_t shared = SharedLeadingColumns(a);
+  GemmRowBand(a.data(), a.cols(), 1, 0, shared, b, out, 0, 1);
+  for (size_t i = 1; i < out.rows(); ++i) {
+    std::copy(out.row(0), out.row(0) + out.cols(), out.row(i));
+  }
+  GemmRowBand(a.data(), a.cols(), 1, shared, a.cols(), b, out, 0, a.rows());
   return out;
 }
 
@@ -187,8 +214,8 @@ Matrix MatMulAT(const Matrix& a, const Matrix& b) {
   // seed's p-outer scalar loop.
   GlobalThreadPool().ParallelForWork(0, k, m * k * n,
                                      [&](size_t lo, size_t hi) {
-                                       GemmRowBand(a.data(), 1, k, m, b, out,
-                                                   lo, hi);
+                                       GemmRowBand(a.data(), 1, k, 0, m, b,
+                                                   out, lo, hi);
                                      });
   return out;
 }

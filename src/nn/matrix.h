@@ -91,10 +91,13 @@ class Matrix {
 /// \brief out = a * b. Shapes: (m x k) * (k x n) -> (m x n).
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
-/// \brief MatMul on the calling thread only: the same row-band kernel
-/// MatMul fans out, run over all rows, so the bits are identical. For
-/// callers that bring their own parallelism (one serving request per
-/// handler thread) and must not contend for the pool.
+/// \brief MatMul on the calling thread only, for callers that bring their
+/// own parallelism (one serving request per handler thread) and must not
+/// contend for the pool. The leading columns whose bytes every row shares
+/// with row 0 (a one-user batch's user block) are multiplied once, for
+/// row 0, and every row's accumulator starts from that partial. Each
+/// element still sees MatMul's ascending-p mul-then-add chain, so the
+/// bits equal MatMul's.
 Matrix MatMulSerial(const Matrix& a, const Matrix& b);
 
 /// \brief out = a * b^T. Shapes: (m x k) * (n x k) -> (m x n).

@@ -160,6 +160,12 @@ void TanhScalar(float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) x[i] = TanhOne(x[i]);
 }
 
+void LeakyReluScalar(float* x, float slope, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (x[i] < 0.0f) x[i] = slope * x[i];
+  }
+}
+
 double DotScalar(const float* x, const float* y, size_t n) {
   double lane[kReduceLanes] = {0.0, 0.0, 0.0, 0.0};
   for (size_t i = 0; i < n; ++i) {
@@ -186,7 +192,8 @@ using internal::Kernels;
 constexpr Kernels kScalarKernels = {
     internal::AccumulateScalar, internal::AxpyScalar,
     internal::GemmBlockScalar,  internal::TanhScalar,
-    internal::DotScalar,        internal::SquaredDistanceScalar,
+    internal::LeakyReluScalar,  internal::DotScalar,
+    internal::SquaredDistanceScalar,
 };
 
 // Compiled into this binary AND supported by the running CPU.
@@ -292,6 +299,10 @@ void GemmBlock(size_t mr, size_t kc, size_t n, const float* a, size_t lda,
 }
 
 void Tanh(float* x, size_t n) { ActiveDispatch().kernels->tanh(x, n); }
+
+void LeakyRelu(float* x, float slope, size_t n) {
+  ActiveDispatch().kernels->leaky_relu(x, slope, n);
+}
 
 double Dot(const float* x, const float* y, size_t n) {
   return ActiveDispatch().kernels->dot(x, y, n);

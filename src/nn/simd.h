@@ -28,9 +28,9 @@ namespace simd {
 ///     owns indices l, l+kReduceLanes, l+2*kReduceLanes, ... — merged in
 ///     fixed ascending lane order. The scalar reference implements the
 ///     identical schedule, so vector and scalar bits match exactly.
-/// Elementwise kernels (Accumulate/Axpy/GemmBlock/Tanh) are per-element
-/// independent: each output element sees the same op sequence in the same
-/// order on every path, so rule 2 is not needed there.
+/// Elementwise kernels (Accumulate/Axpy/GemmBlock/Tanh/LeakyRelu) are
+/// per-element independent: each output element sees the same op sequence
+/// in the same order on every path, so rule 2 is not needed there.
 
 /// \brief Instruction-set path selected for the kernel table.
 enum class IsaPath { kScalar, kAvx2, kNeon };
@@ -86,6 +86,11 @@ void GemmBlock(size_t mr, size_t kc, size_t n, const float* a, size_t lda,
 /// they equal std::tanh for all 2^32 inputs (tools/hignn_tanh_sweep).
 void Tanh(float* x, size_t n);
 
+/// \brief x[i] <- slope * x[i] where x[i] < 0, for i in [0, n): the
+/// LeakyReLU forward (slope 0 is ReLU). NaN and -0.0 fail the compare and
+/// keep x; at slope 0 a negative x becomes 0 * x = -0.0.
+void LeakyRelu(float* x, float slope, size_t n);
+
 /// \brief Lane-strided double-precision dot product of two float rows
 /// (see the reduction schedule above).
 double Dot(const float* x, const float* y, size_t n);
@@ -104,6 +109,7 @@ struct Kernels {
                      size_t lda, size_t a_step, const float* b, size_t ldb,
                      float* c, size_t ldc);
   void (*tanh)(float* x, size_t n);
+  void (*leaky_relu)(float* x, float slope, size_t n);
   double (*dot)(const float* x, const float* y, size_t n);
   double (*squared_distance)(const float* x, const float* y, size_t n);
 };
@@ -121,6 +127,7 @@ void GemmBlockScalar(size_t mr, size_t kc, size_t n, const float* a,
                      size_t lda, size_t a_step, const float* b, size_t ldb,
                      float* c, size_t ldc);
 void TanhScalar(float* x, size_t n);
+void LeakyReluScalar(float* x, float slope, size_t n);
 double DotScalar(const float* x, const float* y, size_t n);
 double SquaredDistanceScalar(const float* x, const float* y, size_t n);
 

@@ -255,6 +255,22 @@ void TanhAvx2(float* x, size_t n) {
   TanhScalar(x + i, n - i);
 }
 
+// Per lane the scalar op sequence: an ordered x < 0 compare (false for
+// NaN and -0.0), the product, and the product kept only where the
+// compare held.
+void LeakyReluAvx2(float* x, float slope, size_t n) {
+  const __m256 s = _mm256_set1_ps(slope);
+  const __m256 zero = _mm256_setzero_ps();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    const __m256 negative = _mm256_cmp_ps(v, zero, _CMP_LT_OQ);
+    _mm256_storeu_ps(x + i,
+                     _mm256_blendv_ps(v, _mm256_mul_ps(s, v), negative));
+  }
+  LeakyReluScalar(x + i, slope, n - i);
+}
+
 // One vector iteration handles indices i..i+3, which map exactly onto
 // reduction lanes 0..3 — the same ownership as the scalar i % kReduceLanes
 // schedule, so the merged sum is bitwise identical.
@@ -293,8 +309,8 @@ double SquaredDistanceAvx2(const float* x, const float* y, size_t n) {
 }
 
 constexpr Kernels kAvx2Kernels = {
-    AccumulateAvx2, AxpyAvx2,          GemmBlockAvx2, TanhAvx2,
-    DotAvx2,        SquaredDistanceAvx2,
+    AccumulateAvx2, AxpyAvx2, GemmBlockAvx2,      TanhAvx2,
+    LeakyReluAvx2,  DotAvx2,  SquaredDistanceAvx2,
 };
 
 }  // namespace

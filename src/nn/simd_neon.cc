@@ -110,11 +110,12 @@ double SquaredDistanceNeon(const float* x, const float* y, size_t n) {
   return MergeLanes(lane);
 }
 
-// Tanh runs the scalar port: the kernel is exact either way, and the
-// lane-select AVX2 version has not been mirrored here.
+// Tanh and LeakyRelu run the scalar reference: the kernels are exact
+// either way, and the lane-select AVX2 versions have not been mirrored
+// here.
 constexpr Kernels kNeonKernels = {
-    AccumulateNeon, AxpyNeon,           GemmBlockNeon, TanhScalar,
-    DotNeon,        SquaredDistanceNeon,
+    AccumulateNeon,  AxpyNeon, GemmBlockNeon,      TanhScalar,
+    LeakyReluScalar, DotNeon,  SquaredDistanceNeon,
 };
 
 }  // namespace

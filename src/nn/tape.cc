@@ -106,10 +106,7 @@ void SigmoidInPlace(Matrix& a) {
 void TanhInPlace(Matrix& a) { simd::Tanh(a.data(), a.size()); }
 
 void LeakyReluInPlace(Matrix& a, float negative_slope) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    const float x = a.data()[i];
-    if (x < 0.0f) a.data()[i] = negative_slope * x;
-  }
+  simd::LeakyRelu(a.data(), negative_slope, a.size());
 }
 
 VarId Tape::Input(Matrix value, bool requires_grad) {

@@ -165,7 +165,7 @@ class Tape {
 void AddRowBroadcastInPlace(Matrix& a, const Matrix& bias);
 void SigmoidInPlace(Matrix& a);
 void TanhInPlace(Matrix& a);
-/// \brief x <- negative_slope * x where x < 0.
+/// \brief x <- negative_slope * x where x < 0 (simd::LeakyRelu).
 void LeakyReluInPlace(Matrix& a, float negative_slope);
 
 }  // namespace hignn

@@ -114,7 +114,15 @@ double HistogramPercentile(const std::vector<double>& bounds,
 }
 
 double Histogram::Percentile(double p) const {
-  return HistogramPercentile(bounds_, SnapshotCounts(), p);
+  const double estimate = HistogramPercentile(bounds_, SnapshotCounts(), p);
+  // Interpolation inside a bucket, and the overflow floor, can land
+  // outside what was recorded. A Record racing this read may have counted
+  // its sample before updating the extremes; clamp only to a consistent
+  // pair.
+  const double lo = min_.load(std::memory_order_relaxed);
+  const double hi = max_.load(std::memory_order_relaxed);
+  if (!(lo <= hi)) return estimate;
+  return std::min(hi, std::max(lo, estimate));
 }
 
 void Histogram::Reset() {

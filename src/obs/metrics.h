@@ -79,8 +79,9 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
 
   /// \brief Samples past the last bucket edge. Percentile() floors these
-  /// to the last finite bound, so the overflow tally (with min()/max())
-  /// is how a reader tells a saturated estimate from a real one.
+  /// to the last finite bound (or to observed_min() when it is larger),
+  /// so the overflow tally (with min()/max()) is how a reader tells a
+  /// saturated estimate from a real one.
   int64_t overflow() const {
     return counts_[bounds_.size()].load(std::memory_order_relaxed);
   }
@@ -101,7 +102,9 @@ class Histogram {
   /// \brief Percentile estimate for `p` in [0, 1]: locates the bucket
   /// holding the p-th sample and interpolates linearly between its
   /// bounds. Values in the overflow bucket report the last finite bound
-  /// (a floor, which is the honest direction for tail latency).
+  /// (a floor, which is the honest direction for tail latency). The
+  /// estimate is then clamped to [observed_min(), observed_max()], so a
+  /// dump never reports a percentile outside its own extremes.
   double Percentile(double p) const;
 
   /// \brief `{"bounds": [...], "counts": [...]}` (overflow count last).
@@ -121,7 +124,8 @@ class Histogram {
 
 /// \brief Percentile over an explicit (bounds, counts) snapshot — the
 /// shared math behind Histogram::Percentile, exposed so dumps and tests
-/// can recompute from serialized buckets.
+/// can recompute from serialized buckets. A bare snapshot carries no
+/// extremes, so this estimate is not clamped to them.
 double HistogramPercentile(const std::vector<double>& bounds,
                            const std::vector<int64_t>& counts, double p);
 

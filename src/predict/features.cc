@@ -1,5 +1,6 @@
 #include "predict/features.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -11,6 +12,7 @@ namespace {
 
 constexpr int32_t kProfileDim = 2 + 4 + 3;  // gender, age, power one-hots
 constexpr int32_t kUserStatDim = 3;         // log clicks, log buys, rate
+constexpr int32_t kUserTailDim = kProfileDim + kUserStatDim;
 constexpr int32_t kItemStatDim = 5;  // log clicks, log buys, rate, pop, price
 
 }  // namespace
@@ -44,90 +46,91 @@ CvrFeatureBuilder::CvrFeatureBuilder(const SyntheticDataset* dataset,
                                      const HignnModel* model,
                                      const FeatureSpec& spec)
     : dataset_(dataset), model_(model), spec_(spec) {
-  int32_t dim = 0;
   if (spec_.user_levels > 0) {
     user_hier_ = model_->AllHierarchicalLeft(spec_.user_levels);
-    dim += static_cast<int32_t>(user_hier_.cols());
   }
   if (spec_.item_levels > 0) {
     item_hier_ = model_->AllHierarchicalRight(spec_.item_levels);
-    dim += static_cast<int32_t>(item_hier_.cols());
   }
+  layout_.level_dim = model_ != nullptr ? model_->level_dim() : 0;
+  layout_.user_block_cols = static_cast<int32_t>(user_hier_.cols());
+  layout_.item_block_cols = static_cast<int32_t>(item_hier_.cols());
   if (spec_.use_match_features) {
-    match_levels_ = std::min(spec_.user_levels, spec_.item_levels);
-    dim += match_levels_;
+    layout_.match_levels = std::min(spec_.user_levels, spec_.item_levels);
   }
-  if (spec_.use_profile) dim += kProfileDim + kUserStatDim;
-  if (spec_.use_item_stats) dim += kItemStatDim;
-  dim_ = dim;
-  HIGNN_CHECK_GT(dim_, 0);
+  layout_.user_tail_dim = spec_.use_profile ? kUserTailDim : 0;
+  layout_.item_tail_dim = spec_.use_item_stats ? kItemStatDim : 0;
+  layout_.feature_dim = layout_.user_block_cols + layout_.item_block_cols +
+                        layout_.match_levels + layout_.user_tail_dim +
+                        layout_.item_tail_dim;
+  HIGNN_CHECK_GT(layout_.feature_dim, 0);
+}
+
+void AssembleFeatureRow(const FeatureRowLayout& layout,
+                        const float* user_block, const float* item_block,
+                        const float* user_tail, const float* item_tail,
+                        float* row) {
+  float* const begin = row;
+  const auto copy = [&row](const float* src, int32_t width) {
+    if (width > 0) row = std::copy(src, src + width, row);
+  };
+  copy(user_block, layout.user_block_cols);
+  copy(item_block, layout.item_block_cols);
+  const size_t d = static_cast<size_t>(layout.level_dim);
+  for (int32_t l = 0; l < layout.match_levels; ++l) {
+    const float* ul = user_block + static_cast<size_t>(l) * d;
+    const float* il = item_block + static_cast<size_t>(l) * d;
+    double dot = 0.0;
+    for (size_t c = 0; c < d; ++c) dot += static_cast<double>(ul[c]) * il[c];
+    *row++ = static_cast<float>(dot);
+  }
+  copy(user_tail, layout.user_tail_dim);
+  copy(item_tail, layout.item_tail_dim);
+  HIGNN_CHECK_EQ(row - begin, layout.feature_dim);
 }
 
 void CvrFeatureBuilder::FillRow(const LabeledSample& sample,
                                 float* row) const {
-  size_t offset = 0;
-  if (spec_.user_levels > 0) {
-    const float* src = user_hier_.row(static_cast<size_t>(sample.user));
-    std::copy(src, src + user_hier_.cols(), row + offset);
-    offset += user_hier_.cols();
-  }
-  if (spec_.item_levels > 0) {
-    const float* src = item_hier_.row(static_cast<size_t>(sample.item));
-    std::copy(src, src + item_hier_.cols(), row + offset);
-    offset += item_hier_.cols();
-  }
-  if (match_levels_ > 0) {
-    const size_t d = static_cast<size_t>(model_->level_dim());
-    const float* zu = user_hier_.row(static_cast<size_t>(sample.user));
-    const float* zi = item_hier_.row(static_cast<size_t>(sample.item));
-    for (int32_t l = 0; l < match_levels_; ++l) {
-      double dot = 0.0;
-      const float* ul = zu + static_cast<size_t>(l) * d;
-      const float* il = zi + static_cast<size_t>(l) * d;
-      for (size_t c = 0; c < d; ++c) dot += static_cast<double>(ul[c]) * il[c];
-      row[offset + static_cast<size_t>(l)] = static_cast<float>(dot);
-    }
-    offset += static_cast<size_t>(match_levels_);
-  }
+  const size_t user = static_cast<size_t>(sample.user);
+  const size_t item = static_cast<size_t>(sample.item);
+  float user_tail[kUserTailDim] = {};
+  float item_tail[kItemStatDim] = {};
   if (spec_.use_profile) {
-    const UserProfile& profile =
-        dataset_->profiles()[static_cast<size_t>(sample.user)];
-    row[offset + profile.gender] = 1.0f;
-    row[offset + 2 + profile.age_bucket] = 1.0f;
-    row[offset + 6 + profile.purchasing_power] = 1.0f;
-    offset += kProfileDim;
-    const auto& counters =
-        dataset_->user_counters()[static_cast<size_t>(sample.user)];
-    row[offset] = std::log1p(static_cast<float>(counters[0]));
-    row[offset + 1] = std::log1p(static_cast<float>(counters[1]));
-    row[offset + 2] =
+    const UserProfile& profile = dataset_->profiles()[user];
+    user_tail[profile.gender] = 1.0f;
+    user_tail[2 + profile.age_bucket] = 1.0f;
+    user_tail[6 + profile.purchasing_power] = 1.0f;
+    const auto& counters = dataset_->user_counters()[user];
+    user_tail[kProfileDim] = std::log1p(static_cast<float>(counters[0]));
+    user_tail[kProfileDim + 1] = std::log1p(static_cast<float>(counters[1]));
+    user_tail[kProfileDim + 2] =
         counters[0] > 0
             ? static_cast<float>(counters[1]) / static_cast<float>(counters[0])
             : 0.0f;
-    offset += kUserStatDim;
   }
   if (spec_.use_item_stats) {
-    const auto& counters =
-        dataset_->item_counters()[static_cast<size_t>(sample.item)];
-    const ItemMeta& meta = dataset_->items()[static_cast<size_t>(sample.item)];
-    row[offset] = std::log1p(static_cast<float>(counters[0]));
-    row[offset + 1] = std::log1p(static_cast<float>(counters[1]));
-    row[offset + 2] =
+    const auto& counters = dataset_->item_counters()[item];
+    const ItemMeta& meta = dataset_->items()[item];
+    item_tail[0] = std::log1p(static_cast<float>(counters[0]));
+    item_tail[1] = std::log1p(static_cast<float>(counters[1]));
+    item_tail[2] =
         counters[0] > 0
             ? static_cast<float>(counters[1]) / static_cast<float>(counters[0])
             : 0.0f;
-    row[offset + 3] = std::log1p(meta.popularity * 100.0f);
-    row[offset + 4] = std::log1p(meta.price) / 6.0f;
-    offset += kItemStatDim;
+    item_tail[3] = std::log1p(meta.popularity * 100.0f);
+    item_tail[4] = std::log1p(meta.price) / 6.0f;
   }
-  HIGNN_CHECK_EQ(offset, static_cast<size_t>(dim_));
+  AssembleFeatureRow(layout_,
+                     user_hier_.empty() ? nullptr : user_hier_.row(user),
+                     item_hier_.empty() ? nullptr : item_hier_.row(item),
+                     user_tail, item_tail, row);
 }
 
 Matrix CvrFeatureBuilder::BuildBatch(const std::vector<LabeledSample>& samples,
                                      size_t begin, size_t end) const {
   HIGNN_CHECK_LE(begin, end);
   HIGNN_CHECK_LE(end, samples.size());
-  Matrix out(end - begin, static_cast<size_t>(dim_));
+  Matrix out(end - begin, static_cast<size_t>(dim()));
   for (size_t k = begin; k < end; ++k) {
     FillRow(samples[k], out.row(k - begin));
   }

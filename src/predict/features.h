@@ -49,6 +49,34 @@ struct FeatureSpec {
   static FeatureSpec Din() { return {0, 0, true, true, true}; }
 };
 
+/// \brief Column widths of a CVR feature row, whose blocks follow one
+/// another in this order:
+///
+///   user z^H | item z^H | match dots | user tail | item tail
+///
+/// The user block comes first, so the rows of a one-user batch share their
+/// leading columns; MatMulSerial multiplies those once per batch. Offline
+/// rows (CvrFeatureBuilder), serving rows (EmbeddingStore) and cluster
+/// pseudo-rows (ClusterTreeIndex) all come out of AssembleFeatureRow.
+struct FeatureRowLayout {
+  int32_t level_dim = 0;        ///< d: width of one hierarchy level
+  int32_t user_block_cols = 0;  ///< user_levels * d
+  int32_t item_block_cols = 0;  ///< item_levels * d
+  int32_t match_levels = 0;     ///< one dot <z^l_u, z^l_i> per level
+  int32_t user_tail_dim = 0;    ///< profile one-hots + user counters
+  int32_t item_tail_dim = 0;    ///< item counters + metadata features
+  int32_t feature_dim = 0;      ///< the sum of the widths above
+};
+
+/// \brief Writes the feature_dim floats of one row, each once: the blocks
+/// and tails copied, and match dot l the double-precision sum over c
+/// ascending of user_block[l*d + c] * item_block[l*d + c], rounded to
+/// float once. A source whose width is 0 may be null.
+void AssembleFeatureRow(const FeatureRowLayout& layout,
+                        const float* user_block, const float* item_block,
+                        const float* user_tail, const float* item_tail,
+                        float* row);
+
 /// \brief Assembles per-sample input rows for the CVR network: the chosen
 /// hierarchical embedding blocks plus user-profile one-hots and item
 /// statistics.
@@ -60,8 +88,9 @@ class CvrFeatureBuilder {
                                           const HignnModel* model,
                                           const FeatureSpec& spec);
 
-  int32_t dim() const { return dim_; }
+  int32_t dim() const { return layout_.feature_dim; }
   const FeatureSpec& spec() const { return spec_; }
+  const FeatureRowLayout& layout() const { return layout_; }
 
   /// \brief One (num_samples x dim) matrix for a batch of samples.
   Matrix BuildBatch(const std::vector<LabeledSample>& samples,
@@ -83,8 +112,7 @@ class CvrFeatureBuilder {
   FeatureSpec spec_;
   Matrix user_hier_;  ///< cached hierarchical embeddings (may be empty)
   Matrix item_hier_;
-  int32_t match_levels_ = 0;
-  int32_t dim_ = 0;
+  FeatureRowLayout layout_;
 };
 
 }  // namespace hignn

@@ -41,9 +41,10 @@ struct BatcherConfig {
 /// the engine — the serving analogue of training minibatches: one MLP
 /// forward amortizes over every request that arrived within the window.
 ///
-/// Batch composition never changes scores (every engine kernel is
-/// per-row independent), so batching is purely a throughput optimization
-/// with a bounded, configurable latency cost.
+/// Batch composition never changes scores (every engine kernel gives
+/// each row the chain it would run alone; see PredictionEngine), so
+/// batching is purely a throughput optimization with a bounded,
+/// configurable latency cost.
 ///
 /// The batcher scores against the StoreManager's current generation:
 /// each closed batch acquires the published generation once and holds it

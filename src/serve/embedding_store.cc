@@ -1,7 +1,6 @@
 #include "serve/embedding_store.h"
 
-#include <algorithm>
-#include <cstring>
+#include <utility>
 
 #include "predict/features.h"
 #include "util/logging.h"
@@ -19,37 +18,23 @@ constexpr size_t kRowAlignment = 64;
 // sections. Version 2 also stored user chains, which nothing read.
 constexpr uint32_t kStoreVersion = 3;
 
-// Tail widths come from the offline feature builder: a tail-only spec
-// measures exactly the profile/statistic block the full spec appends.
-Result<Matrix> BuildUserTails(const SyntheticDataset& dataset,
-                              int32_t* dim_out) {
-  FeatureSpec tail_spec{0, 0, /*use_profile=*/true, /*use_item_stats=*/false,
-                        /*use_match_features=*/false};
+// The profile (user) or statistic (item) tails, built by the offline
+// feature builder with a tail-only spec, so their floats are the ones the
+// full spec appends.
+Result<Matrix> BuildTails(const SyntheticDataset& dataset, bool users) {
+  const FeatureSpec tail_spec{0, 0, /*use_profile=*/users,
+                              /*use_item_stats=*/!users,
+                              /*use_match_features=*/false};
   HIGNN_ASSIGN_OR_RETURN(
       CvrFeatureBuilder builder,
       CvrFeatureBuilder::Create(&dataset, nullptr, tail_spec));
+  const int32_t count = users ? dataset.num_users() : dataset.num_items();
   std::vector<LabeledSample> samples;
-  samples.reserve(static_cast<size_t>(dataset.num_users()));
-  for (int32_t u = 0; u < dataset.num_users(); ++u) {
-    samples.push_back(LabeledSample{u, 0, 0.0f});
+  samples.reserve(static_cast<size_t>(count));
+  for (int32_t id = 0; id < count; ++id) {
+    samples.push_back(users ? LabeledSample{id, 0, 0.0f}
+                            : LabeledSample{0, id, 0.0f});
   }
-  *dim_out = builder.dim();
-  return builder.BuildAll(samples);
-}
-
-Result<Matrix> BuildItemTails(const SyntheticDataset& dataset,
-                              int32_t* dim_out) {
-  FeatureSpec tail_spec{0, 0, /*use_profile=*/false, /*use_item_stats=*/true,
-                        /*use_match_features=*/false};
-  HIGNN_ASSIGN_OR_RETURN(
-      CvrFeatureBuilder builder,
-      CvrFeatureBuilder::Create(&dataset, nullptr, tail_spec));
-  std::vector<LabeledSample> samples;
-  samples.reserve(static_cast<size_t>(dataset.num_items()));
-  for (int32_t i = 0; i < dataset.num_items(); ++i) {
-    samples.push_back(LabeledSample{0, i, 0.0f});
-  }
-  *dim_out = builder.dim();
   return builder.BuildAll(samples);
 }
 
@@ -83,7 +68,7 @@ Status ExportEmbeddingStore(const HignnModel& model,
                   builder.dim(), cvr.input_dim()));
   }
 
-  const int32_t level_dim = model.level_dim();
+  const FeatureRowLayout& layout = builder.layout();
   const int32_t chain_levels = model.num_levels();
   const Matrix user_block = spec.user_levels > 0
                                 ? model.AllHierarchicalLeft(spec.user_levels)
@@ -91,16 +76,10 @@ Status ExportEmbeddingStore(const HignnModel& model,
   const Matrix item_block = spec.item_levels > 0
                                 ? model.AllHierarchicalRight(spec.item_levels)
                                 : Matrix();
-  const int32_t match_levels =
-      spec.use_match_features ? std::min(spec.user_levels, spec.item_levels)
-                              : 0;
-
-  int32_t user_tail_dim = 0;
-  int32_t item_tail_dim = 0;
-  HIGNN_ASSIGN_OR_RETURN(Matrix user_tail,
-                         BuildUserTails(dataset, &user_tail_dim));
-  HIGNN_ASSIGN_OR_RETURN(Matrix item_tail,
-                         BuildItemTails(dataset, &item_tail_dim));
+  HIGNN_ASSIGN_OR_RETURN(const Matrix user_tail,
+                         BuildTails(dataset, /*users=*/true));
+  HIGNN_ASSIGN_OR_RETURN(const Matrix item_tail,
+                         BuildTails(dataset, /*users=*/false));
 
   BinaryWriter writer(path);
   if (!writer.ok()) {
@@ -113,19 +92,19 @@ Status ExportEmbeddingStore(const HignnModel& model,
   writer.WriteU32(kStoreVersion);
   writer.WriteI32(dataset.num_users());
   writer.WriteI32(dataset.num_items());
-  writer.WriteI32(level_dim);
+  writer.WriteI32(layout.level_dim);
   writer.WriteI32(chain_levels);
   writer.WriteI32(spec.user_levels);
   writer.WriteI32(spec.item_levels);
   writer.WriteU32(spec.use_profile ? 1 : 0);
   writer.WriteU32(spec.use_item_stats ? 1 : 0);
   writer.WriteU32(spec.use_match_features ? 1 : 0);
-  writer.WriteI32(match_levels);
-  writer.WriteI32(static_cast<int32_t>(user_block.cols()));
-  writer.WriteI32(static_cast<int32_t>(item_block.cols()));
-  writer.WriteI32(user_tail_dim);
-  writer.WriteI32(item_tail_dim);
-  writer.WriteI32(builder.dim());
+  writer.WriteI32(layout.match_levels);
+  writer.WriteI32(layout.user_block_cols);
+  writer.WriteI32(layout.item_block_cols);
+  writer.WriteI32(layout.user_tail_dim);
+  writer.WriteI32(layout.item_tail_dim);
+  writer.WriteI32(layout.feature_dim);
   writer.NextSection();
 
   writer.AlignTo(kRowAlignment);
@@ -170,13 +149,7 @@ Status ExportEmbeddingStore(const HignnModel& model,
   source.item_block = item_block.size() > 0 ? item_block.data() : nullptr;
   source.item_tail = item_tail.size() > 0 ? item_tail.data() : nullptr;
   source.right_chain = right_chain.data();
-  source.geometry.level_dim = level_dim;
-  source.geometry.user_block_cols = static_cast<int32_t>(user_block.cols());
-  source.geometry.item_block_cols = static_cast<int32_t>(item_block.cols());
-  source.geometry.match_levels = match_levels;
-  source.geometry.user_tail_dim = user_tail_dim;
-  source.geometry.item_tail_dim = item_tail_dim;
-  source.geometry.feature_dim = builder.dim();
+  source.geometry = layout;
   HIGNN_ASSIGN_OR_RETURN(const ClusterTreeIndex index,
                          ClusterTreeIndex::Build(source));
   writer.NextSection();
@@ -200,7 +173,8 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
   }
   HIGNN_ASSIGN_OR_RETURN(store->num_users_, reader->ReadI32());
   HIGNN_ASSIGN_OR_RETURN(store->num_items_, reader->ReadI32());
-  HIGNN_ASSIGN_OR_RETURN(store->level_dim_, reader->ReadI32());
+  FeatureRowLayout& layout = store->layout_;
+  HIGNN_ASSIGN_OR_RETURN(layout.level_dim, reader->ReadI32());
   HIGNN_ASSIGN_OR_RETURN(store->chain_levels_, reader->ReadI32());
   HIGNN_ASSIGN_OR_RETURN(store->spec_.user_levels, reader->ReadI32());
   HIGNN_ASSIGN_OR_RETURN(store->spec_.item_levels, reader->ReadI32());
@@ -210,32 +184,29 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
   store->spec_.use_profile = use_profile != 0;
   store->spec_.use_item_stats = use_item_stats != 0;
   store->spec_.use_match_features = use_match != 0;
-  HIGNN_ASSIGN_OR_RETURN(store->match_levels_, reader->ReadI32());
-  HIGNN_ASSIGN_OR_RETURN(store->user_block_cols_, reader->ReadI32());
-  HIGNN_ASSIGN_OR_RETURN(store->item_block_cols_, reader->ReadI32());
-  HIGNN_ASSIGN_OR_RETURN(store->user_tail_dim_, reader->ReadI32());
-  HIGNN_ASSIGN_OR_RETURN(store->item_tail_dim_, reader->ReadI32());
-  HIGNN_ASSIGN_OR_RETURN(store->feature_dim_, reader->ReadI32());
+  HIGNN_ASSIGN_OR_RETURN(layout.match_levels, reader->ReadI32());
+  HIGNN_ASSIGN_OR_RETURN(layout.user_block_cols, reader->ReadI32());
+  HIGNN_ASSIGN_OR_RETURN(layout.item_block_cols, reader->ReadI32());
+  HIGNN_ASSIGN_OR_RETURN(layout.user_tail_dim, reader->ReadI32());
+  HIGNN_ASSIGN_OR_RETURN(layout.item_tail_dim, reader->ReadI32());
+  HIGNN_ASSIGN_OR_RETURN(layout.feature_dim, reader->ReadI32());
 
   if (store->num_users_ <= 0 || store->num_items_ <= 0 ||
-      store->level_dim_ <= 0 || store->chain_levels_ <= 0) {
+      layout.level_dim <= 0 || store->chain_levels_ <= 0) {
     return Status::IOError("embedding store meta has non-positive sizes");
   }
-  if (store->user_block_cols_ !=
-          store->spec_.user_levels * store->level_dim_ ||
-      store->item_block_cols_ !=
-          store->spec_.item_levels * store->level_dim_) {
+  if (layout.user_block_cols != store->spec_.user_levels * layout.level_dim ||
+      layout.item_block_cols != store->spec_.item_levels * layout.level_dim) {
     return Status::IOError("embedding store block widths disagree with spec");
   }
-  const int32_t expected_dim = store->user_block_cols_ +
-                               store->item_block_cols_ +
-                               store->match_levels_ + store->user_tail_dim_ +
-                               store->item_tail_dim_;
-  if (store->feature_dim_ != expected_dim || store->feature_dim_ <= 0) {
+  const int32_t expected_dim = layout.user_block_cols +
+                               layout.item_block_cols + layout.match_levels +
+                               layout.user_tail_dim + layout.item_tail_dim;
+  if (layout.feature_dim != expected_dim || layout.feature_dim <= 0) {
     return Status::IOError(
         StrFormat("embedding store feature_dim %d does not match its "
                   "blocks (%d)",
-                  store->feature_dim_, expected_dim));
+                  layout.feature_dim, expected_dim));
   }
 
   const size_t users = static_cast<size_t>(store->num_users_);
@@ -244,32 +215,32 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
   HIGNN_ASSIGN_OR_RETURN(
       store->user_block_,
       reader->BorrowFloats(users *
-                           static_cast<size_t>(store->user_block_cols_)));
+                           static_cast<size_t>(layout.user_block_cols)));
   HIGNN_RETURN_IF_ERROR(reader->AlignTo(kRowAlignment));
   HIGNN_ASSIGN_OR_RETURN(
       store->item_block_,
       reader->BorrowFloats(items *
-                           static_cast<size_t>(store->item_block_cols_)));
+                           static_cast<size_t>(layout.item_block_cols)));
   HIGNN_RETURN_IF_ERROR(reader->AlignTo(kRowAlignment));
   HIGNN_ASSIGN_OR_RETURN(
       store->user_tail_,
       reader->BorrowFloats(users *
-                           static_cast<size_t>(store->user_tail_dim_)));
+                           static_cast<size_t>(layout.user_tail_dim)));
   HIGNN_RETURN_IF_ERROR(reader->AlignTo(kRowAlignment));
   HIGNN_ASSIGN_OR_RETURN(
       store->item_tail_,
       reader->BorrowFloats(items *
-                           static_cast<size_t>(store->item_tail_dim_)));
+                           static_cast<size_t>(layout.item_tail_dim)));
   HIGNN_RETURN_IF_ERROR(reader->AlignTo(kRowAlignment));
   HIGNN_ASSIGN_OR_RETURN(
       store->right_chain_,
       reader->BorrowI32s(static_cast<size_t>(store->chain_levels_) * items));
 
   HIGNN_ASSIGN_OR_RETURN(CvrModel model, CvrModel::ReadWeightsPayload(*reader));
-  if (model.input_dim() != store->feature_dim_) {
+  if (model.input_dim() != layout.feature_dim) {
     return Status::IOError(
         StrFormat("stored CVR model expects %d-dim rows, store provides %d",
-                  model.input_dim(), store->feature_dim_));
+                  model.input_dim(), layout.feature_dim));
   }
   store->model_ = std::make_unique<CvrModel>(std::move(model));
 
@@ -288,45 +259,39 @@ ClusterTreeIndex::Source EmbeddingStore::IndexSource() const {
   ClusterTreeIndex::Source source;
   source.num_items = num_items_;
   source.chain_levels = chain_levels_;
-  source.item_block = item_block_cols_ > 0 ? item_block_ : nullptr;
-  source.item_tail = item_tail_dim_ > 0 ? item_tail_ : nullptr;
+  source.item_block = layout_.item_block_cols > 0 ? item_block_ : nullptr;
+  source.item_tail = layout_.item_tail_dim > 0 ? item_tail_ : nullptr;
   source.right_chain = right_chain_;
-  source.geometry.level_dim = level_dim_;
-  source.geometry.user_block_cols = user_block_cols_;
-  source.geometry.item_block_cols = item_block_cols_;
-  source.geometry.match_levels = match_levels_;
-  source.geometry.user_tail_dim = user_tail_dim_;
-  source.geometry.item_tail_dim = item_tail_dim_;
-  source.geometry.feature_dim = feature_dim_;
+  source.geometry = layout_;
   return source;
 }
 
 const float* EmbeddingStore::UserBlock(int32_t user) const {
   HIGNN_CHECK_GE(user, 0);
   HIGNN_CHECK_LT(user, num_users_);
-  return user_block_ +
-         static_cast<size_t>(user) * static_cast<size_t>(user_block_cols_);
+  return user_block_ + static_cast<size_t>(user) *
+                           static_cast<size_t>(layout_.user_block_cols);
 }
 
 const float* EmbeddingStore::ItemBlock(int32_t item) const {
   HIGNN_CHECK_GE(item, 0);
   HIGNN_CHECK_LT(item, num_items_);
-  return item_block_ +
-         static_cast<size_t>(item) * static_cast<size_t>(item_block_cols_);
+  return item_block_ + static_cast<size_t>(item) *
+                           static_cast<size_t>(layout_.item_block_cols);
 }
 
 const float* EmbeddingStore::UserTail(int32_t user) const {
   HIGNN_CHECK_GE(user, 0);
   HIGNN_CHECK_LT(user, num_users_);
-  return user_tail_ +
-         static_cast<size_t>(user) * static_cast<size_t>(user_tail_dim_);
+  return user_tail_ + static_cast<size_t>(user) *
+                          static_cast<size_t>(layout_.user_tail_dim);
 }
 
 const float* EmbeddingStore::ItemTail(int32_t item) const {
   HIGNN_CHECK_GE(item, 0);
   HIGNN_CHECK_LT(item, num_items_);
-  return item_tail_ +
-         static_cast<size_t>(item) * static_cast<size_t>(item_tail_dim_);
+  return item_tail_ + static_cast<size_t>(item) *
+                          static_cast<size_t>(layout_.item_tail_dim);
 }
 
 Status EmbeddingStore::FillFeatureRow(int32_t user, int32_t item,
@@ -339,46 +304,8 @@ Status EmbeddingStore::FillFeatureRow(int32_t user, int32_t item,
     return Status::InvalidArgument(StrFormat("item id %d out of range [0, %d)",
                                              item, num_items_));
   }
-  std::memset(row, 0, static_cast<size_t>(feature_dim_) * sizeof(float));
-  // Block order and arithmetic mirror CvrFeatureBuilder::FillRow; the
-  // copies reproduce its bytes and the match dots repeat its exact
-  // double-precision accumulation, so the assembled row is bit-identical
-  // to the offline builder's.
-  size_t offset = 0;
-  if (user_block_cols_ > 0) {
-    const float* src = UserBlock(user);
-    std::copy(src, src + user_block_cols_, row + offset);
-    offset += static_cast<size_t>(user_block_cols_);
-  }
-  if (item_block_cols_ > 0) {
-    const float* src = ItemBlock(item);
-    std::copy(src, src + item_block_cols_, row + offset);
-    offset += static_cast<size_t>(item_block_cols_);
-  }
-  if (match_levels_ > 0) {
-    const size_t d = static_cast<size_t>(level_dim_);
-    const float* zu = UserBlock(user);
-    const float* zi = ItemBlock(item);
-    for (int32_t l = 0; l < match_levels_; ++l) {
-      double dot = 0.0;
-      const float* ul = zu + static_cast<size_t>(l) * d;
-      const float* il = zi + static_cast<size_t>(l) * d;
-      for (size_t c = 0; c < d; ++c) dot += static_cast<double>(ul[c]) * il[c];
-      row[offset + static_cast<size_t>(l)] = static_cast<float>(dot);
-    }
-    offset += static_cast<size_t>(match_levels_);
-  }
-  if (user_tail_dim_ > 0) {
-    const float* src = UserTail(user);
-    std::copy(src, src + user_tail_dim_, row + offset);
-    offset += static_cast<size_t>(user_tail_dim_);
-  }
-  if (item_tail_dim_ > 0) {
-    const float* src = ItemTail(item);
-    std::copy(src, src + item_tail_dim_, row + offset);
-    offset += static_cast<size_t>(item_tail_dim_);
-  }
-  HIGNN_CHECK_EQ(offset, static_cast<size_t>(feature_dim_));
+  AssembleFeatureRow(layout_, UserBlock(user), ItemBlock(item), UserTail(user),
+                     ItemTail(item), row);
   return Status::OK();
 }
 

@@ -55,9 +55,9 @@ class EmbeddingStore {
 
   int32_t num_users() const { return num_users_; }
   int32_t num_items() const { return num_items_; }
-  int32_t level_dim() const { return level_dim_; }
+  int32_t level_dim() const { return layout_.level_dim; }
   int32_t chain_levels() const { return chain_levels_; }
-  int32_t feature_dim() const { return feature_dim_; }
+  int32_t feature_dim() const { return layout_.feature_dim; }
   const FeatureSpec& spec() const { return spec_; }
 
   /// \brief Zero-copy row views into the loaded image. Width:
@@ -67,13 +67,13 @@ class EmbeddingStore {
   const float* ItemBlock(int32_t item) const;
   const float* UserTail(int32_t user) const;
   const float* ItemTail(int32_t item) const;
-  int32_t user_tail_dim() const { return user_tail_dim_; }
-  int32_t item_tail_dim() const { return item_tail_dim_; }
+  int32_t user_tail_dim() const { return layout_.user_tail_dim; }
+  int32_t item_tail_dim() const { return layout_.item_tail_dim; }
 
   /// \brief Assembles the serving feature row for (user, item) into
-  /// `row` (feature_dim() floats) — block order and arithmetic mirror
-  /// CvrFeatureBuilder::FillRow exactly, so the bytes are identical to
-  /// the offline builder's row for the same pair.
+  /// `row` (feature_dim() floats) with AssembleFeatureRow, the offline
+  /// builder's assembler, over the store's blocks and tails, so the bytes
+  /// are identical to the offline builder's row for the same pair.
   Status FillFeatureRow(int32_t user, int32_t item, float* row) const;
 
   /// \brief The exported CVR predictor. Its forward (PredictRows) is
@@ -99,14 +99,8 @@ class EmbeddingStore {
   FeatureSpec spec_;
   int32_t num_users_ = 0;
   int32_t num_items_ = 0;
-  int32_t level_dim_ = 0;
   int32_t chain_levels_ = 0;
-  int32_t match_levels_ = 0;
-  int32_t user_block_cols_ = 0;
-  int32_t item_block_cols_ = 0;
-  int32_t user_tail_dim_ = 0;
-  int32_t item_tail_dim_ = 0;
-  int32_t feature_dim_ = 0;
+  FeatureRowLayout layout_;
   const float* user_block_ = nullptr;
   const float* item_block_ = nullptr;
   const float* user_tail_ = nullptr;

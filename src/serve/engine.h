@@ -31,11 +31,14 @@ struct ScoreRequest {
 /// with the handler count. Only the exact scan, whose batch exceeds one
 /// forward chunk, fans its chunks out over the global pool.
 ///
-/// Every kernel on this path is per-row independent with a fixed
-/// accumulation order, so a pair's score is bitwise identical no matter
-/// how requests are batched or how many threads serve them — and
-/// identical to the offline CvrModel::Predict on the same pair. That is
-/// the property the serving tests pin down.
+/// Every kernel on this path gives each output element a fixed chain of
+/// operations over its own row. Rows that share leading columns (a
+/// one-user batch's user block) share that part of the chain, computed
+/// once by MatMulSerial, and it is the same chain each row would run
+/// alone. So a pair's score is bitwise identical no matter how requests
+/// are batched or how many threads serve them — and identical to the
+/// offline CvrModel::Predict on the same pair. That is the property the
+/// serving tests pin down.
 ///
 /// The optional `event` out-param receives the rows-assembled,
 /// forward-done and (beamed topk) index-descent stamps (DESIGN.md §17).

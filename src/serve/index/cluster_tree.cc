@@ -1,7 +1,6 @@
 #include "serve/index/cluster_tree.h"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 
 #include "predict/recommender.h"
@@ -27,7 +26,7 @@ Status ValidateSource(const ClusterTreeIndex::Source& source) {
   if (source.right_chain == nullptr) {
     return Status::InvalidArgument("cluster tree needs the item chains");
   }
-  const IndexFeatureGeometry& g = source.geometry;
+  const FeatureRowLayout& g = source.geometry;
   if (g.feature_dim != g.user_block_cols + g.item_block_cols +
                            g.match_levels + g.user_tail_dim +
                            g.item_tail_dim) {
@@ -352,47 +351,13 @@ void ClusterTreeIndex::FillClusterRow(int32_t level, int32_t cluster,
   const ClusterTreeLevel& lev = this->level(level);
   HIGNN_CHECK_GE(cluster, 0);
   HIGNN_CHECK_LT(cluster, lev.num_clusters);
-  const IndexFeatureGeometry& g = geometry_;
-  std::memset(row, 0, static_cast<size_t>(g.feature_dim) * sizeof(float));
-  const float* centroid_block =
-      lev.centroid_block +
-      static_cast<size_t>(cluster) * static_cast<size_t>(g.item_block_cols);
-  const float* centroid_tail =
-      lev.centroid_tail +
-      static_cast<size_t>(cluster) * static_cast<size_t>(g.item_tail_dim);
-  // Same block order and match-dot arithmetic as
-  // EmbeddingStore::FillFeatureRow, with the centroid standing in for
-  // the item pieces.
-  size_t offset = 0;
-  if (g.user_block_cols > 0) {
-    std::copy(user_block, user_block + g.user_block_cols, row + offset);
-    offset += static_cast<size_t>(g.user_block_cols);
-  }
-  if (g.item_block_cols > 0) {
-    std::copy(centroid_block, centroid_block + g.item_block_cols,
-              row + offset);
-    offset += static_cast<size_t>(g.item_block_cols);
-  }
-  if (g.match_levels > 0) {
-    const size_t d = static_cast<size_t>(g.level_dim);
-    for (int32_t l = 0; l < g.match_levels; ++l) {
-      double dot = 0.0;
-      const float* ul = user_block + static_cast<size_t>(l) * d;
-      const float* il = centroid_block + static_cast<size_t>(l) * d;
-      for (size_t c = 0; c < d; ++c) dot += static_cast<double>(ul[c]) * il[c];
-      row[offset + static_cast<size_t>(l)] = static_cast<float>(dot);
-    }
-    offset += static_cast<size_t>(g.match_levels);
-  }
-  if (g.user_tail_dim > 0) {
-    std::copy(user_tail, user_tail + g.user_tail_dim, row + offset);
-    offset += static_cast<size_t>(g.user_tail_dim);
-  }
-  if (g.item_tail_dim > 0) {
-    std::copy(centroid_tail, centroid_tail + g.item_tail_dim, row + offset);
-    offset += static_cast<size_t>(g.item_tail_dim);
-  }
-  HIGNN_CHECK_EQ(offset, static_cast<size_t>(g.feature_dim));
+  const size_t c = static_cast<size_t>(cluster);
+  AssembleFeatureRow(
+      geometry_, user_block,
+      lev.centroid_block + c * static_cast<size_t>(geometry_.item_block_cols),
+      user_tail,
+      lev.centroid_tail + c * static_cast<size_t>(geometry_.item_tail_dim),
+      row);
 }
 
 Result<std::vector<int32_t>> ClusterTreeIndex::SelectLeaves(

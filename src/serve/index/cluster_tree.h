@@ -6,25 +6,11 @@
 #include <vector>
 
 #include "nn/matrix.h"
+#include "predict/features.h"
 #include "util/io.h"
 #include "util/status.h"
 
 namespace hignn {
-
-/// \brief Widths of the serving feature row, copied from the exporting
-/// store so the index can assemble pseudo-item rows with the exact
-/// layout CvrFeatureBuilder::FillRow / EmbeddingStore::FillFeatureRow
-/// emit: user z^H block, item z^H block, per-level match dots, user
-/// tail, item tail.
-struct IndexFeatureGeometry {
-  int32_t level_dim = 0;
-  int32_t user_block_cols = 0;
-  int32_t item_block_cols = 0;
-  int32_t match_levels = 0;
-  int32_t user_tail_dim = 0;
-  int32_t item_tail_dim = 0;
-  int32_t feature_dim = 0;
-};
 
 /// \brief One level of the routing tree. Arrays are either borrowed
 /// from a store reader (zero-copy, like every other store section) or
@@ -84,7 +70,9 @@ class ClusterTreeIndex {
     const float* item_block = nullptr;  ///< num_items x item_block_cols
     const float* item_tail = nullptr;   ///< num_items x item_tail_dim
     const int32_t* right_chain = nullptr;
-    IndexFeatureGeometry geometry;
+    /// The exporting store's row layout, so pseudo-item rows come out of
+    /// the same AssembleFeatureRow as its item rows.
+    FeatureRowLayout geometry;
   };
 
   /// \brief Per-search telemetry (observation-only; never feeds back
@@ -123,7 +111,7 @@ class ClusterTreeIndex {
     return static_cast<int32_t>(levels_.size());
   }
   int32_t num_items() const { return num_items_; }
-  const IndexFeatureGeometry& geometry() const { return geometry_; }
+  const FeatureRowLayout& geometry() const { return geometry_; }
 
   /// \brief Level access, `level` in [1, num_levels()].
   const ClusterTreeLevel& level(int32_t level) const;
@@ -140,10 +128,9 @@ class ClusterTreeIndex {
 
   /// \brief Assembles the pseudo-item feature row for a cluster
   /// representative into `row` (geometry().feature_dim floats), with
-  /// the centroid standing in for the item block/tail. Match dots use
-  /// the same double-precision accumulation as FillFeatureRow, so an
-  /// internal node is scored by the identical arithmetic its member
-  /// leaves are.
+  /// the centroid standing in for the item block/tail. It is the
+  /// AssembleFeatureRow of FillFeatureRow, so an internal node is scored
+  /// by the identical arithmetic its member leaves are.
   void FillClusterRow(int32_t level, int32_t cluster,
                       const float* user_block, const float* user_tail,
                       float* row) const;
@@ -152,7 +139,7 @@ class ClusterTreeIndex {
   ClusterTreeIndex() = default;
 
   int32_t num_items_ = 0;
-  IndexFeatureGeometry geometry_;
+  FeatureRowLayout geometry_;
   std::vector<ClusterTreeLevel> levels_;  ///< levels_[l-1] is level l
 };
 

@@ -9,6 +9,9 @@
 //  - the flat-CSR neighbor sampling and grouped aggregation reproduce the
 //    per-vertex and nested forms they replaced;
 //  - simd::Tanh reproduces glibc 2.36's tanhf bits on both paths;
+//  - simd::LeakyRelu keeps NaNs and signed zeros on every path, and
+//    MatMulSerial's shared leading columns give MatMul's bits for every
+//    prefix length, signed-zero and NaN-payload rows included;
 //  - Hignn::Fit still returns the model bits pinned before the kernel and
 //    sampling rewrites, on every path and thread count;
 //  - the GEMM-filtered k-means assignment returns the naive full scan's
@@ -24,8 +27,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -368,6 +373,138 @@ TEST(TanhKernelTest, StridedSweepScalarEqualsBestPath) {
     }
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+// --- LeakyReLU kernel and the shared-prefix GEMM ----------------------------
+
+bool SameBytes(const float* a, const float* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         SameBytes(a.data(), b.data(), a.size());
+}
+
+// Signed zeros, infinities, NaNs with distinct payloads and signs (one
+// signalling), denormals of both signs, and the float extremes.
+const uint32_t kLeakyReluSpecials[] = {
+    0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u, 0x7fc00000u,
+    0x7fc01234u, 0xffc00001u, 0x7f800001u, 0x00000001u, 0x80000001u,
+    0x007fffffu, 0x807fffffu, 0x7f7fffffu, 0xff7fffffu, 0x80800000u,
+    0xbfc00000u, 0x40200000u,
+};
+
+TEST(LeakyReluKernelTest, ScalarEqualsBestPathOnEveryTailLength) {
+  PathGuard guard;
+  constexpr size_t kSpecials = std::size(kLeakyReluSpecials);
+  for (const float slope : {0.0f, 0.01f}) {
+    for (size_t n = 0; n <= 67; ++n) {
+      // Every other element is special, starting at a shifting offset, so
+      // each one lands in vector lanes and in scalar tails over the sweep.
+      std::vector<float> x = RandomVector(n, 211 + n);
+      for (size_t i = 0; i < n; i += 2) {
+        x[i] = std::bit_cast<float>(
+            kLeakyReluSpecials[(i / 2 + n) % kSpecials]);
+      }
+      std::vector<float> scalar = x;
+      std::vector<float> best = x;
+      simd::ForcePathForTesting(simd::IsaPath::kScalar);
+      simd::LeakyRelu(scalar.data(), slope, n);
+      simd::ForcePathForTesting(simd::Best());
+      simd::LeakyRelu(best.data(), slope, n);
+      EXPECT_TRUE(SameBytes(scalar.data(), best.data(), n))
+          << "slope " << slope << " n=" << n << " on " << simd::PathName();
+    }
+  }
+}
+
+TEST(LeakyReluKernelTest, KeepsNanAndSignedZeroAndScalesNegatives) {
+  PathGuard guard;
+  for (const simd::IsaPath path : {simd::IsaPath::kScalar, simd::Best()}) {
+    simd::ForcePathForTesting(path);
+    // Eight copies of each input, so the vector path computes it in lanes.
+    for (const uint32_t in : kLeakyReluSpecials) {
+      const float v = std::bit_cast<float>(in);
+      for (const float slope : {0.0f, 0.01f}) {
+        std::vector<float> x(8, v);
+        simd::LeakyRelu(x.data(), slope, x.size());
+        const std::vector<float> want(8, v < 0.0f ? slope * v : v);
+        EXPECT_TRUE(SameBytes(x.data(), want.data(), x.size()))
+            << std::hex << "0x" << in << " on " << simd::PathName();
+      }
+    }
+    std::vector<float> relu(8, -2.0f);
+    simd::LeakyRelu(relu.data(), 0.0f, relu.size());
+    EXPECT_EQ(std::bit_cast<uint32_t>(relu[0]), 0x80000000u);  // 0 * -2
+  }
+}
+
+// `a` with its first `shared` columns copied from row 0 into every row,
+// and every later row's column `shared` moved off row 0's, so exactly
+// `shared` leading columns are common to all rows.
+Matrix WithSharedPrefix(size_t m, size_t k, size_t shared, uint64_t seed) {
+  Matrix a = RandomMatrix(m, k, seed);
+  for (size_t i = 1; i < m; ++i) {
+    std::copy(a.row(0), a.row(0) + shared, a.row(i));
+    if (shared < k) a(i, shared) = a(0, shared) + 1.0f;
+  }
+  return a;
+}
+
+TEST(SharedPrefixGemmTest, MatMulSerialEqualsMatMulForEveryPrefix) {
+  PathGuard guard;
+  // Depths past one 256-deep panel, widths past one 256-wide panel, row
+  // counts off the 4-row tile, n % 8 != 0, n < 8, and a single row.
+  const GemmShape shapes[] = {{7, 300, 37}, {13, 40, 270}, {6, 600, 19},
+                              {1, 9, 5},    {5, 17, 3},    {9, 257, 8}};
+  for (const simd::IsaPath path : {simd::IsaPath::kScalar, simd::Best()}) {
+    simd::ForcePathForTesting(path);
+    for (const GemmShape& s : shapes) {
+      const Matrix b = RandomMatrix(s.k, s.n, 227 + s.k);
+      for (const size_t shared :
+           {size_t{0}, size_t{1}, size_t{5}, s.k / 2, s.k - 1, s.k}) {
+        if (shared > s.k) continue;
+        const Matrix a = WithSharedPrefix(s.m, s.k, shared, 229 + shared);
+        EXPECT_TRUE(SameBytes(MatMulSerial(a, b), MatMul(a, b)))
+            << s.m << "x" << s.k << "x" << s.n << " shared " << shared
+            << " on " << simd::PathName();
+      }
+    }
+  }
+}
+
+TEST(SharedPrefixGemmTest, PrefixStopsAtSignedZeroAndNanPayloadBytes) {
+  PathGuard guard;
+  constexpr size_t kM = 6;
+  constexpr size_t kK = 40;
+  constexpr size_t kN = 21;
+  const Matrix b = RandomMatrix(kK, kN, 233);
+  for (const simd::IsaPath path : {simd::IsaPath::kScalar, simd::Best()}) {
+    simd::ForcePathForTesting(path);
+    for (const size_t p : {size_t{0}, size_t{7}, kK - 1}) {
+      // Rows equal to row 0 everywhere except column p: +0.0 against -0.0,
+      // then two quiet NaNs whose payloads differ. Each chain then carries
+      // its own row's NaN payload, so a prefix that ran past p would
+      // give every row row 0's payload.
+      const std::pair<uint32_t, uint32_t> variants[] = {
+          {0x00000000u, 0x80000000u}, {0x7fc00001u, 0x7fc00002u}};
+      for (const auto& [first, other] : variants) {
+        Matrix a = WithSharedPrefix(kM, kK, kK, 239);
+        a(0, p) = std::bit_cast<float>(first);
+        for (size_t i = 1; i < kM; ++i) {
+          a(i, p) = std::bit_cast<float>(i % 2 == 0 ? first : other);
+        }
+        const Matrix serial = MatMulSerial(a, b);
+        EXPECT_TRUE(SameBytes(serial, MatMul(a, b)))
+            << "column " << p << std::hex << " 0x" << other << " on "
+            << simd::PathName();
+        if (std::isnan(std::bit_cast<float>(other))) {
+          EXPECT_FALSE(SameBytes(serial.row(0), serial.row(1), kN));
+        }
+      }
+    }
+  }
 }
 
 // --- Flat-CSR sampling and aggregation --------------------------------------

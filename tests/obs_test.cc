@@ -85,6 +85,27 @@ TEST(ObsMetricsTest, HistogramBucketBoundariesArePrevBoundInclusive) {
       histogram.Percentile(0.5));
 }
 
+TEST(ObsMetricsTest, PercentileStaysWithinObservedExtremes) {
+  // Four samples in (500, 1000]: interpolating within the bucket would
+  // put p99 near 1000, past the largest sample.
+  obs::Histogram within(obs::DefaultLatencyBoundsUs());
+  for (const double v : {510.0, 540.0, 580.0, 616.0}) within.Record(v);
+  EXPECT_GT(obs::HistogramPercentile(within.bounds(),
+                                     within.SnapshotCounts(), 0.99),
+            616.0);  // the bare snapshot has no extremes to clamp to
+  EXPECT_LE(within.Percentile(0.99), 616.0);
+  EXPECT_LE(within.Percentile(0.95), 616.0);
+  EXPECT_GE(within.Percentile(0.01), 510.0);
+
+  // Every sample overflows: the floor at the last bound lies below them.
+  obs::Histogram overflow({10.0, 20.0});
+  overflow.Record(30.0);
+  overflow.Record(45.0);
+  EXPECT_GE(overflow.Percentile(0.5), 30.0);
+  EXPECT_LE(overflow.Percentile(1.0), 45.0);
+  EXPECT_DOUBLE_EQ(obs::Histogram({10.0}).Percentile(0.5), 0.0);
+}
+
 TEST(ObsMetricsTest, SeriesCapDropsAndTallies) {
   obs::Series series;
   const size_t extra = 3;

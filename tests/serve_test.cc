@@ -7,6 +7,7 @@
 // a (user, item) score over TCP must equal the offline
 // CvrModel::Predict float bit for bit — any batching, any thread count.
 
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -313,6 +314,40 @@ TEST_F(ServeFixture, EngineScoresAreInvariantToBatchComposition) {
         engine->ScoreBatch({pairs[i]}).ValueOrDie();
     ASSERT_EQ(alone.size(), 1u);
     ASSERT_EQ(alone[0], together[i]) << "pair " << i;
+  }
+}
+
+TEST_F(ServeFixture, OneUserBatchScoresEqualSinglePairBatchesBitwise) {
+  // Every row of a one-user batch shares the user block, which the
+  // forward multiplies once; each score must still be its own pair's.
+  auto engine = std::move(PredictionEngine::Open(store_path_).ValueOrDie());
+  const int32_t user = TestPairs(1).front().user;
+  std::vector<ScoreRequest> batch;
+  for (int32_t i = 0; i < 48; ++i) batch.push_back({user, (i * 7) % 40});
+  const std::vector<float> together = engine->ScoreBatch(batch).ValueOrDie();
+  ASSERT_EQ(together.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const std::vector<float> alone =
+        engine->ScoreBatch({batch[i]}).ValueOrDie();
+    ASSERT_EQ(std::bit_cast<uint32_t>(alone.at(0)),
+              std::bit_cast<uint32_t>(together[i]))
+        << "item " << batch[i].item;
+  }
+}
+
+TEST_F(ServeFixture, ExactScanTopKReturnsPerPairScores) {
+  auto engine = std::move(PredictionEngine::Open(store_path_).ValueOrDie());
+  const int32_t user = TestPairs(1).front().user;
+  const int32_t items = engine->store().num_items();
+  const std::vector<Recommendation> ranked =
+      engine->RecommendTopK(user, items, -1).ValueOrDie();
+  ASSERT_EQ(ranked.size(), static_cast<size_t>(items));
+  for (const Recommendation& rec : ranked) {
+    const std::vector<float> alone =
+        engine->ScoreBatch({{user, rec.item}}).ValueOrDie();
+    ASSERT_EQ(std::bit_cast<uint32_t>(alone.at(0)),
+              std::bit_cast<uint32_t>(rec.score))
+        << "item " << rec.item;
   }
 }
 

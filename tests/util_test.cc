@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/crc32.h"
 #include "util/io.h"
 #include "util/ordered.h"
 #include "util/rng.h"
@@ -377,6 +379,62 @@ TEST(ThreadPoolTest, ParallelForChunksCoversRangeOnce) {
                            for (size_t i = lo; i < hi; ++i) hits[i] += 1;
                          });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+// ---------------------------------------------------------------- Crc32 --
+
+// Byte at a time, bit by bit, with no table: the reflected CRC-32 the
+// sliced implementation must reproduce.
+uint32_t Crc32BytewiseOracle(uint32_t state, const unsigned char* bytes,
+                             size_t len) {
+  for (size_t i = 0; i < len; ++i) {
+    state ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state >> 1) ^ ((state & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return state;
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.Next());
+  return bytes;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, SlicedEqualsBytewiseAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> bytes = RandomBytes(1100 + 8, 41);
+  int mismatches = 0;
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const unsigned char* data = bytes.data() + offset;
+      const uint32_t want = Crc32BytewiseOracle(kCrc32Init, data, len);
+      if (Crc32Extend(kCrc32Init, data, len) != want && ++mismatches <= 3) {
+        ADD_FAILURE() << "offset " << offset << " length " << len;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Crc32Test, SplitStreamEqualsOneShot) {
+  const std::vector<unsigned char> bytes = RandomBytes(1000, 43);
+  const uint32_t one_shot = Crc32(bytes.data(), bytes.size());
+  for (size_t first = 0; first <= bytes.size(); first += 7) {
+    for (const size_t second : {size_t{0}, size_t{1}, size_t{9}, size_t{64}}) {
+      const size_t mid = std::min(bytes.size(), first + second);
+      uint32_t state = Crc32Extend(kCrc32Init, bytes.data(), first);
+      state = Crc32Extend(state, bytes.data() + first, mid - first);
+      state = Crc32Extend(state, bytes.data() + mid, bytes.size() - mid);
+      EXPECT_EQ(Crc32Finish(state), one_shot) << first << " + " << second;
+    }
+  }
 }
 
 // ----------------------------------------------------------- Atomic IO --
