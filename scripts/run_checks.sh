@@ -62,11 +62,12 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 echo "== unit tests"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== scalar-path parity (HIGNN_SIMD=off kernels + threading)"
+echo "== scalar-path parity (HIGNN_SIMD=off kernels + threading + serving)"
 # The SIMD dispatch knob must leave every result bit-identical: rerun the
-# kernel-parity and determinism suites with the vector paths disabled.
+# kernel-parity, determinism and serving suites (whose one-user parity
+# tests run the match-dot kernel) with the vector paths disabled.
 HIGNN_SIMD=off ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -j "$(nproc)" -L "kernels|tsan"
+  -j "$(nproc)" -L "kernels|tsan|serve"
 
 echo "== tanh sweep (all 2^32 inputs, scalar vs vector simd::Tanh)"
 "$BUILD_DIR/tools/hignn_tanh_sweep"

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 namespace hignn {
@@ -166,6 +167,23 @@ void LeakyReluScalar(float* x, float slope, size_t n) {
   }
 }
 
+void MatchDotsScalar(const float* user, const float* items,
+                     size_t item_stride, size_t n, size_t levels, size_t d,
+                     float* out, size_t out_stride) {
+  for (size_t r = 0; r < n; ++r) {
+    const float* item = items + r * item_stride;
+    for (size_t l = 0; l < levels; ++l) {
+      double dot = 0.0;
+      for (size_t c = l * d; c < (l + 1) * d; ++c) {
+        dot += static_cast<double>(user[c]) * item[c];
+      }
+      out[r * out_stride + l] = std::isnan(dot)
+                                    ? std::numeric_limits<float>::quiet_NaN()
+                                    : static_cast<float>(dot);
+    }
+  }
+}
+
 double DotScalar(const float* x, const float* y, size_t n) {
   double lane[kReduceLanes] = {0.0, 0.0, 0.0, 0.0};
   for (size_t i = 0; i < n; ++i) {
@@ -192,8 +210,8 @@ using internal::Kernels;
 constexpr Kernels kScalarKernels = {
     internal::AccumulateScalar, internal::AxpyScalar,
     internal::GemmBlockScalar,  internal::TanhScalar,
-    internal::LeakyReluScalar,  internal::DotScalar,
-    internal::SquaredDistanceScalar,
+    internal::LeakyReluScalar,  internal::MatchDotsScalar,
+    internal::DotScalar,        internal::SquaredDistanceScalar,
 };
 
 // Compiled into this binary AND supported by the running CPU.
@@ -302,6 +320,13 @@ void Tanh(float* x, size_t n) { ActiveDispatch().kernels->tanh(x, n); }
 
 void LeakyRelu(float* x, float slope, size_t n) {
   ActiveDispatch().kernels->leaky_relu(x, slope, n);
+}
+
+void MatchDots(const float* user, const float* items, size_t item_stride,
+               size_t n, size_t levels, size_t d, float* out,
+               size_t out_stride) {
+  ActiveDispatch().kernels->match_dots(user, items, item_stride, n, levels,
+                                       d, out, out_stride);
 }
 
 double Dot(const float* x, const float* y, size_t n) {

@@ -30,7 +30,9 @@ namespace simd {
 ///     identical schedule, so vector and scalar bits match exactly.
 /// Elementwise kernels (Accumulate/Axpy/GemmBlock/Tanh/LeakyRelu) are
 /// per-element independent: each output element sees the same op sequence
-/// in the same order on every path, so rule 2 is not needed there.
+/// in the same order on every path, so rule 2 is not needed there. Nor is it
+/// for MatchDots, whose every output is one ascending chain: vector paths
+/// run one output per lane and never split a chain.
 
 /// \brief Instruction-set path selected for the kernel table.
 enum class IsaPath { kScalar, kAvx2, kNeon };
@@ -91,6 +93,24 @@ void Tanh(float* x, size_t n);
 /// keep x; at slope 0 a negative x becomes 0 * x = -0.0.
 void LeakyRelu(float* x, float slope, size_t n);
 
+/// \brief The match dots of one user block against `n` item rows: for
+/// r < n and l < levels,
+///   out[r * out_stride + l] = float(sum over c ascending of
+///       double(user[l * d + c]) * double(items[r * item_stride + l * d + c]))
+/// with the sum starting from 0.0, a multiply then an add per step, and one
+/// rounding to float at the end. A NaN dot is written as the quiet NaN of
+/// std::numeric_limits<float>: which payload a multiply or an add keeps
+/// when both operands are NaN follows operand order, which compilers do not
+/// preserve, so no path carries payloads through. The AVX2 path runs the
+/// chains of 4 rows in the 4 double lanes of a register, with the user
+/// block widened to double once per call; fewer than 4 rows left take the
+/// scalar chain. `out` may
+/// lie in the item rows' buffer (AssembleFeatureRows writes the dots beside
+/// the item blocks) but must share no float with them or with `user`.
+void MatchDots(const float* user, const float* items, size_t item_stride,
+               size_t n, size_t levels, size_t d, float* out,
+               size_t out_stride);
+
 /// \brief Lane-strided double-precision dot product of two float rows
 /// (see the reduction schedule above).
 double Dot(const float* x, const float* y, size_t n);
@@ -110,6 +130,9 @@ struct Kernels {
                      float* c, size_t ldc);
   void (*tanh)(float* x, size_t n);
   void (*leaky_relu)(float* x, float slope, size_t n);
+  void (*match_dots)(const float* user, const float* items,
+                     size_t item_stride, size_t n, size_t levels, size_t d,
+                     float* out, size_t out_stride);
   double (*dot)(const float* x, const float* y, size_t n);
   double (*squared_distance)(const float* x, const float* y, size_t n);
 };
@@ -128,6 +151,9 @@ void GemmBlockScalar(size_t mr, size_t kc, size_t n, const float* a,
                      float* c, size_t ldc);
 void TanhScalar(float* x, size_t n);
 void LeakyReluScalar(float* x, float slope, size_t n);
+void MatchDotsScalar(const float* user, const float* items,
+                     size_t item_stride, size_t n, size_t levels, size_t d,
+                     float* out, size_t out_stride);
 double DotScalar(const float* x, const float* y, size_t n);
 double SquaredDistanceScalar(const float* x, const float* y, size_t n);
 

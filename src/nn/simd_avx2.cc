@@ -11,6 +11,8 @@
 #include <immintrin.h>
 
 #include <initializer_list>
+#include <limits>
+#include <vector>
 
 namespace hignn {
 namespace simd {
@@ -271,6 +273,63 @@ void LeakyReluAvx2(float* x, float slope, size_t n) {
   LeakyReluScalar(x + i, slope, n - i);
 }
 
+// Rows in lanes: lane j of the accumulator is row r + j's chain for one
+// level. Per 4 columns the rows' floats are transposed so that one register
+// holds a column of the 4 rows, widened, and multiplied by the user's
+// widened value for that column into the accumulator. The last d % 4
+// columns are gathered one column at a time into the same chains. Each
+// NaN dot is replaced by the quiet NaN, as in the scalar chain.
+void MatchDotsAvx2(const float* user, const float* items, size_t item_stride,
+                   size_t n, size_t levels, size_t d, float* out,
+                   size_t out_stride) {
+  size_t r = 0;
+  if (n >= 4) {
+    const __m128 quiet_nan =
+        _mm_set1_ps(std::numeric_limits<float>::quiet_NaN());
+    const std::vector<double> widened(user, user + levels * d);
+    for (; r + 4 <= n; r += 4) {
+      const float* v0 = items + r * item_stride;
+      const float* v1 = v0 + item_stride;
+      const float* v2 = v1 + item_stride;
+      const float* v3 = v2 + item_stride;
+      float* o = out + r * out_stride;
+      for (size_t c0 = 0, l = 0; l < levels; ++l, c0 += d) {
+        const double* u = widened.data() + c0;
+        const auto step = [&u](__m256d acc, size_t c, __m128 column) {
+          return _mm256_add_pd(acc,
+                               _mm256_mul_pd(_mm256_broadcast_sd(u + c),
+                                             _mm256_cvtps_pd(column)));
+        };
+        __m256d acc = _mm256_setzero_pd();
+        size_t c = 0;
+        for (; c + 4 <= d; c += 4) {
+          __m128 x0 = _mm_loadu_ps(v0 + c0 + c);
+          __m128 x1 = _mm_loadu_ps(v1 + c0 + c);
+          __m128 x2 = _mm_loadu_ps(v2 + c0 + c);
+          __m128 x3 = _mm_loadu_ps(v3 + c0 + c);
+          _MM_TRANSPOSE4_PS(x0, x1, x2, x3);
+          acc = step(acc, c, x0);
+          acc = step(acc, c + 1, x1);
+          acc = step(acc, c + 2, x2);
+          acc = step(acc, c + 3, x3);
+        }
+        for (; c < d; ++c) {
+          acc = step(acc, c,
+                     _mm_setr_ps(v0[c0 + c], v1[c0 + c], v2[c0 + c],
+                                 v3[c0 + c]));
+        }
+        const __m128 rounded = _mm256_cvtpd_ps(acc);
+        alignas(16) float dots[4];
+        _mm_store_ps(dots, _mm_blendv_ps(rounded, quiet_nan,
+                                         _mm_cmpunord_ps(rounded, rounded)));
+        for (size_t j = 0; j < 4; ++j) o[j * out_stride + l] = dots[j];
+      }
+    }
+  }
+  MatchDotsScalar(user, items + r * item_stride, item_stride, n - r, levels,
+                  d, out + r * out_stride, out_stride);
+}
+
 // One vector iteration handles indices i..i+3, which map exactly onto
 // reduction lanes 0..3 — the same ownership as the scalar i % kReduceLanes
 // schedule, so the merged sum is bitwise identical.
@@ -309,8 +368,8 @@ double SquaredDistanceAvx2(const float* x, const float* y, size_t n) {
 }
 
 constexpr Kernels kAvx2Kernels = {
-    AccumulateAvx2, AxpyAvx2, GemmBlockAvx2,      TanhAvx2,
-    LeakyReluAvx2,  DotAvx2,  SquaredDistanceAvx2,
+    AccumulateAvx2, AxpyAvx2,      GemmBlockAvx2, TanhAvx2,
+    LeakyReluAvx2,  MatchDotsAvx2, DotAvx2,       SquaredDistanceAvx2,
 };
 
 }  // namespace

@@ -110,12 +110,11 @@ double SquaredDistanceNeon(const float* x, const float* y, size_t n) {
   return MergeLanes(lane);
 }
 
-// Tanh and LeakyRelu run the scalar reference: the kernels are exact
-// either way, and the lane-select AVX2 versions have not been mirrored
-// here.
+// Tanh, LeakyRelu and MatchDots run the scalar reference: the kernels are
+// exact either way, and the AVX2 versions have not been mirrored here.
 constexpr Kernels kNeonKernels = {
-    AccumulateNeon,  AxpyNeon, GemmBlockNeon,      TanhScalar,
-    LeakyReluScalar, DotNeon,  SquaredDistanceNeon,
+    AccumulateNeon,  AxpyNeon,        GemmBlockNeon, TanhScalar,
+    LeakyReluScalar, MatchDotsScalar, DotNeon,       SquaredDistanceNeon,
 };
 
 }  // namespace

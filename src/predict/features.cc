@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/simd.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -66,27 +67,30 @@ CvrFeatureBuilder::CvrFeatureBuilder(const SyntheticDataset* dataset,
   HIGNN_CHECK_GT(layout_.feature_dim, 0);
 }
 
-void AssembleFeatureRow(const FeatureRowLayout& layout,
-                        const float* user_block, const float* item_block,
-                        const float* user_tail, const float* item_tail,
-                        float* row) {
-  float* const begin = row;
-  const auto copy = [&row](const float* src, int32_t width) {
-    if (width > 0) row = std::copy(src, src + width, row);
-  };
-  copy(user_block, layout.user_block_cols);
-  copy(item_block, layout.item_block_cols);
-  const size_t d = static_cast<size_t>(layout.level_dim);
-  for (int32_t l = 0; l < layout.match_levels; ++l) {
-    const float* ul = user_block + static_cast<size_t>(l) * d;
-    const float* il = item_block + static_cast<size_t>(l) * d;
-    double dot = 0.0;
-    for (size_t c = 0; c < d; ++c) dot += static_cast<double>(ul[c]) * il[c];
-    *row++ = static_cast<float>(dot);
+void AssembleFeatureRows(const FeatureRowLayout& layout,
+                         const float* user_block, const float* user_tail,
+                         const ItemSource* items, size_t count, float* rows) {
+  const size_t dim = static_cast<size_t>(layout.feature_dim);
+  for (size_t i = 0; i < count; ++i) {
+    float* const begin = rows + i * dim;
+    float* row = begin;
+    const auto copy = [&row](const float* src, int32_t width) {
+      if (width > 0) row = std::copy(src, src + width, row);
+    };
+    copy(user_block, layout.user_block_cols);
+    copy(items[i].block, layout.item_block_cols);
+    row += layout.match_levels;  // the dots, from the item blocks in place
+    copy(user_tail, layout.user_tail_dim);
+    copy(items[i].tail, layout.item_tail_dim);
+    HIGNN_CHECK_EQ(row - begin, layout.feature_dim);
   }
-  copy(user_tail, layout.user_tail_dim);
-  copy(item_tail, layout.item_tail_dim);
-  HIGNN_CHECK_EQ(row - begin, layout.feature_dim);
+  if (layout.match_levels > 0) {
+    float* const item_blocks = rows + layout.user_block_cols;
+    simd::MatchDots(user_block, item_blocks, dim, count,
+                    static_cast<size_t>(layout.match_levels),
+                    static_cast<size_t>(layout.level_dim),
+                    item_blocks + layout.item_block_cols, dim);
+  }
 }
 
 void CvrFeatureBuilder::FillRow(const LabeledSample& sample,
@@ -120,10 +124,11 @@ void CvrFeatureBuilder::FillRow(const LabeledSample& sample,
     item_tail[3] = std::log1p(meta.popularity * 100.0f);
     item_tail[4] = std::log1p(meta.price) / 6.0f;
   }
-  AssembleFeatureRow(layout_,
-                     user_hier_.empty() ? nullptr : user_hier_.row(user),
-                     item_hier_.empty() ? nullptr : item_hier_.row(item),
-                     user_tail, item_tail, row);
+  const ItemSource item_source{
+      item_hier_.empty() ? nullptr : item_hier_.row(item), item_tail};
+  AssembleFeatureRows(layout_,
+                      user_hier_.empty() ? nullptr : user_hier_.row(user),
+                      user_tail, &item_source, 1, row);
 }
 
 Matrix CvrFeatureBuilder::BuildBatch(const std::vector<LabeledSample>& samples,

@@ -1,6 +1,7 @@
 #ifndef HIGNN_PREDICT_FEATURES_H_
 #define HIGNN_PREDICT_FEATURES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -57,7 +58,7 @@ struct FeatureSpec {
 /// The user block comes first, so the rows of a one-user batch share their
 /// leading columns; MatMulSerial multiplies those once per batch. Offline
 /// rows (CvrFeatureBuilder), serving rows (EmbeddingStore) and cluster
-/// pseudo-rows (ClusterTreeIndex) all come out of AssembleFeatureRow.
+/// pseudo-rows (ClusterTreeIndex) all come out of AssembleFeatureRows.
 struct FeatureRowLayout {
   int32_t level_dim = 0;        ///< d: width of one hierarchy level
   int32_t user_block_cols = 0;  ///< user_levels * d
@@ -68,14 +69,24 @@ struct FeatureRowLayout {
   int32_t feature_dim = 0;      ///< the sum of the widths above
 };
 
-/// \brief Writes the feature_dim floats of one row, each once: the blocks
-/// and tails copied, and match dot l the double-precision sum over c
-/// ascending of user_block[l*d + c] * item_block[l*d + c], rounded to
-/// float once. A source whose width is 0 may be null.
-void AssembleFeatureRow(const FeatureRowLayout& layout,
-                        const float* user_block, const float* item_block,
-                        const float* user_tail, const float* item_tail,
-                        float* row);
+/// \brief One candidate's item-side sources: its z^H block
+/// (item_block_cols floats) and its tail (item_tail_dim floats). A source
+/// whose width is 0 may be null.
+struct ItemSource {
+  const float* block = nullptr;
+  const float* tail = nullptr;
+};
+
+/// \brief Writes `count` rows of one user into `rows` (count x
+/// feature_dim, row-major), each float once: row i holds the user's block,
+/// items[i]'s block, the match dots, the user's tail and items[i]'s tail.
+/// Match dot l is the double-precision sum over c ascending of
+/// user_block[l*d + c] * item_block[l*d + c], rounded to float once
+/// (simd::MatchDots, which takes 4 rows per register from 4 rows up). A
+/// user source whose width is 0 may be null.
+void AssembleFeatureRows(const FeatureRowLayout& layout,
+                         const float* user_block, const float* user_tail,
+                         const ItemSource* items, size_t count, float* rows);
 
 /// \brief Assembles per-sample input rows for the CVR network: the chosen
 /// hierarchical embedding blocks plus user-profile one-hots and item

@@ -1,46 +1,64 @@
 #include "predict/recommender.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <unordered_set>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace hignn {
+
+namespace {
+
+// Orders scores as TopKByScore ranks them, ascending: descending score, -0
+// folded into +0, and every NaN (any sign or payload) after every real
+// score, tied with the other NaNs.
+uint32_t ScoreRankKey(float score) {
+  if (std::isnan(score)) return std::numeric_limits<uint32_t>::max();
+  const uint32_t bits = score == 0.0f ? 0u : std::bit_cast<uint32_t>(score);
+  // Negative scores keep their bits (a larger magnitude ranks later);
+  // positive ones invert them below the sign bit (a larger value ranks
+  // earlier, and every positive before every negative).
+  return (bits >> 31) != 0 ? bits : ~bits & 0x7fffffffu;
+}
+
+}  // namespace
 
 std::vector<Recommendation> TopKByScore(const std::vector<int32_t>& items,
                                         const std::vector<float>& scores,
                                         int32_t k) {
   HIGNN_CHECK_EQ(items.size(), scores.size());
   if (k <= 0) return {};
-  std::vector<size_t> order(items.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const size_t top = std::min<size_t>(static_cast<size_t>(k), order.size());
   // Explicit total order: score descending, NaN after every real score,
-  // ties (including NaN-vs-NaN, where `<` and `>` are both false) broken
-  // by ascending item id. The old `scores[a] != scores[b]` guard treated
-  // two NaNs as unequal and then ranked them by `>` — a comparator that
-  // was neither irreflexive nor total, so partial_sort's output depended
-  // on the candidate order. This form is a strict weak ordering for any
-  // float input, which is what the index-vs-exact byte-for-byte
-  // agreement on ties rests on.
-  std::partial_sort(order.begin(), order.begin() + static_cast<long>(top),
-                    order.end(), [&](size_t a, size_t b) {
-                      const bool nan_a = std::isnan(scores[a]);
-                      const bool nan_b = std::isnan(scores[b]);
-                      if (nan_a != nan_b) return nan_b;
-                      if (!nan_a) {
-                        if (scores[a] > scores[b]) return true;
-                        if (scores[a] < scores[b]) return false;
-                      }
-                      return items[a] < items[b];
-                    });
+  // ties (including NaN-vs-NaN) broken by ascending item id, so the top is
+  // the same for any candidate order, which is what the index-vs-exact
+  // byte-for-byte agreement on ties rests on. Each candidate becomes a
+  // (key, position) pair: the key packs that order, the score's rank key
+  // above the item with its sign bit flipped (so signed ids ascend as
+  // unsigned), and the position orders duplicate items, which makes the
+  // order strict.
+  std::vector<std::pair<uint64_t, size_t>> ranked(items.size());
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    const uint32_t item = static_cast<uint32_t>(items[i]) ^ 0x80000000u;
+    const uint64_t key =
+        (static_cast<uint64_t>(ScoreRankKey(scores[i])) << 32) | item;
+    ranked[i] = {key, i};
+  }
+  const size_t top = std::min<size_t>(static_cast<size_t>(k), ranked.size());
+  const auto top_end = ranked.begin() + static_cast<long>(top);
+  std::nth_element(ranked.begin(), top_end, ranked.end());
+  std::sort(ranked.begin(), top_end);
   std::vector<Recommendation> out;
   out.reserve(top);
   for (size_t i = 0; i < top; ++i) {
-    out.push_back(Recommendation{items[order[i]], scores[order[i]]});
+    const size_t at = ranked[i].second;
+    out.push_back(Recommendation{items[at], scores[at]});
   }
   return out;
 }

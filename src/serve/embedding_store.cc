@@ -304,8 +304,9 @@ Status EmbeddingStore::FillFeatureRow(int32_t user, int32_t item,
     return Status::InvalidArgument(StrFormat("item id %d out of range [0, %d)",
                                              item, num_items_));
   }
-  AssembleFeatureRow(layout_, UserBlock(user), ItemBlock(item), UserTail(user),
-                     ItemTail(item), row);
+  const ItemSource source{ItemBlock(item), ItemTail(item)};
+  AssembleFeatureRows(layout_, UserBlock(user), UserTail(user), &source, 1,
+                      row);
   return Status::OK();
 }
 

@@ -59,6 +59,7 @@ class EmbeddingStore {
   int32_t chain_levels() const { return chain_levels_; }
   int32_t feature_dim() const { return layout_.feature_dim; }
   const FeatureSpec& spec() const { return spec_; }
+  const FeatureRowLayout& layout() const { return layout_; }
 
   /// \brief Zero-copy row views into the loaded image. Width:
   /// user/item hierarchical blocks are spec().{user,item}_levels *
@@ -71,7 +72,7 @@ class EmbeddingStore {
   int32_t item_tail_dim() const { return layout_.item_tail_dim; }
 
   /// \brief Assembles the serving feature row for (user, item) into
-  /// `row` (feature_dim() floats) with AssembleFeatureRow, the offline
+  /// `row` (feature_dim() floats) with AssembleFeatureRows, the offline
   /// builder's assembler, over the store's blocks and tails, so the bytes
   /// are identical to the offline builder's row for the same pair.
   Status FillFeatureRow(int32_t user, int32_t item, float* row) const;

@@ -17,6 +17,45 @@ namespace {
 // per-forward matrices and sets the exact scan's task size.
 constexpr size_t kForwardChunk = 4096;
 
+// Scores `count` rows of width `dim` through `model`; fill(begin, end, out)
+// writes rows [begin, end) of the batch into `out`. Up to one forward chunk
+// is assembled and forwarded inline on the calling thread; a larger count
+// (the exact scan) runs one chunk per pool task, each assembling and
+// forwarding only its own rows, so no full-catalogue matrix ever exists.
+template <typename Fill>
+std::vector<float> ScoreRows(const CvrModel& model, size_t dim, size_t count,
+                             const Fill& fill, obs::Event* event) {
+  const auto assemble = [&](size_t begin, size_t end) {
+    Matrix rows(end - begin, dim);
+    fill(begin, end, rows.data());
+    return rows;
+  };
+  std::vector<float> scores(count);
+  // Forwards `rows` into scores[begin, begin + rows.rows()).
+  const auto forward = [&](const Matrix& rows, size_t begin) {
+    // PredictRows only fails on shape mismatch, which the store rules out.
+    Result<std::vector<float>> chunk = model.PredictRows(rows);
+    std::copy(chunk.ValueOrDie().begin(), chunk.ValueOrDie().end(),
+              scores.begin() + begin);
+  };
+  if (count <= kForwardChunk) {
+    const Matrix rows = assemble(0, count);
+    obs::Stamp(event, obs::kPhaseRowsAssembled);
+    forward(rows, 0);
+  } else {
+    // Assembly is fused into the chunk tasks, so the whole scan counts
+    // as forward time.
+    obs::Stamp(event, obs::kPhaseRowsAssembled);
+    GlobalThreadPool().ParallelForChunks(
+        0, count, (count + kForwardChunk - 1) / kForwardChunk,
+        [&](size_t, size_t begin, size_t end) {
+          forward(assemble(begin, end), begin);
+        });
+  }
+  obs::Stamp(event, obs::kPhaseForwardDone);
+  return scores;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<PredictionEngine>> PredictionEngine::Open(
@@ -45,49 +84,17 @@ Result<std::vector<float>> PredictionEngine::ScoreBatch(
                     store_->num_items()));
     }
   }
-  return ScorePairs(
-      batch.size(), [&](size_t i) { return batch[i]; }, event);
-}
-
-std::vector<float> PredictionEngine::ScorePairs(
-    size_t count, const std::function<ScoreRequest(size_t)>& pair,
-    obs::Event* event) const {
   const size_t dim = static_cast<size_t>(store_->feature_dim());
-  const CvrModel& model = store_->model();
-  const auto assemble = [&](size_t begin, size_t end) {
-    Matrix rows(end - begin, dim);
-    for (size_t i = begin; i < end; ++i) {
-      const ScoreRequest p = pair(i);
-      const Status status =
-          store_->FillFeatureRow(p.user, p.item, rows.row(i - begin));
-      HIGNN_CHECK(status.ok());  // ids were validated by the caller
-    }
-    return rows;
-  };
-  std::vector<float> scores(count);
-  // Forwards `rows` into scores[begin, begin + rows.rows()).
-  const auto forward = [&](const Matrix& rows, size_t begin) {
-    // PredictRows only fails on shape mismatch, which the store rules out.
-    Result<std::vector<float>> chunk = model.PredictRows(rows);
-    std::copy(chunk.ValueOrDie().begin(), chunk.ValueOrDie().end(),
-              scores.begin() + begin);
-  };
-  if (count <= kForwardChunk) {
-    const Matrix rows = assemble(0, count);
-    obs::Stamp(event, obs::kPhaseRowsAssembled);
-    forward(rows, 0);
-  } else {
-    // Assembly is fused into the chunk tasks, so the whole scan counts
-    // as forward time.
-    obs::Stamp(event, obs::kPhaseRowsAssembled);
-    GlobalThreadPool().ParallelForChunks(
-        0, count, (count + kForwardChunk - 1) / kForwardChunk,
-        [&](size_t, size_t begin, size_t end) {
-          forward(assemble(begin, end), begin);
-        });
-  }
-  obs::Stamp(event, obs::kPhaseForwardDone);
-  return scores;
+  return ScoreRows(
+      store_->model(), dim, batch.size(),
+      [&](size_t begin, size_t end, float* rows) {
+        for (size_t i = begin; i < end; ++i) {
+          const Status status = store_->FillFeatureRow(
+              batch[i].user, batch[i].item, rows + (i - begin) * dim);
+          HIGNN_CHECK(status.ok());  // ids were validated above
+        }
+      },
+      event);
 }
 
 Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
@@ -118,9 +125,22 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
                            beam, scorer, stats));
     obs::Stamp(event, obs::kPhaseIndexDescent);
   }
-  const std::vector<float> scores = ScorePairs(
+  // One user's rows: each chunk is one AssembleFeatureRows call.
+  const std::vector<float> scores = ScoreRows(
+      store_->model(), static_cast<size_t>(store_->feature_dim()),
       candidates.size(),
-      [&](size_t i) { return ScoreRequest{user, candidates[i]}; }, event);
+      [&](size_t begin, size_t end, float* rows) {
+        std::vector<ItemSource> items;
+        items.reserve(end - begin);
+        for (size_t i = begin; i < end; ++i) {
+          items.push_back({store_->ItemBlock(candidates[i]),
+                           store_->ItemTail(candidates[i])});
+        }
+        AssembleFeatureRows(store_->layout(), store_->UserBlock(user),
+                            store_->UserTail(user), items.data(),
+                            items.size(), rows);
+      },
+      event);
   return TopKByScore(candidates, scores, k);
 }
 

@@ -2,7 +2,6 @@
 #define HIGNN_SERVE_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,15 +76,6 @@ class PredictionEngine {
 
  private:
   explicit PredictionEngine(std::unique_ptr<EmbeddingStore> store);
-
-  /// \brief Scores `count` pairs; `pair(i)` names pair i, whose ids must
-  /// be valid. Up to one forward chunk is assembled and forwarded inline
-  /// on the calling thread; a larger count (the exact scan) runs one
-  /// chunk per pool task, each assembling and forwarding only its own
-  /// rows, so no full-catalogue matrix ever exists.
-  std::vector<float> ScorePairs(
-      size_t count, const std::function<ScoreRequest(size_t)>& pair,
-      obs::Event* event) const;
 
   const std::unique_ptr<const EmbeddingStore> store_;
 };

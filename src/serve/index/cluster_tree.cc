@@ -344,22 +344,6 @@ const ClusterTreeLevel& ClusterTreeIndex::level(int32_t level) const {
   return levels_[static_cast<size_t>(level - 1)];
 }
 
-void ClusterTreeIndex::FillClusterRow(int32_t level, int32_t cluster,
-                                      const float* user_block,
-                                      const float* user_tail,
-                                      float* row) const {
-  const ClusterTreeLevel& lev = this->level(level);
-  HIGNN_CHECK_GE(cluster, 0);
-  HIGNN_CHECK_LT(cluster, lev.num_clusters);
-  const size_t c = static_cast<size_t>(cluster);
-  AssembleFeatureRow(
-      geometry_, user_block,
-      lev.centroid_block + c * static_cast<size_t>(geometry_.item_block_cols),
-      user_tail,
-      lev.centroid_tail + c * static_cast<size_t>(geometry_.item_tail_dim),
-      row);
-}
-
 Result<std::vector<int32_t>> ClusterTreeIndex::SelectLeaves(
     const float* user_block, const float* user_tail, int32_t beam,
     const RowScorer& scorer, SearchStats* stats) const {
@@ -368,17 +352,30 @@ Result<std::vector<int32_t>> ClusterTreeIndex::SelectLeaves(
     return Status::FailedPrecondition("index has no levels");
   }
   SearchStats local;
+  const size_t block_cols = static_cast<size_t>(geometry_.item_block_cols);
+  const size_t tail_dim = static_cast<size_t>(geometry_.item_tail_dim);
+  Matrix rows;  // every float is rewritten, so a reused matrix needs no reset
+  std::vector<ItemSource> items;
   std::vector<int32_t> frontier(
       static_cast<size_t>(levels_.back().num_clusters));
   std::iota(frontier.begin(), frontier.end(), 0);
   for (int32_t l = num_levels(); l >= 1; --l) {
-    const ClusterTreeLevel& lev = levels_[static_cast<size_t>(l - 1)];
+    const ClusterTreeLevel& lev = level(l);
     if (static_cast<int32_t>(frontier.size()) > beam) {
-      Matrix rows(frontier.size(),
-                  static_cast<size_t>(geometry_.feature_dim));
-      for (size_t i = 0; i < frontier.size(); ++i) {
-        FillClusterRow(l, frontier[i], user_block, user_tail, rows.row(i));
+      items.clear();
+      for (const int32_t cluster : frontier) {
+        HIGNN_CHECK_GE(cluster, 0);
+        HIGNN_CHECK_LT(cluster, lev.num_clusters);
+        const size_t c = static_cast<size_t>(cluster);
+        items.push_back({lev.centroid_block + c * block_cols,
+                         lev.centroid_tail + c * tail_dim});
       }
+      if (rows.rows() != frontier.size()) {
+        rows = Matrix(frontier.size(),
+                      static_cast<size_t>(geometry_.feature_dim));
+      }
+      AssembleFeatureRows(geometry_, user_block, user_tail, items.data(),
+                          items.size(), rows.data());
       HIGNN_ASSIGN_OR_RETURN(const std::vector<float> scores, scorer(rows));
       if (scores.size() != frontier.size()) {
         return Status::Internal("row scorer returned a mismatched count");

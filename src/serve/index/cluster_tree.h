@@ -71,7 +71,7 @@ class ClusterTreeIndex {
     const float* item_tail = nullptr;   ///< num_items x item_tail_dim
     const int32_t* right_chain = nullptr;
     /// The exporting store's row layout, so pseudo-item rows come out of
-    /// the same AssembleFeatureRow as its item rows.
+    /// the same AssembleFeatureRows as its item rows.
     FeatureRowLayout geometry;
   };
 
@@ -120,20 +120,17 @@ class ClusterTreeIndex {
   /// `user_tail` are the store's rows for the querying user; `beam`
   /// must be >= 1 (the exact path never reaches here). Returns the
   /// surviving leaf item ids sorted ascending. `stats` may be null.
+  ///
+  /// Each scored level is one AssembleFeatureRows call over the frontier,
+  /// the centroids standing in for the item block and tail: the assembler
+  /// FillFeatureRow runs, so an internal node is scored by the identical
+  /// arithmetic its member leaves are. The rows live in one matrix per
+  /// call, reallocated only when a level's frontier size changes.
   Result<std::vector<int32_t>> SelectLeaves(const float* user_block,
                                             const float* user_tail,
                                             int32_t beam,
                                             const RowScorer& scorer,
                                             SearchStats* stats) const;
-
-  /// \brief Assembles the pseudo-item feature row for a cluster
-  /// representative into `row` (geometry().feature_dim floats), with
-  /// the centroid standing in for the item block/tail. It is the
-  /// AssembleFeatureRow of FillFeatureRow, so an internal node is scored
-  /// by the identical arithmetic its member leaves are.
-  void FillClusterRow(int32_t level, int32_t cluster,
-                      const float* user_block, const float* user_tail,
-                      float* row) const;
 
  private:
   ClusterTreeIndex() = default;

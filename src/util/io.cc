@@ -227,31 +227,32 @@ BinaryReader::BinaryReader(const std::string& path) {
   const std::streamsize size = in.tellg();
   if (size < 0) return;
   in.seekg(0, std::ios::beg);
-  buffer_.resize(static_cast<size_t>(size));
+  size_ = static_cast<size_t>(size);
+  buffer_ = std::make_unique_for_overwrite<char[]>(size_);
   if (size > 0) {
-    in.read(buffer_.data(), size);
-    if (!in) return;
+    in.read(buffer_.get(), size);
+    if (!in) return;  // a short read leaves the reader !ok()
   }
   ok_ = true;
-  obs::CounterAdd("io.bytes_read", static_cast<int64_t>(buffer_.size()));
+  obs::CounterAdd("io.bytes_read", static_cast<int64_t>(size_));
   obs::CounterAdd("io.files_read");
 }
 
 Status BinaryReader::VerifyContainer() {
-  const size_t n = buffer_.size();
+  const size_t n = size_;
   if (n < kFooterTailBytes) {
     return Status::IOError("corrupt artifact: too small for footer");
   }
-  if (std::memcmp(buffer_.data() + n - sizeof(kFooterMagic), kFooterMagic,
+  if (std::memcmp(buffer_.get() + n - sizeof(kFooterMagic), kFooterMagic,
                   sizeof(kFooterMagic)) != 0) {
     return Status::IOError(
         "corrupt artifact: missing integrity footer (truncated file or "
         "pre-v2 format)");
   }
   uint32_t stored_footer_crc = 0;
-  std::memcpy(&stored_footer_crc, buffer_.data() + n - 8, 4);
+  std::memcpy(&stored_footer_crc, buffer_.get() + n - 8, 4);
   uint32_t count = 0;
-  std::memcpy(&count, buffer_.data() + n - 12, 4);
+  std::memcpy(&count, buffer_.get() + n - 12, 4);
   if (count == 0 || count > kMaxSections) {
     return Status::IOError("corrupt artifact: bad section count");
   }
@@ -263,7 +264,7 @@ Status BinaryReader::VerifyContainer() {
   const size_t table_start = n - kFooterTailBytes - table_bytes;
   // Footer crc covers the table plus the count field (contiguous bytes).
   const uint32_t footer_crc =
-      Crc32(buffer_.data() + table_start, table_bytes + 4);
+      Crc32(buffer_.get() + table_start, table_bytes + 4);
   if (footer_crc != stored_footer_crc) {
     return Status::IOError("corrupt artifact: footer checksum mismatch");
   }
@@ -272,14 +273,14 @@ Status BinaryReader::VerifyContainer() {
   for (uint32_t s = 0; s < count; ++s) {
     uint64_t length = 0;
     uint32_t crc = 0;
-    std::memcpy(&length, buffer_.data() + table_start + s * kSectionEntryBytes,
+    std::memcpy(&length, buffer_.get() + table_start + s * kSectionEntryBytes,
                 8);
     std::memcpy(&crc,
-                buffer_.data() + table_start + s * kSectionEntryBytes + 8, 4);
+                buffer_.get() + table_start + s * kSectionEntryBytes + 8, 4);
     if (length > table_start - offset) {
       return Status::IOError("corrupt artifact: section overruns payload");
     }
-    if (Crc32(buffer_.data() + offset, length) != crc) {
+    if (Crc32(buffer_.get() + offset, length) != crc) {
       return Status::IOError(StrFormat(
           "corrupt artifact: checksum mismatch in section %u of %u", s,
           count));
@@ -320,7 +321,7 @@ Status BinaryReader::Pull(void* dst, size_t count) {
   // An empty array's destination may be null, which memcpy forbids even
   // for zero bytes.
   if (count == 0) return Status::OK();
-  std::memcpy(dst, buffer_.data() + pos_, count);
+  std::memcpy(dst, buffer_.get() + pos_, count);
   pos_ += count;
   return Status::OK();
 }
@@ -365,13 +366,13 @@ Status BinaryReader::AlignTo(size_t alignment) {
 namespace {
 
 template <typename T>
-Result<const T*> BorrowImpl(const std::vector<char>& buffer, size_t payload,
-                            size_t& pos, size_t count) {
+Result<const T*> BorrowImpl(const char* buffer, size_t payload, size_t& pos,
+                            size_t count) {
   if (count > (payload - pos) / sizeof(T)) {
     return Status::IOError("truncated input");
   }
   const size_t bytes = count * sizeof(T);
-  const char* at = buffer.data() + pos;
+  const char* at = buffer + pos;
   if (reinterpret_cast<uintptr_t>(at) % alignof(T) != 0) {
     return Status::IOError("misaligned array (writer skipped AlignTo)");
   }
@@ -382,11 +383,11 @@ Result<const T*> BorrowImpl(const std::vector<char>& buffer, size_t payload,
 }  // namespace
 
 Result<const float*> BinaryReader::BorrowFloats(size_t count) {
-  return BorrowImpl<float>(buffer_, payload_size_, pos_, count);
+  return BorrowImpl<float>(buffer_.get(), payload_size_, pos_, count);
 }
 
 Result<const int32_t*> BinaryReader::BorrowI32s(size_t count) {
-  return BorrowImpl<int32_t>(buffer_, payload_size_, pos_, count);
+  return BorrowImpl<int32_t>(buffer_.get(), payload_size_, pos_, count);
 }
 
 }  // namespace hignn

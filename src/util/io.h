@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -144,7 +145,10 @@ class BinaryReader {
   Status VerifyContainer();
   Status Pull(void* dst, size_t count);
 
-  std::vector<char> buffer_;
+  // The file image, read straight into storage that is never zero-filled
+  // first (std::vector<char>::resize would memset every byte).
+  std::unique_ptr<char[]> buffer_;
+  size_t size_ = 0;
   size_t pos_ = 0;
   size_t payload_size_ = 0;
   bool ok_ = false;

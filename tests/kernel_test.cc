@@ -12,6 +12,10 @@
 //  - simd::LeakyRelu keeps NaNs and signed zeros on every path, and
 //    MatMulSerial's shared leading columns give MatMul's bits for every
 //    prefix length, signed-zero and NaN-payload rows included;
+//  - simd::MatchDots gives the scalar chain's bits on every path for every
+//    row count, level count and level width around the 4-row and 4-column
+//    groups, NaN payloads and the float extremes included, and equals a
+//    naive double loop whose NaN results are written as the quiet NaN;
 //  - Hignn::Fit still returns the model bits pinned before the kernel and
 //    sampling rewrites, on every path and thread count;
 //  - the GEMM-filtered k-means assignment returns the naive full scan's
@@ -501,6 +505,132 @@ TEST(SharedPrefixGemmTest, PrefixStopsAtSignedZeroAndNanPayloadBytes) {
             << simd::PathName();
         if (std::isnan(std::bit_cast<float>(other))) {
           EXPECT_FALSE(SameBytes(serial.row(0), serial.row(1), kN));
+        }
+      }
+    }
+  }
+}
+
+// --- Match dots ---------------------------------------------------------------
+
+// Signed zeros, infinities, quiet and signalling NaNs with distinct
+// payloads and signs, denormals of both signs, and the float extremes.
+const uint32_t kMatchDotSpecials[] = {
+    0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u, 0x7fc00000u,
+    0x7fc01234u, 0xffc00001u, 0x7f800001u, 0xff812345u, 0x7fa00000u,
+    0x00000001u, 0x80000001u, 0x007fffffu, 0x807fffffu, 0x7f7fffffu,
+    0xff7fffffu,
+};
+
+// One MatchDots case: `rows` item rows of `levels` levels of width `d`,
+// `pad` floats apart beyond their blocks, and the output rows likewise
+// padded, so a kernel writing outside its columns shows.
+struct MatchDotsCase {
+  size_t rows;
+  size_t levels;
+  size_t d;
+  std::vector<float> user;
+  std::vector<float> items;
+  size_t item_stride;
+  size_t out_stride;
+};
+
+MatchDotsCase MakeMatchDotsCase(size_t rows, size_t levels, size_t d,
+                                uint64_t seed) {
+  MatchDotsCase c{rows, levels, d, {}, {}, levels * d + 3, levels + 2};
+  c.user = RandomVector(levels * d, seed);
+  c.items = RandomVector(rows * c.item_stride, seed + 1);
+  return c;
+}
+
+// Overwrites every `period`-th float of both operands, from a shifting
+// offset, with the specials in turn, so they meet each other, finite
+// values and running sums in lanes and in scalar tails.
+void SprinkleSpecials(MatchDotsCase& c, size_t period, size_t offset) {
+  constexpr size_t kSpecials = std::size(kMatchDotSpecials);
+  size_t next = offset;
+  for (std::vector<float>* v : {&c.user, &c.items}) {
+    for (size_t i = offset % period; i < v->size(); i += period) {
+      (*v)[i] = std::bit_cast<float>(kMatchDotSpecials[next++ % kSpecials]);
+    }
+  }
+}
+
+std::vector<float> RunMatchDots(const MatchDotsCase& c) {
+  std::vector<float> out(c.rows * c.out_stride,
+                         std::bit_cast<float>(0x7fc0dead));
+  simd::MatchDots(c.user.data(), c.items.data(), c.item_stride, c.rows,
+                  c.levels, c.d, out.data(), c.out_stride);
+  return out;
+}
+
+TEST(MatchDotsKernelTest, ScalarEqualsBestPathOnEveryShapeAndSpecial) {
+  PathGuard guard;
+  for (size_t rows = 0; rows <= 9; ++rows) {
+    for (size_t levels = 0; levels <= 9; ++levels) {
+      for (const size_t d : {0, 1, 3, 4, 5, 8, 16, 17, 21}) {
+        // No specials, a sparse sprinkle, and every other operand special.
+        for (const size_t period : {size_t{0}, size_t{5}, size_t{2}}) {
+          MatchDotsCase c =
+              MakeMatchDotsCase(rows, levels, d, 241 + rows * 131 + d);
+          if (period > 0) SprinkleSpecials(c, period, rows + levels + d);
+          simd::ForcePathForTesting(simd::IsaPath::kScalar);
+          const std::vector<float> scalar = RunMatchDots(c);
+          simd::ForcePathForTesting(simd::Best());
+          const std::vector<float> best = RunMatchDots(c);
+          ASSERT_TRUE(SameBytes(scalar.data(), best.data(), scalar.size()))
+              << rows << " rows, " << levels << " levels, d " << d
+              << ", specials every " << period << " on " << simd::PathName();
+        }
+      }
+    }
+  }
+}
+
+TEST(MatchDotsKernelTest, EqualsNaiveDoubleLoopWithNansAsTheQuietNan) {
+  PathGuard guard;
+  // 2^60, 1, -2^60, 1/4 against a user block of ones, rotated by row and
+  // level: in ascending order the 2^60 absorbs what follows it until the
+  // -2^60 cancels it, so a chain that adds its columns in another order
+  // keeps or loses other small terms and ends elsewhere.
+  const float absorbing[] = {0x1p60f, 1.0f, -0x1p60f, 0.25f};
+  constexpr size_t kSpecials = std::size(kMatchDotSpecials);
+  for (const simd::IsaPath path : {simd::IsaPath::kScalar, simd::Best()}) {
+    simd::ForcePathForTesting(path);
+    for (const size_t rows : {size_t{1}, size_t{4}, size_t{7}, size_t{13}}) {
+      for (const size_t d : {1, 4, 16, 21}) {
+        const size_t levels = 7;
+        MatchDotsCase c = MakeMatchDotsCase(rows, levels, d, 251 + d);
+        if (rows % 2 == 1) {
+          std::fill(c.user.begin(), c.user.end(), 1.0f);
+          for (size_t r = 0; r < rows; ++r) {
+            for (size_t k = 0; k < levels * d; ++k) {
+              c.items[r * c.item_stride + k] =
+                  absorbing[(k % d + r + k / d) % std::size(absorbing)];
+            }
+          }
+        } else {
+          for (size_t i = 0; i < c.items.size(); i += 9) {
+            c.items[i] = std::bit_cast<float>(kMatchDotSpecials[i % kSpecials]);
+          }
+          c.user[d % c.user.size()] =
+              std::bit_cast<float>(kMatchDotSpecials[d % kSpecials]);
+        }
+        const std::vector<float> out = RunMatchDots(c);
+        for (size_t r = 0; r < rows; ++r) {
+          for (size_t l = 0; l < levels; ++l) {
+            double sum = 0.0;
+            for (size_t k = 0; k < d; ++k) {
+              sum += static_cast<double>(c.user[l * d + k]) *
+                     static_cast<double>(c.items[r * c.item_stride + l * d + k]);
+            }
+            const float want = std::isnan(sum)
+                                   ? std::numeric_limits<float>::quiet_NaN()
+                                   : static_cast<float>(sum);
+            EXPECT_TRUE(SameBytes(&out[r * c.out_stride + l], &want, 1))
+                << "row " << r << " level " << l << " d " << d << " on "
+                << simd::PathName();
+          }
         }
       }
     }

@@ -20,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "core/hignn.h"
@@ -52,9 +54,17 @@ std::string ReadBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+// Replaces `path` whole: the bytes go to a file of this process's own and
+// are renamed over `path`. The serve. and tsan. binaries both run this
+// suite, concurrently under ctest -j, on the same temp paths; rewriting in
+// place let one read the other's half-written copy.
 void WriteBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0) << path;
 }
 
 // A small trained pipeline exported once; every test reloads from copies

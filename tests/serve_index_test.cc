@@ -5,12 +5,14 @@
 // stored index sections byte-identical to a rebuild from the store's own
 // arrays, rejection of corrupted/truncated index sections, the wire
 // protocol's per-request beam field, and the shared TopKByScore
-// tie-break contract both paths rest on.
+// tie-break contract both paths rest on, held to a partial_sort oracle.
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -28,6 +30,8 @@
 #include "serve/serve_metrics.h"
 #include "serve/server.h"
 #include "serve/store_manager.h"
+#include "topk_oracle_testing.h"
+#include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -134,6 +138,49 @@ TEST(TopKByScoreOrder, NaNsRankLastAndTieByIdDeterministically) {
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].item, b[i].item) << "rank " << i;
     EXPECT_EQ(std::isnan(a[i].score), std::isnan(b[i].score)) << "rank " << i;
+  }
+}
+
+// Packed-key selection against the partial_sort oracle on seeded random
+// candidates: distinct items in shuffled order (negative ids included)
+// whose scores come from a small pool, so ties are common, mixed with
+// signed zeros, infinities, denormals and NaNs of both signs with quiet and
+// signalling payloads.
+TEST(TopKByScoreOrder, EqualsPartialSortOracleOnRandomCandidates) {
+  const uint32_t specials[] = {0x00000000u, 0x80000000u, 0x7f800000u,
+                               0xff800000u, 0x7fc00000u, 0xffc00000u,
+                               0x7fc01234u, 0xffc04321u, 0x7f800001u,
+                               0xff812345u, 0x00000001u, 0x80000001u};
+  Rng rng(263);
+  for (int32_t n = 0; n <= 300; ++n) {
+    std::vector<int32_t> items(static_cast<size_t>(n));
+    const int32_t first = static_cast<int32_t>(rng.UniformInt(41)) - 20;
+    std::iota(items.begin(), items.end(), first);
+    rng.Shuffle(items);
+    std::vector<float> pool;
+    for (int i = 0; i < 6; ++i) {
+      pool.push_back(static_cast<float>(rng.Uniform(-1.0, 1.0)));
+    }
+    for (const uint32_t bits : specials) {
+      pool.push_back(std::bit_cast<float>(bits));
+    }
+    std::vector<float> scores;
+    for (int32_t i = 0; i < n; ++i) {
+      scores.push_back(pool[rng.UniformInt(pool.size())]);
+    }
+    for (const int32_t k : {0, 1, n - 1, n, n + 5}) {
+      const std::vector<Recommendation> got = TopKByScore(items, scores, k);
+      const std::vector<Recommendation> want =
+          OracleTopKByScore(items, scores, k);
+      ASSERT_EQ(got.size(), want.size()) << "n " << n << " k " << k;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].item, want[i].item)
+            << "n " << n << " k " << k << " rank " << i;
+        ASSERT_EQ(std::bit_cast<uint32_t>(got[i].score),
+                  std::bit_cast<uint32_t>(want[i].score))
+            << "n " << n << " k " << k << " rank " << i;
+      }
+    }
   }
 }
 

@@ -7,9 +7,11 @@
 // a (user, item) score over TCP must equal the offline
 // CvrModel::Predict float bit for bit — any batching, any thread count.
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +37,7 @@
 #include "serve/server.h"
 #include "serve/store_manager.h"
 #include "serve/wire.h"
+#include "topk_oracle_testing.h"
 #include "util/crc32.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -349,6 +352,101 @@ TEST_F(ServeFixture, ExactScanTopKReturnsPerPairScores) {
               std::bit_cast<uint32_t>(rec.score))
         << "item " << rec.item;
   }
+}
+
+// SelectLeaves as a per-row oracle: every frontier row assembled alone
+// (one AssembleFeatureRows call per row, the scalar match-dot chain), each
+// level forwarded through PredictRows and ranked by the partial_sort
+// oracle. `scored` receives each scored level's frontier size.
+std::vector<int32_t> OracleLeaves(const EmbeddingStore& store, int32_t user,
+                                  int32_t beam, std::vector<size_t>* scored) {
+  const ClusterTreeIndex& index = store.index();
+  const FeatureRowLayout& layout = index.geometry();
+  const size_t block_cols = static_cast<size_t>(layout.item_block_cols);
+  const size_t tail_dim = static_cast<size_t>(layout.item_tail_dim);
+  std::vector<int32_t> frontier(
+      static_cast<size_t>(index.level(index.num_levels()).num_clusters));
+  std::iota(frontier.begin(), frontier.end(), 0);
+  for (int32_t l = index.num_levels(); l >= 1; --l) {
+    const ClusterTreeLevel& level = index.level(l);
+    if (frontier.size() > static_cast<size_t>(beam)) {
+      scored->push_back(frontier.size());
+      Matrix rows(frontier.size(), static_cast<size_t>(layout.feature_dim));
+      for (size_t i = 0; i < frontier.size(); ++i) {
+        const size_t c = static_cast<size_t>(frontier[i]);
+        const ItemSource item{level.centroid_block + c * block_cols,
+                              level.centroid_tail + c * tail_dim};
+        AssembleFeatureRows(layout, store.UserBlock(user),
+                            store.UserTail(user), &item, 1, rows.row(i));
+      }
+      const std::vector<Recommendation> kept = OracleTopKByScore(
+          frontier, store.model().PredictRows(rows).ValueOrDie(), beam);
+      frontier.clear();
+      for (const Recommendation& rec : kept) frontier.push_back(rec.item);
+      std::sort(frontier.begin(), frontier.end());
+    }
+    std::vector<int32_t> next;
+    for (const int32_t c : frontier) {
+      next.insert(next.end(), level.child_ids + level.child_offsets[c],
+                  level.child_ids + level.child_offsets[c + 1]);
+    }
+    frontier = std::move(next);
+  }
+  std::sort(frontier.begin(), frontier.end());
+  return frontier;
+}
+
+// Beams small enough that the scored frontiers change size from level to
+// level and leave rows past a full group of 4, so the matrix SelectLeaves
+// reuses across levels, the kernel's lanes and its remainder rows are all
+// exercised.
+TEST_F(ServeFixture, DescentOnUnevenFrontiersEqualsPerRowOracleBitwise) {
+  auto engine = std::move(PredictionEngine::Open(store_path_).ValueOrDie());
+  const EmbeddingStore& store = engine->store();
+  ASSERT_GE(store.index().num_levels(), 2);
+  const CvrModel& model = store.model();
+  const ClusterTreeIndex::RowScorer scorer = [&model](const Matrix& rows) {
+    return model.PredictRows(rows);
+  };
+  bool size_changed = false;
+  bool remainder_rows = false;
+  for (const int32_t beam : {1, 2, 3, 5}) {
+    for (int32_t user = 0; user < store.num_users(); user += 7) {
+      std::vector<size_t> scored;
+      const std::vector<int32_t> want = OracleLeaves(store, user, beam,
+                                                     &scored);
+      for (size_t i = 0; i < scored.size(); ++i) {
+        remainder_rows =
+            remainder_rows || (scored[i] > 4 && scored[i] % 4 != 0);
+        size_changed = size_changed || (i > 0 && scored[i] != scored[i - 1]);
+      }
+      const std::vector<int32_t> got =
+          store.index()
+              .SelectLeaves(store.UserBlock(user), store.UserTail(user),
+                            beam, scorer, nullptr)
+              .ValueOrDie();
+      ASSERT_EQ(got, want) << "user " << user << " beam " << beam;
+
+      Matrix rows(want.size(), static_cast<size_t>(store.feature_dim()));
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_TRUE(store.FillFeatureRow(user, want[i], rows.row(i)).ok());
+      }
+      const std::vector<Recommendation> want_top = OracleTopKByScore(
+          want, model.PredictRows(rows).ValueOrDie(), 10);
+      const std::vector<Recommendation> got_top =
+          engine->RecommendTopK(user, 10, beam).ValueOrDie();
+      ASSERT_EQ(got_top.size(), want_top.size());
+      for (size_t i = 0; i < got_top.size(); ++i) {
+        ASSERT_EQ(got_top[i].item, want_top[i].item)
+            << "user " << user << " beam " << beam << " rank " << i;
+        ASSERT_EQ(std::bit_cast<uint32_t>(got_top[i].score),
+                  std::bit_cast<uint32_t>(want_top[i].score))
+            << "user " << user << " beam " << beam << " rank " << i;
+      }
+    }
+  }
+  EXPECT_TRUE(size_changed);
+  EXPECT_TRUE(remainder_rows);
 }
 
 TEST_F(ServeFixture, EngineRejectsInvalidIds) {
